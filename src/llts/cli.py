@@ -13,27 +13,23 @@ import sys
 from . import properties, refinement, semantics, syntax
 from .semantics import BuildLimits, StateBoundExceeded, UnfoldDepthExceeded
 from .syntax import ParseError
-from .terms import GuardednessError, UnboundRecVar
-
-
-def _default_max_states() -> int:
-    env = os.environ.get("LLTS_MAX_STATES")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"error: LLTS_MAX_STATES is not an integer: {env!r}")
-    return semantics.DEFAULT_MAX_STATES
 
 
 def _limits(args) -> BuildLimits:
-    return BuildLimits(
-        max_states=args.max_states, max_unfold_depth=args.max_unfold_depth
-    )
+    """Build limits from the flags; without ``--max-states`` the state bound
+    is ``LLTS_MAX_STATES``, else the default."""
+    max_states = args.max_states
+    if max_states is None:
+        env = os.environ.get("LLTS_MAX_STATES") or str(semantics.DEFAULT_MAX_STATES)
+        try:
+            max_states = int(env)
+        except ValueError:
+            raise ValueError(f"LLTS_MAX_STATES is not an integer: {env!r}") from None
+    return BuildLimits(max_states=max_states, max_unfold_depth=args.max_unfold_depth)
 
 
 def _add_limit_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-states", type=int, default=_default_max_states())
+    sub.add_argument("--max-states", type=int, default=None)
     sub.add_argument(
         "--max-unfold-depth", type=int, default=semantics.DEFAULT_MAX_UNFOLD_DEPTH
     )
@@ -134,16 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (GuardednessError, UnboundRecVar, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except StateBoundExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except UnfoldDepthExceeded as err:
+    except (ParseError, OSError, ValueError, StateBoundExceeded, UnfoldDepthExceeded) as err:
+        # ValueError also covers the guardedness and binding errors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -989,12 +989,19 @@ def load_baseline(path: str) -> list[tuple[str, int, int]]:
     """Read a pinned-seed baseline: a JSON list of [theorem, seed, trials]."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, list):
+        raise ValueError("a baseline is a JSON list of [theorem, seed, trials] rows")
     entries = []
     for row in doc:
+        if not (isinstance(row, list) and len(row) == 3):
+            raise ValueError(f"baseline row is not [theorem, seed, trials]: {row!r}")
         theorem, seed, trials = row
-        if theorem not in ALL_CHECKS:
+        if not isinstance(theorem, str) or theorem not in ALL_CHECKS:
             raise ValueError(f"unknown theorem id {theorem!r}")
-        entries.append((str(theorem), int(seed), int(trials)))
+        try:
+            entries.append((theorem, int(seed), int(trials)))
+        except (TypeError, ValueError):
+            raise ValueError(f"baseline seed or trials not an integer: {row!r}") from None
     return entries
 
 

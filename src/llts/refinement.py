@@ -129,7 +129,7 @@ def largest_stable_sim(lts: Lts) -> SimRelation:
     return SimRelation(lts, frozenset(relation))
 
 
-def _diagnose(lts, relation, deleted, weak, p0: int, candidates: list[int]):
+def _diagnose(lts, relation, deleted, weak, p0: int, candidates):
     """Greedy diagnostic trace: follow the candidate partner that survived
     longest and report why it ultimately fails.  Refutations are tree-shaped
     in general; this path explains one failing branch."""
@@ -155,40 +155,67 @@ def _diagnose(lts, relation, deleted, weak, p0: int, candidates: list[int]):
         first = False
 
 
+def _unmatched_start(lts: Lts, relation, ip: int, iq: int) -> int | None:
+    """The first stable consistent descendant of ``ip`` that no stable
+    consistent descendant of ``iq`` simulates; None when ``iq`` refines
+    ``ip``."""
+    csd = lts.consistent_stable_descendants()
+    q_starts = csd[iq]
+    for p1 in sorted(csd[ip]):
+        if not any((p1, q1) in relation for q1 in q_starts):
+            return p1
+    return None
+
+
 def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVerdict:
     """Decide whether ``q`` ready-simulates ``p``; a refuted verdict carries a
     diagnostic trace, a holding one the witnessing relation."""
     lts = build_combined([p, q], limits)
     ip, iq = lts.roots[0], lts.roots[1]
     relation, deleted, weak = _stable_sim(lts)
-    csd = lts.consistent_stable_descendants()
-    p_starts = sorted(csd[ip])
-    q_starts = sorted(csd[iq])
-    for p1 in p_starts:
-        if not any((p1, q1) in relation for q1 in q_starts):
-            cex = _diagnose(lts, relation, deleted, weak, p1, q_starts)
-            return RefinementVerdict(False, counterexample=cex)
+    p1 = _unmatched_start(lts, relation, ip, iq)
+    if p1 is not None:
+        q_starts = lts.consistent_stable_descendants()[iq]
+        cex = _diagnose(lts, relation, deleted, weak, p1, q_starts)
+        return RefinementVerdict(False, counterexample=cex)
     return RefinementVerdict(True, witness=SimRelation(lts, frozenset(relation)))
+
+
+def _stable_roots(p: Term, q: Term, limits: BuildLimits | None):
+    """The root ids of ``p`` and ``q`` in their shared graph, with the largest
+    stable ready simulation there; the relation is empty when either root is
+    unstable."""
+    lts = build_combined([p, q], limits)
+    ip, iq = lts.roots[0], lts.roots[1]
+    if not (lts.stable[ip] and lts.stable[iq]):
+        return ip, iq, set()
+    return ip, iq, _stable_sim(lts)[0]
 
 
 def stable_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
     """Stable ready simulation between the roots themselves: both must be
     stable and related by the largest stable ready simulation."""
-    lts = build_combined([p, q], limits)
-    ip, iq = lts.roots[0], lts.roots[1]
-    if not (lts.stable[ip] and lts.stable[iq]):
-        return False
-    relation, _, _ = _stable_sim(lts)
+    ip, iq, relation = _stable_roots(p, q, limits)
     return (ip, iq) in relation
 
 
 def equivalent(
     p: Term, q: Term, limits: BuildLimits | None = None, stable: bool = False
 ) -> bool:
-    """Mutual refinement; with ``stable=True`` mutual stable-state simulation."""
+    """Mutual refinement; with ``stable=True`` mutual stable-state simulation.
+
+    Both directions are read off one graph: the witness of ``refines(p, q)``
+    is the largest simulation over every stable pair of the graph shared by
+    ``p`` and ``q``.
+    """
     if stable:
-        return stable_refines(p, q, limits) and stable_refines(q, p, limits)
-    return refines(p, q, limits).holds and refines(q, p, limits).holds
+        ip, iq, relation = _stable_roots(p, q, limits)
+        return (ip, iq) in relation and (iq, ip) in relation
+    verdict = refines(p, q, limits)
+    if not verdict.holds:
+        return False
+    lts, relation = verdict.witness.lts, verdict.witness.pairs
+    return _unmatched_start(lts, relation, lts.roots[1], lts.roots[0]) is None
 
 
 def alt_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:

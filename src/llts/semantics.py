@@ -1,5 +1,11 @@
-"""Operational semantics: one-step transitions, bounded graph construction,
-the inconsistency predicate as a least fixpoint, and model validators.
+"""Operational semantics: the rule table, one-step transitions, bounded
+graph construction, the inconsistency predicate as a least fixpoint, and
+model validators.
+
+The rule table ``RULES`` writes each transition and inconsistency rule once,
+one entry per operator.  ``step`` reads its transition rules,
+``compute_inconsistent`` its inconsistency rules as Horn clauses, and
+``used_rule_instances`` both, with their premises.
 
 Internal moves take precedence over visible ones: a composition offers a
 visible action only while the blocking operand has no internal move.  Since
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .terms import (
     TAU,
@@ -25,7 +32,6 @@ from .terms import (
     Prefix,
     Rec,
     Term,
-    Var,
     free_vars,
     is_visible,
     operands,
@@ -65,14 +71,209 @@ class UnfoldDepthExceeded(RuntimeError):
         self.depth = depth
 
 
-def _dedup(moves: list[tuple[str, Term]]) -> tuple[tuple[str, Term], ...]:
-    seen = set()
-    out = []
-    for m in moves:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# the rule table: the calculus, written once, one entry per operator
+#
+# ``moves(t, moves_of)`` applies the transition rules to ``t``, given
+# ``moves_of(u)``, the moves of a premise source ``u``.  It returns one
+# ``(rule, premises, moves)`` batch per rule, in the order ``step`` lists
+# moves.  ``premises(t, a, s)`` rebuilds the positive and negated premise
+# literals of the move ``t --a--> s``; only ``used_rule_instances`` asks.
+#
+# ``clauses(lts, i, shape)`` gives the inconsistency rules for state ``i`` as
+# Horn clauses ``(rule, needs, positive, negative)``: ``i`` is inconsistent
+# once every id in ``needs`` is.  ``positive`` and ``negative`` are the
+# transition literals the rule also reads; the graph satisfies them wherever
+# the clause is listed.  Literals are those of ``RuleInstance``.
+
+
+def _none(*_):
+    return ()
+
+
+def _axiom(t, a, s):
+    return (), ()
+
+
+def _int_left(t, a, s):
+    return (("t", t.left, TAU, s.left),), ()
+
+
+def _int_right(t, a, s):
+    return (("t", t.right, TAU, s.right),), ()
+
+
+def _sync(t, a, s):
+    return (("t", t.left, a, s.left), ("t", t.right, a, s.right)), ()
+
+
+def _choice_vis_left(t, a, s):
+    return (("t", t.left, a, s),), (("nt", t.right, TAU),)
+
+
+def _choice_vis_right(t, a, s):
+    return (("t", t.right, a, s),), (("nt", t.left, TAU),)
+
+
+def _par_vis_left(t, a, s):
+    return (("t", t.left, a, s.left),), (("nt", t.right, TAU),)
+
+
+def _par_vis_right(t, a, s):
+    return (("t", t.right, a, s.right),), (("nt", t.left, TAU),)
+
+
+def _unfold(t, a, s):
+    return (("t", unfold_rec(t), a, s),), ()
+
+
+def _prefix_moves(t, moves_of):
+    return (("prefix", _axiom, ((t.action, t.body),)),)
+
+
+def _disj_moves(t, moves_of):
+    return (
+        ("disj-left", _axiom, ((TAU, t.left),)),
+        ("disj-right", _axiom, ((TAU, t.right),)),
+    )
+
+
+def _choice_moves(t, moves_of):
+    l, r = t.left, t.right
+    lt, rt = moves_of(l), moves_of(r)
+    int_l = [(TAU, ExtChoice(s, r)) for a, s in lt if a == TAU]
+    int_r = [(TAU, ExtChoice(l, s)) for a, s in rt if a == TAU]
+    out = [("choice-int-left", _int_left, int_l), ("choice-int-right", _int_right, int_r)]
+    if all(a != TAU for a, _ in rt):
+        vis = [(a, s) for a, s in lt if a != TAU]
+        out.append(("choice-vis-left", _choice_vis_left, vis))
+    if all(a != TAU for a, _ in lt):
+        vis = [(a, s) for a, s in rt if a != TAU]
+        out.append(("choice-vis-right", _choice_vis_right, vis))
+    return out
+
+
+def _conj_moves(t, moves_of):
+    l, r = t.left, t.right
+    lt, rt = moves_of(l), moves_of(r)
+    int_l = [(TAU, Conj(s, r)) for a, s in lt if a == TAU]
+    int_r = [(TAU, Conj(l, s)) for a, s in rt if a == TAU]
+    both = [(a, Conj(s1, s2)) for a, s1 in lt if a != TAU for b, s2 in rt if b == a]
+    return (
+        ("conj-int-left", _int_left, int_l),
+        ("conj-int-right", _int_right, int_r),
+        ("conj-sync", _sync, both),
+    )
+
+
+def _par_moves(t, moves_of):
+    sync, l, r = t.sync, t.left, t.right
+    lt, rt = moves_of(l), moves_of(r)
+    int_l = [(TAU, Parallel(sync, s, r)) for a, s in lt if a == TAU]
+    int_r = [(TAU, Parallel(sync, l, s)) for a, s in rt if a == TAU]
+    out = [("par-int-left", _int_left, int_l), ("par-int-right", _int_right, int_r)]
+    if all(a != TAU for a, _ in rt):
+        vis = [(a, Parallel(sync, s, r)) for a, s in lt if a != TAU and a not in sync]
+        out.append(("par-vis-left", _par_vis_left, vis))
+    if all(a != TAU for a, _ in lt):
+        vis = [(a, Parallel(sync, l, s)) for a, s in rt if a != TAU and a not in sync]
+        out.append(("par-vis-right", _par_vis_right, vis))
+    both = [
+        (a, Parallel(sync, s1, s2))
+        for a, s1 in lt
+        if a in sync
+        for b, s2 in rt
+        if b == a
+    ]
+    out.append(("par-sync", _sync, both))
+    return out
+
+
+def _rec_moves(t, moves_of):
+    return (("rec-unfold", _unfold, moves_of(unfold_rec(t))),)
+
+
+def _bottom_clauses(lts, i, shape):
+    return (("inconsistent-bottom", (), (), ()),)
+
+
+def _prefix_clauses(lts, i, shape):
+    return (("inconsistent-prefix", (shape[1],), (), ()),)
+
+
+def _disj_clauses(lts, i, shape):
+    return (("inconsistent-disj", (shape[1], shape[2]), (), ()),)
+
+
+def _choice_clauses(lts, i, shape):
+    return (
+        ("inconsistent-choice-operand", (shape[1],), (), ()),
+        ("inconsistent-choice-operand", (shape[2],), (), ()),
+    )
+
+
+def _par_clauses(lts, i, shape):
+    return (
+        ("inconsistent-par-operand", (shape[1],), (), ()),
+        ("inconsistent-par-operand", (shape[2],), (), ()),
+    )
+
+
+def _conj_clauses(lts, i, shape):
+    """Either conjunct inconsistent; a stable conjunction whose conjuncts
+    disagree on a visible action; every derivative under one action
+    inconsistent; every stable internal-move descendant inconsistent
+    (vacuously so when divergence leaves none)."""
+    terms, transitions = lts.terms, lts.transitions
+    t, l, r = terms[i], shape[1], shape[2]
+    out = [
+        ("inconsistent-conj-operand", (l,), (), ()),
+        ("inconsistent-conj-operand", (r,), (), ()),
+    ]
+    if lts.stable[i]:
+        vl, vr = lts.visible_ready(l), lts.visible_ready(r)
+        for x, y, only_x in ((l, r, vl - vr), (r, l, vr - vl)):
+            for a in sorted(only_x):
+                w = next(j for b, j in transitions[x] if b == a)
+                positive = (("t", terms[x], a, terms[w]),)
+                negative = (("nt", terms[y], a), ("nt", t, TAU))
+                out.append(("conj-ready-mismatch", (), positive, negative))
+    by_action: dict[str, list[int]] = {}
+    for a, j in transitions[i]:
+        by_action.setdefault(a, []).append(j)
+    for a, targets in sorted(by_action.items()):
+        positive = (("t", t, a, terms[targets[0]]),)
+        out.append(("conj-doomed-derivatives", sorted(targets), positive, ()))
+    sd = sorted(lts.stable_tau_descendants(i))
+    out.append(("conj-doomed-descendants", sd, (), ()))
+    return out
+
+
+def _rec_clauses(lts, i, shape):
+    """Every stable internal-move descendant inconsistent; the expansion
+    inconsistent."""
+    sd = sorted(lts.stable_tau_descendants(i))
+    return (
+        ("rec-doomed-descendants", sd, (), ()),
+        ("inconsistent-rec", (shape[1],), (), ()),
+    )
+
+
+class OperatorRules(NamedTuple):
+    moves: Callable
+    clauses: Callable
+
+
+RULES: dict[type, OperatorRules] = {
+    Nil: OperatorRules(_none, _none),
+    Bottom: OperatorRules(_none, _bottom_clauses),
+    Prefix: OperatorRules(_prefix_moves, _prefix_clauses),
+    Disj: OperatorRules(_disj_moves, _disj_clauses),
+    ExtChoice: OperatorRules(_choice_moves, _choice_clauses),
+    Conj: OperatorRules(_conj_moves, _conj_clauses),
+    Parallel: OperatorRules(_par_moves, _par_clauses),
+    Rec: OperatorRules(_rec_moves, _rec_clauses),
+}
 
 
 def step(
@@ -85,76 +286,40 @@ def step(
     ``_memo`` may be shared across calls (completed results stay valid); the
     unfold budget is charged per call.
     """
+    _check_closed(t)
+    return list(_closed_step(t, max_unfold_depth, {} if _memo is None else _memo))
+
+
+def _check_closed(t: Term) -> None:
     if free_vars(t):
         raise ValueError(f"transitions are defined for closed terms only: {t}")
+
+
+def _closed_step(
+    t: Term, max_unfold_depth: int, memo: dict
+) -> tuple[tuple[str, Term], ...]:
+    """``step`` on a term known to be closed."""
     budget = max_unfold_depth
-    memo: dict[Term, tuple[tuple[str, Term], ...]] = (
-        _memo if _memo is not None else {}
-    )
 
     def go(t: Term) -> tuple[tuple[str, Term], ...]:
         nonlocal budget
         cached = memo.get(t)
         if cached is not None:
             return cached
-        match t:
-            case Nil() | Bottom():
-                out: tuple[tuple[str, Term], ...] = ()
-            case Prefix(a, body):
-                out = ((a, body),)
-            case Disj(l, r):
-                out = _dedup([(TAU, l), (TAU, r)])
-            case ExtChoice(l, r):
-                lt, rt = go(l), go(r)
-                moves = [(TAU, ExtChoice(s, r)) for a, s in lt if a == TAU]
-                moves += [(TAU, ExtChoice(l, s)) for a, s in rt if a == TAU]
-                if all(a != TAU for a, _ in rt):
-                    moves += [(a, s) for a, s in lt if a != TAU]
-                if all(a != TAU for a, _ in lt):
-                    moves += [(a, s) for a, s in rt if a != TAU]
-                out = _dedup(moves)
-            case Conj(l, r):
-                lt, rt = go(l), go(r)
-                moves = [(TAU, Conj(s, r)) for a, s in lt if a == TAU]
-                moves += [(TAU, Conj(l, s)) for a, s in rt if a == TAU]
-                for a, s1 in lt:
-                    if a == TAU:
-                        continue
-                    moves += [(a, Conj(s1, s2)) for b, s2 in rt if b == a]
-                out = _dedup(moves)
-            case Parallel(sync, l, r):
-                lt, rt = go(l), go(r)
-                moves = [(TAU, Parallel(sync, s, r)) for a, s in lt if a == TAU]
-                moves += [(TAU, Parallel(sync, l, s)) for a, s in rt if a == TAU]
-                if all(a != TAU for a, _ in rt):
-                    moves += [
-                        (a, Parallel(sync, s, r))
-                        for a, s in lt
-                        if a != TAU and a not in sync
-                    ]
-                if all(a != TAU for a, _ in lt):
-                    moves += [
-                        (a, Parallel(sync, l, s))
-                        for a, s in rt
-                        if a != TAU and a not in sync
-                    ]
-                for a, s1 in lt:
-                    if a in sync:
-                        moves += [(a, Parallel(sync, s1, s2)) for b, s2 in rt if b == a]
-                out = _dedup(moves)
-            case Rec(_, _):
-                if budget <= 0:
-                    raise UnfoldDepthExceeded(max_unfold_depth)
-                budget -= 1
-                out = go(unfold_rec(t))
-            case Var(_):
-                raise ValueError("open term")
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-        memo[t] = out
+        rules = RULES.get(type(t))
+        if rules is None:
+            raise TypeError(f"not a term: {t!r}")
+        if type(t) is Rec:
+            if budget <= 0:
+                raise UnfoldDepthExceeded(max_unfold_depth)
+            budget -= 1
+        moves: list[tuple[str, Term]] = []
+        for _, _, batch in rules.moves(t, go):
+            moves += batch
+        out = memo[t] = tuple(dict.fromkeys(moves))  # first occurrences, in order
         return out
 
-    return list(go(t))
+    return go(t)
 
 
 class Lts:
@@ -213,15 +378,6 @@ class Lts:
 
     def state_ids(self) -> list[int]:
         return [i for i, r in enumerate(self.reachable) if r]
-
-    def id_of(self, t: Term) -> int:
-        return self.index[t]
-
-    def term(self, i: int) -> Term:
-        return self.terms[i]
-
-    def succ(self, i: int) -> tuple[tuple[str, int], ...]:
-        return self.transitions[i]
 
     def ready(self, i: int) -> frozenset[str]:
         return frozenset(a for a, _ in self.transitions[i])
@@ -389,6 +545,10 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         todo.append(i)
         return i
 
+    # Every term the exploration reaches from closed roots is closed, so
+    # the roots alone are checked.
+    for t in roots:
+        _check_closed(t)
     root_ids = [add(t) for t in roots]
     step_memo: dict = {}
     try:
@@ -397,7 +557,7 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
             t = terms[i]
             for c in support_children(t):
                 add(c)
-            moves = step(t, limits.max_unfold_depth, _memo=step_memo)
+            moves = _closed_step(t, limits.max_unfold_depth, step_memo)
             transitions[i] = tuple((a, add(s)) for a, s in moves)
     except RecursionError:
         # States deep enough to exhaust the interpreter stack only arise
@@ -419,91 +579,40 @@ def build_lts(p: Term, limits: BuildLimits | None = None) -> Lts:
 def compute_inconsistent(lts: Lts, _reverse: bool = False) -> frozenset[int]:
     """Least fixpoint of the inconsistency rules over the universe.
 
-    A state becomes inconsistent when: it is ``bot``; its single operand is
-    (prefix) or either operand is (choice, parallel, conjunction); both
-    operands are (disjunction); it is a stable conjunction whose conjuncts
-    disagree on some visible action; it is a conjunction all of whose
-    derivatives under one of its actions are inconsistent; it is a
-    conjunction or recursion all of whose stable internal-move descendants
-    are inconsistent (vacuously so when divergence leaves none); or it is a
-    recursion whose expansion is inconsistent.
+    Each rule of the table is a Horn clause on the state ids it needs; a
+    clause counts its needs not yet inconsistent and fires at zero, so the
+    saturation visits each need once.
     """
     n = len(lts.terms)
     shapes = lts.shapes()
     F = [False] * n
     pending: deque[int] = deque()
-
-    def fire(i: int) -> None:
-        if not F[i]:
-            F[i] = True
-            pending.append(i)
-
-    # reverse dependency maps
-    single_parents: dict[int, list[int]] = {}
-    disj_parents: dict[int, list[int]] = {}
-    disj_waiting: dict[int, int] = {}
-    deriv_parents: dict[int, list[tuple[int, str]]] = {}
-    deriv_waiting: dict[tuple[int, str], int] = {}
-    sd_parents: dict[int, list[int]] = {}
-    sd_waiting: dict[int, int] = {}
-
-    for i in range(n):
-        shape = shapes[i]
-        kind = shape[0]
-        if kind == "bottom":
-            fire(i)
-        elif kind in ("prefix", "rec"):
-            single_parents.setdefault(shape[1], []).append(i)
-        elif kind in ("choice", "par", "conj"):
-            single_parents.setdefault(shape[1], []).append(i)
-            if shape[2] != shape[1]:
-                single_parents.setdefault(shape[2], []).append(i)
-        elif kind == "disj":
-            l, r = shape[1], shape[2]
-            disj_waiting[i] = 1 if l == r else 2
-            disj_parents.setdefault(l, []).append(i)
-            if r != l:
-                disj_parents.setdefault(r, []).append(i)
-
-        if kind == "conj":
-            l, r = shape[1], shape[2]
-            if lts.stable[i] and lts.visible_ready(l) != lts.visible_ready(r):
-                fire(i)
-            by_action: dict[str, set[int]] = {}
-            for a, j in lts.transitions[i]:
-                by_action.setdefault(a, set()).add(j)
-            for a, targets in by_action.items():
-                deriv_waiting[(i, a)] = len(targets)
-                for j in targets:
-                    deriv_parents.setdefault(j, []).append((i, a))
-        if kind in ("conj", "rec"):
-            sd = lts.stable_tau_descendants(i)
-            if not sd:
-                fire(i)
-            else:
-                sd_waiting[i] = len(sd)
-                for j in sd:
-                    sd_parents.setdefault(j, []).append(i)
+    heads: list[int] = []
+    waiting: list[int] = []
+    watchers: list[list[int]] = [[] for _ in range(n)]
+    for i, t in enumerate(lts.terms):
+        for _, needs, _, _ in RULES[type(t)].clauses(lts, i, shapes[i]):
+            if not needs:
+                if not F[i]:
+                    F[i] = True
+                    pending.append(i)
+                continue
+            c = len(heads)
+            heads.append(i)
+            waiting.append(len(needs))
+            for j in needs:
+                watchers[j].append(c)
 
     if _reverse:
-        pending = deque(reversed(pending))
+        pending.reverse()
 
     while pending:
-        j = pending.popleft()
-        for i in single_parents.get(j, ()):
-            fire(i)
-        for i in disj_parents.get(j, ()):
-            disj_waiting[i] -= 1
-            if disj_waiting[i] == 0:
-                fire(i)
-        for i, a in deriv_parents.get(j, ()):
-            deriv_waiting[(i, a)] -= 1
-            if deriv_waiting[(i, a)] == 0:
-                fire(i)
-        for i in sd_parents.get(j, ()):
-            sd_waiting[i] -= 1
-            if sd_waiting[i] == 0:
-                fire(i)
+        for c in watchers[pending.popleft()]:
+            waiting[c] -= 1
+            i = heads[c]
+            if waiting[c] == 0 and not F[i]:
+                F[i] = True
+                pending.append(i)
 
     lts.inconsistent = F
     lts._csd = None  # consistency changed; invalidate derived relation
@@ -633,237 +742,25 @@ class RuleInstance:
 def used_rule_instances(lts: Lts) -> list[RuleInstance]:
     """The ground rule applications justifying every transition and every
     inconsistency flag of the built graph."""
+    terms, index, transitions = lts.terms, lts.index, lts.transitions
+    shapes, F = lts.shapes(), lts.inconsistent
+
+    def moves_of(u: Term) -> list[tuple[str, Term]]:
+        return [(a, terms[j]) for a, j in transitions[index[u]]]
+
     out: list[RuleInstance] = []
-    for i, t in enumerate(lts.terms):
-        out.extend(_transition_instances(lts, t))
-        if lts.inconsistent[i]:
-            out.extend(_inconsistency_instances(lts, i, t))
-    return out
-
-
-def _trans(lts: Lts, t: Term) -> list[tuple[str, Term]]:
-    return [(a, lts.terms[j]) for a, j in lts.transitions[lts.index[t]]]
-
-
-def _transition_instances(lts: Lts, t: Term) -> list[RuleInstance]:
-    out: list[RuleInstance] = []
-    match t:
-        case Prefix(a, body):
-            out.append(RuleInstance("prefix", ("t", t, a, body)))
-        case Disj(l, r):
-            out.append(RuleInstance("disj-left", ("t", t, TAU, l)))
-            out.append(RuleInstance("disj-right", ("t", t, TAU, r)))
-        case ExtChoice(l, r):
-            lt, rt = _trans(lts, l), _trans(lts, r)
-            l_stable = all(a != TAU for a, _ in lt)
-            r_stable = all(a != TAU for a, _ in rt)
-            for a, s in lt:
-                if a == TAU:
-                    out.append(
-                        RuleInstance(
-                            "choice-int-left",
-                            ("t", t, TAU, ExtChoice(s, r)),
-                            (("t", l, TAU, s),),
-                        )
-                    )
-                elif r_stable:
-                    out.append(
-                        RuleInstance(
-                            "choice-vis-left",
-                            ("t", t, a, s),
-                            (("t", l, a, s),),
-                            (("nt", r, TAU),),
-                        )
-                    )
-            for a, s in rt:
-                if a == TAU:
-                    out.append(
-                        RuleInstance(
-                            "choice-int-right",
-                            ("t", t, TAU, ExtChoice(l, s)),
-                            (("t", r, TAU, s),),
-                        )
-                    )
-                elif l_stable:
-                    out.append(
-                        RuleInstance(
-                            "choice-vis-right",
-                            ("t", t, a, s),
-                            (("t", r, a, s),),
-                            (("nt", l, TAU),),
-                        )
-                    )
-        case Conj(l, r):
-            lt, rt = _trans(lts, l), _trans(lts, r)
-            for a, s in lt:
-                if a == TAU:
-                    out.append(
-                        RuleInstance(
-                            "conj-int-left",
-                            ("t", t, TAU, Conj(s, r)),
-                            (("t", l, TAU, s),),
-                        )
-                    )
-                else:
-                    for b, s2 in rt:
-                        if b == a:
-                            out.append(
-                                RuleInstance(
-                                    "conj-sync",
-                                    ("t", t, a, Conj(s, s2)),
-                                    (("t", l, a, s), ("t", r, a, s2)),
-                                )
-                            )
-            for a, s in rt:
-                if a == TAU:
-                    out.append(
-                        RuleInstance(
-                            "conj-int-right",
-                            ("t", t, TAU, Conj(l, s)),
-                            (("t", r, TAU, s),),
-                        )
-                    )
-        case Parallel(sync, l, r):
-            lt, rt = _trans(lts, l), _trans(lts, r)
-            l_stable = all(a != TAU for a, _ in lt)
-            r_stable = all(a != TAU for a, _ in rt)
-            for a, s in lt:
-                if a == TAU:
-                    out.append(
-                        RuleInstance(
-                            "par-int-left",
-                            ("t", t, TAU, Parallel(sync, s, r)),
-                            (("t", l, TAU, s),),
-                        )
-                    )
-                elif a in sync:
-                    for b, s2 in rt:
-                        if b == a:
-                            out.append(
-                                RuleInstance(
-                                    "par-sync",
-                                    ("t", t, a, Parallel(sync, s, s2)),
-                                    (("t", l, a, s), ("t", r, a, s2)),
-                                )
-                            )
-                elif r_stable:
-                    out.append(
-                        RuleInstance(
-                            "par-vis-left",
-                            ("t", t, a, Parallel(sync, s, r)),
-                            (("t", l, a, s),),
-                            (("nt", r, TAU),),
-                        )
-                    )
-            for a, s in rt:
-                if a == TAU:
-                    out.append(
-                        RuleInstance(
-                            "par-int-right",
-                            ("t", t, TAU, Parallel(sync, l, s)),
-                            (("t", r, TAU, s),),
-                        )
-                    )
-                elif a not in sync and l_stable:
-                    out.append(
-                        RuleInstance(
-                            "par-vis-right",
-                            ("t", t, a, Parallel(sync, l, s)),
-                            (("t", r, a, s),),
-                            (("nt", l, TAU),),
-                        )
-                    )
-        case Rec(_, _):
-            expansion = unfold_rec(t)
-            for a, s in _trans(lts, t):
-                out.append(
-                    RuleInstance(
-                        "rec-unfold", ("t", t, a, s), (("t", expansion, a, s),)
-                    )
-                )
-        case _:
-            pass
-    return out
-
-
-def _inconsistency_instances(lts: Lts, i: int, t: Term) -> list[RuleInstance]:
-    out: list[RuleInstance] = []
-    F = lts.inconsistent
-    shapes = lts.shapes()
-    shape = shapes[i]
-    kind = shape[0]
-    terms = lts.terms
-    if kind == "bottom":
-        out.append(RuleInstance("inconsistent-bottom", ("f", t)))
-    elif kind == "prefix" and F[shape[1]]:
-        out.append(
-            RuleInstance("inconsistent-prefix", ("f", t), (("f", terms[shape[1]]),))
-        )
-    elif kind == "disj" and F[shape[1]] and F[shape[2]]:
-        out.append(
-            RuleInstance(
-                "inconsistent-disj",
-                ("f", t),
-                (("f", terms[shape[1]]), ("f", terms[shape[2]])),
-            )
-        )
-    if kind in ("choice", "par", "conj"):
-        for side in (1, 2):
-            if F[shape[side]]:
-                out.append(
-                    RuleInstance(
-                        f"inconsistent-{kind}-operand",
-                        ("f", t),
-                        (("f", terms[shape[side]]),),
-                    )
-                )
-    if kind == "conj":
-        l, r = shape[1], shape[2]
-        if lts.stable[i]:
-            for a in sorted(lts.visible_ready(l) - lts.visible_ready(r)):
-                witness = next(s for b, s in _trans(lts, terms[l]) if b == a)
-                out.append(
-                    RuleInstance(
-                        "conj-ready-mismatch",
-                        ("f", t),
-                        (("t", terms[l], a, witness),),
-                        (("nt", terms[r], a), ("nt", t, TAU)),
-                    )
-                )
-            for a in sorted(lts.visible_ready(r) - lts.visible_ready(l)):
-                witness = next(s for b, s in _trans(lts, terms[r]) if b == a)
-                out.append(
-                    RuleInstance(
-                        "conj-ready-mismatch",
-                        ("f", t),
-                        (("t", terms[r], a, witness),),
-                        (("nt", terms[l], a), ("nt", t, TAU)),
-                    )
-                )
-        by_action: dict[str, list[int]] = {}
-        for a, j in lts.transitions[i]:
-            by_action.setdefault(a, []).append(j)
-        for a, targets in sorted(by_action.items()):
-            if all(F[j] for j in targets):
-                positives = [("t", t, a, terms[targets[0]])]
-                positives += [("f", terms[j]) for j in sorted(set(targets))]
-                out.append(
-                    RuleInstance("conj-doomed-derivatives", ("f", t), tuple(positives))
-                )
-    if kind in ("conj", "rec"):
-        sd = lts.stable_tau_descendants(i)
-        if all(F[j] for j in sd):
-            out.append(
-                RuleInstance(
-                    f"{kind}-doomed-descendants",
-                    ("f", t),
-                    tuple(("f", terms[j]) for j in sorted(sd)),
-                )
-            )
-    if kind == "rec" and F[shape[1]]:
-        out.append(
-            RuleInstance("inconsistent-rec", ("f", t), (("f", terms[shape[1]]),))
-        )
+    for i, t in enumerate(terms):
+        rules = RULES[type(t)]
+        for rule, premises, moves in rules.moves(t, moves_of):
+            for a, s in moves:
+                positive, negative = premises(t, a, s)
+                out.append(RuleInstance(rule, ("t", t, a, s), positive, negative))
+        if not F[i]:
+            continue
+        for rule, needs, positive, negative in rules.clauses(lts, i, shapes[i]):
+            if all(F[j] for j in needs):
+                positive += tuple(("f", terms[j]) for j in needs)
+                out.append(RuleInstance(rule, ("f", t), positive, negative))
     return out
 
 

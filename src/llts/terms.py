@@ -309,10 +309,6 @@ def free_vars(t: Term) -> frozenset[str]:
     return _memoized_bottom_up(t, _free_vars_memo, combine)
 
 
-def is_closed(t: Term) -> bool:
-    return not free_vars(t)
-
-
 def all_names(t: Term) -> frozenset[str]:
     """Every variable name occurring in ``t``, free or bound."""
 

@@ -77,6 +77,11 @@ class TestLts:
         code, _, err = run(capsys, "lts", "<X | X = a.(X |[]| X)>")
         assert code == 2 and "state bound" in err
 
+    def test_env_not_an_integer_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("LLTS_MAX_STATES", "lots")
+        code, _, err = run(capsys, "lts", "a.0")
+        assert code == 2 and err.startswith("error:") and "LLTS_MAX_STATES" in err
+
 
 class TestValidate:
     def test_ok(self, capsys):
@@ -110,6 +115,10 @@ class TestParse:
         code, _, err = run(capsys, "parse", str(src))
         assert code == 2 and "unguarded" in err
 
+    def test_missing_file_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "parse", str(tmp_path / "absent.llts"))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
     def test_expand_source_chained_lets(self):
         text = "let A = a.0\nlet B = A [] b.0\nB /\\ A\n"
         assert expand_source(text) == "((a.0) [] b.0) /\\ (a.0)"
@@ -128,6 +137,16 @@ class TestProps:
         code, out, _ = run(capsys, "props", "--baseline", str(baseline))
         assert code == 0
         assert "f-laws" in out and "preorder" in out
+
+    def test_missing_baseline_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "props", "--baseline", str(tmp_path / "absent.json"))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    def test_malformed_baseline_row_exit_2(self, capsys, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text('[["f-laws", 3, 4], [5]]')
+        code, _, err = run(capsys, "props", "--baseline", str(baseline))
+        assert code == 2 and err.startswith("error:") and "[5]" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(

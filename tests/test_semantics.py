@@ -21,6 +21,7 @@ from llts.semantics import (
     stable_consistent_descendants,
     step,
     stratification_violations,
+    used_rule_instances,
     validate_llts,
     weak_visible_step,
 )
@@ -452,6 +453,29 @@ class TestStratification:
             return
         bad = stratification_violations(lts, skip_rules=("rec-unfold",))
         assert bad == []
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_instances_agree_with_graph(self, seed):
+        # the table's instance view and the built graph must give the same
+        # moves and the same inconsistency flags, state by state
+        t = _gen_term_trial(CFG, seed)
+        try:
+            lts = build_lts(t)
+        except StateBoundExceeded:
+            return
+        moves = {u: set() for u in lts.terms}
+        flagged = set()
+        for inst in used_rule_instances(lts):
+            if inst.conclusion[0] == "t":
+                _, src, a, dst = inst.conclusion
+                moves[src].add((a, dst))
+            else:
+                flagged.add(inst.conclusion[1])
+        for i, u in enumerate(lts.terms):
+            assert moves[u] == {(a, lts.terms[j]) for a, j in lts.transitions[i]}
+            assert (u in flagged) == lts.inconsistent[i]
 
 
 class TestExport:
