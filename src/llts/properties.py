@@ -37,11 +37,14 @@ from .terms import (
     RecSpec,
     Term,
     Var,
+    _variants,
+    _walk,
     free_vars,
     is_multi_unfolding,
     normalize,
-    operands,
+    rec_specs,
     substitute,
+    subterms,
     unfold_one,
     variable_status,
 )
@@ -298,87 +301,21 @@ def gen_equation_body(
 
 
 def _replace_positions(t: Term) -> list[Term]:
-    """Candidates with one subterm replaced by deadlock, plus equation drops."""
-    out: list[Term] = []
+    """Candidates with one subterm replaced by deadlock, in pre-order, plus
+    equation drops."""
 
-    def rebuild(t: Term, path: tuple[int, ...], target: tuple[int, ...], repl: Term):
-        if path == target:
-            return repl
-        match t:
-            case Prefix(a, body):
-                return Prefix(a, rebuild(body, path + (0,), target, repl))
-            case ExtChoice(l, r):
-                return ExtChoice(
-                    rebuild(l, path + (0,), target, repl),
-                    rebuild(r, path + (1,), target, repl),
-                )
-            case Conj(l, r):
-                return Conj(
-                    rebuild(l, path + (0,), target, repl),
-                    rebuild(r, path + (1,), target, repl),
-                )
-            case Disj(l, r):
-                return Disj(
-                    rebuild(l, path + (0,), target, repl),
-                    rebuild(r, path + (1,), target, repl),
-                )
-            case Parallel(sync, l, r):
-                return Parallel(
-                    sync,
-                    rebuild(l, path + (0,), target, repl),
-                    rebuild(r, path + (1,), target, repl),
-                )
-            case Rec(x, spec):
-                eqs = {
-                    n: rebuild(b, path + (2 + k,), target, repl)
-                    for k, (n, b) in enumerate(spec.equations)
-                }
-                return Rec(x, RecSpec(eqs))
-            case _:
-                return t
+    def leave(t: Term, values: list[list[Term]]) -> list[Term]:
+        own = [] if isinstance(t, Nil) else [Nil()]
+        return own + _variants(t, values)
 
-    positions: list[tuple[int, ...]] = []
-
-    def collect(t: Term, path: tuple[int, ...]):
-        if not isinstance(t, Nil):
-            positions.append(path)
-        match t:
-            case Prefix(_, body):
-                collect(body, path + (0,))
-            case ExtChoice(l, r) | Conj(l, r) | Disj(l, r):
-                collect(l, path + (0,))
-                collect(r, path + (1,))
-            case Parallel(_, l, r):
-                collect(l, path + (0,))
-                collect(r, path + (1,))
-            case Rec(_, spec):
-                for k, (_, b) in enumerate(spec.equations):
-                    collect(b, path + (2 + k,))
-            case _:
-                pass
-
-    collect(t, ())
-    for pos in positions:
-        out.append(rebuild(t, (), pos, Nil()))
-
-    def drop_equations(t: Term) -> None:
-        match t:
-            case Rec(x, spec) if len(spec) > 1:
-                for name, _ in spec.equations:
-                    if name == x:
-                        continue
-                    remaining = {n: b for n, b in spec.equations if n != name}
-                    if all(name not in free_vars(b) for b in remaining.values()):
-                        out.append(Rec(x, RecSpec(remaining)))
-            case _:
-                pass
-        for c in operands(t):
-            drop_equations(c)
-        if isinstance(t, Rec):
-            for _, b in t.spec.equations:
-                drop_equations(b)
-
-    drop_equations(t)
+    out = _walk(t, None, lambda t, _: (t, subterms(t), None), leave)
+    for rec, spec in rec_specs(t):
+        for name, _ in spec.equations:
+            if name == rec.var:
+                continue
+            remaining = {n: b for n, b in spec.equations if n != name}
+            if all(name not in free_vars(b) for b in remaining.values()):
+                out.append(Rec(rec.var, RecSpec(remaining)))
     return out
 
 
@@ -998,10 +935,9 @@ def load_baseline(path: str) -> list[tuple[str, int, int]]:
         theorem, seed, trials = row
         if not isinstance(theorem, str) or theorem not in ALL_CHECKS:
             raise ValueError(f"unknown theorem id {theorem!r}")
-        try:
-            entries.append((theorem, int(seed), int(trials)))
-        except (TypeError, ValueError):
-            raise ValueError(f"baseline seed or trials not an integer: {row!r}") from None
+        if type(seed) is not int or type(trials) is not int:
+            raise ValueError(f"baseline seed or trials not an integer: {row!r}")
+        entries.append((theorem, seed, trials))
     return entries
 
 

@@ -259,6 +259,19 @@ def _rec_clauses(lts, i, shape):
     )
 
 
+# The kind tags of ``Lts.shapes``.
+_KIND: dict[type, str] = {
+    Nil: "nil",
+    Bottom: "bottom",
+    Prefix: "prefix",
+    ExtChoice: "choice",
+    Disj: "disj",
+    Conj: "conj",
+    Parallel: "par",
+    Rec: "rec",
+}
+
+
 class OperatorRules(NamedTuple):
     moves: Callable
     clauses: Callable
@@ -390,28 +403,11 @@ class Lts:
     def shapes(self):
         """Per-state structural view: kind tag plus operand/expansion ids."""
         if self._shape is None:
-            shapes = []
-            for t in self.terms:
-                match t:
-                    case Nil():
-                        shapes.append(("nil",))
-                    case Bottom():
-                        shapes.append(("bottom",))
-                    case Prefix(_, body):
-                        shapes.append(("prefix", self.index[body]))
-                    case ExtChoice(l, r):
-                        shapes.append(("choice", self.index[l], self.index[r]))
-                    case Disj(l, r):
-                        shapes.append(("disj", self.index[l], self.index[r]))
-                    case Conj(l, r):
-                        shapes.append(("conj", self.index[l], self.index[r]))
-                    case Parallel(_, l, r):
-                        shapes.append(("par", self.index[l], self.index[r]))
-                    case Rec(_, _):
-                        shapes.append(("rec", self.index[unfold_rec(t)]))
-                    case _:
-                        raise TypeError(f"not a closed term: {t!r}")
-            self._shape = shapes
+            index = self.index
+            self._shape = [
+                (_KIND[type(t)], *[index[c] for c in support_children(t)])
+                for t in self.terms
+            ]
         return self._shape
 
     # -- descendant relations ------------------------------------------------

@@ -214,15 +214,17 @@ class _Parser:
         return t
 
     def parse_prefix(self) -> Term:
-        tok = self.peek()
-        if tok.kind in ("ACT", "TAU"):
+        actions = []
+        while (tok := self.peek()).kind in ("ACT", "TAU"):
             if self.peek(1).kind != "DOT":
                 raise ParseError(tok.span, f"action {tok.text!r} must be followed by '.'", (".",))
             self.advance()
             self.advance()
-            action = TAU if tok.kind == "TAU" else tok.text
-            return Prefix(action, self.parse_prefix())
-        return self.parse_atom()
+            actions.append(TAU if tok.kind == "TAU" else tok.text)
+        t = self.parse_atom()
+        for action in reversed(actions):
+            t = Prefix(action, t)
+        return t
 
     def parse_atom(self) -> Term:
         tok = self.peek()

@@ -12,10 +12,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-# Unfolding chains can produce structurally deep states; the traversals here
-# are recursive, so give the interpreter room for legitimately deep terms.
+# The term walks here keep their own stack (``_walk``), so input depth does
+# not limit them.  The printer, parenthesised parsing and ``step`` still
+# recurse once per level; until they do not, give the interpreter room for
+# legitimately deep terms.
 if sys.getrecursionlimit() < 15_000:
     sys.setrecursionlimit(15_000)
 
@@ -236,46 +238,112 @@ class Rec(Term):
 def operands(t: Term) -> tuple[Term, ...]:
     """Immediate subterms, not descending into recursion equation bodies."""
     match t:
-        case Prefix(_, body):
-            return (body,)
-        case ExtChoice(l, r) | Conj(l, r) | Disj(l, r):
-            return (l, r)
-        case Parallel(_, l, r):
-            return (l, r)
-        case _:
-            return ()
+        case Prefix():
+            return (t.body,)
+        case _Binary() | Parallel():
+            return (t.left, t.right)
+    return ()
+
+
+def subterms(t: Term) -> tuple[Term, ...]:
+    """Immediate subterms: the operands, or a recursion's equation bodies in
+    equation order."""
+    if isinstance(t, Rec):
+        return tuple(body for _, body in t.spec.equations)
+    return operands(t)
+
+
+def rebuild(t: Term, parts: Sequence[Term]) -> Term:
+    """``t``'s operator over ``parts`` in place of its own subterms.
+
+    ``parts`` stands for ``operands(t)``, or for a recursion's equation
+    bodies in equation order; a leaf, or a recursion, given no parts is
+    ``t`` itself.  This is the one place that puts an operator back
+    together, so ``rebuild(t, subterms(t)) is t``.
+    """
+    if not parts:
+        return t
+    cls = type(t)
+    if cls is Prefix:
+        return Prefix(t.action, *parts)
+    if cls is Parallel:
+        return Parallel(t.sync, *parts)
+    if cls is Rec:
+        return Rec(t.var, RecSpec(zip([n for n, _ in t.spec.equations], parts)))
+    return cls(*parts)
+
+
+def _walk(t: Term, ctx, enter, leave=rebuild):
+    """Depth-first walk of ``t`` with an explicit stack, so the depth of the
+    input is no limit.
+
+    ``enter(node, ctx)`` runs in pre-order and returns ``(head, children,
+    child_ctx)``.  With ``children`` None the walk stops at ``node`` and
+    ``head`` is its value.  Otherwise the ``children`` are walked in order
+    under ``child_ctx``, each to the end before the next is entered, and
+    ``leave(head, values)`` combines their values into ``node``'s.
+    """
+    head, children, ctx = enter(t, ctx)
+    if children is None:
+        return head
+    todo, values = iter(children), []
+    stack = []  # the frames of the nodes above the current one
+    while True:
+        for child in todo:
+            value, children, child_ctx = enter(child, ctx)
+            if children is None:
+                values.append(value)
+            elif not children:
+                values.append(leave(value, []))
+            else:
+                stack.append((head, todo, values, ctx))
+                head, todo, values, ctx = value, iter(children), [], child_ctx
+                break
+        else:
+            value = leave(head, values)
+            if not stack:
+                return value
+            head, todo, values, ctx = stack.pop()
+            values.append(value)
+
+
+def _ignore(head, values) -> None:
+    """``leave`` for walks run for what ``enter`` records."""
+
+
+def _variants(t: Term, values: list[list[Term]]) -> list[Term]:
+    """``t`` with one of its subterms replaced, by each of that subterm's
+    ``values`` in turn, subterm by subterm."""
+    out = []
+    for i, replacements in enumerate(values):
+        if replacements:
+            parts = list(subterms(t))
+            for v in replacements:
+                parts[i] = v
+                out.append(rebuild(t, parts))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # binding analysis
 
 
-def _subterm_parts(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Rec):
-        return tuple(body for _, body in t.spec.equations)
-    return operands(t)
+def _memoized(t: Term, memo: dict, combine) -> frozenset[str]:
+    """``combine(node, parts)`` folded bottom-up over ``t``, every value
+    kept in ``memo``."""
+    _trim_memos()
 
+    def enter(node: Term, _):
+        value = memo.get(node)
+        if value is not None:
+            return value, None, None
+        return node, subterms(node), None
 
-def _memoized_bottom_up(t: Term, memo: dict, combine) -> object:
-    """Post-order evaluation with an explicit stack; ``combine(t, parts)``
-    folds the children's values.  Deep terms must not exhaust the stack."""
-    cached = memo.get(t)
-    if cached is not None:
-        return cached
-    stack = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node in memo:
-            continue
-        parts = _subterm_parts(node)
-        if expanded or not parts:
-            memo[node] = combine(node, [memo[c] for c in parts])
-        else:
-            stack.append((node, True))
-            for c in parts:
-                if c not in memo:
-                    stack.append((c, False))
-    return memo[t]
+    def leave(node: Term, parts: list) -> frozenset[str]:
+        value = memo[node] = combine(node, parts)
+        return value
+
+    return _walk(t, None, enter, leave)
 
 
 _EMPTY: frozenset[str] = frozenset()
@@ -289,39 +357,36 @@ def _trim_memos() -> None:
             memo.clear()
 
 
+def _free_vars_of(node: Term, parts: list[frozenset[str]]) -> frozenset[str]:
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    out = _EMPTY
+    for p in parts:
+        out |= p
+    if isinstance(node, Rec):
+        return out - node.spec.names
+    return out
+
+
 def free_vars(t: Term) -> frozenset[str]:
     """The set of variables with a free occurrence in ``t``."""
+    found = _free_vars_memo.get(t)
+    return _memoized(t, _free_vars_memo, _free_vars_of) if found is None else found
 
-    def combine(node: Term, parts: list[frozenset[str]]) -> frozenset[str]:
-        if isinstance(node, Var):
-            return frozenset((node.name,))
-        if isinstance(node, Rec):
-            out = _EMPTY
-            for p in parts:
-                out |= p
-            return out - node.spec.names
-        out = _EMPTY
-        for p in parts:
-            out |= p
-        return out
 
-    _trim_memos()
-    return _memoized_bottom_up(t, _free_vars_memo, combine)
+def _all_names_of(node: Term, parts: list[frozenset[str]]) -> frozenset[str]:
+    out = frozenset((node.name,)) if isinstance(node, Var) else _EMPTY
+    if isinstance(node, Rec):
+        out |= node.spec.names
+    for p in parts:
+        out |= p
+    return out
 
 
 def all_names(t: Term) -> frozenset[str]:
     """Every variable name occurring in ``t``, free or bound."""
-
-    def combine(node: Term, parts: list[frozenset[str]]) -> frozenset[str]:
-        out = frozenset((node.name,)) if isinstance(node, Var) else _EMPTY
-        if isinstance(node, Rec):
-            out |= node.spec.names
-        for p in parts:
-            out |= p
-        return out
-
-    _trim_memos()
-    return _memoized_bottom_up(t, _all_names_memo, combine)
+    found = _all_names_memo.get(t)
+    return _memoized(t, _all_names_memo, _all_names_of) if found is None else found
 
 
 @dataclass(frozen=True)
@@ -335,35 +400,25 @@ class _Occurrence:
 def _occurrences(t: Term, x: str) -> list[_Occurrence]:
     out: list[_Occurrence] = []
 
-    def walk(t: Term, strong: bool, weak: bool, in_rec: bool, in_conj: bool) -> None:
+    def enter(t: Term, ctx: tuple[bool, bool, bool, bool]):
+        if x not in free_vars(t):
+            return None, None, None  # no occurrence below, or a binder of x
+        strong, weak, in_rec, in_conj = ctx
         match t:
-            case Var(name):
-                if name == x:
-                    out.append(_Occurrence(strong, weak, not in_rec, in_conj))
-            case Prefix(a, body):
-                vis = is_visible(a)
-                walk(body, strong or vis, weak or not vis, in_rec, in_conj)
-            case Disj(l, r):
-                walk(l, strong, True, in_rec, in_conj)
-                walk(r, strong, True, in_rec, in_conj)
-            case Conj(l, r):
-                walk(l, strong, weak, in_rec, True)
-                walk(r, strong, weak, in_rec, True)
-            case ExtChoice(l, r):
-                walk(l, strong, weak, in_rec, in_conj)
-                walk(r, strong, weak, in_rec, in_conj)
-            case Parallel(_, l, r):
-                walk(l, strong, weak, in_rec, in_conj)
-                walk(r, strong, weak, in_rec, in_conj)
-            case Rec(_, spec):
-                if x in spec.names:
-                    return  # occurrences inside belong to the inner binder
-                for _, body in spec.equations:
-                    walk(body, strong, weak, True, in_conj)
-            case _:
-                pass
+            case Var():
+                out.append(_Occurrence(strong, weak, not in_rec, in_conj))
+            case Prefix():
+                vis = is_visible(t.action)
+                ctx = (strong or vis, weak or not vis, in_rec, in_conj)
+            case Disj():
+                ctx = (strong, True, in_rec, in_conj)
+            case Conj():
+                ctx = (strong, weak, in_rec, True)
+            case Rec():
+                ctx = (strong, weak, True, in_conj)
+        return t, subterms(t), ctx
 
-    walk(t, False, False, False, False)
+    _walk(t, (False, False, False, False), enter, _ignore)
     return out
 
 
@@ -433,28 +488,32 @@ def unguarded_free_vars(t: Term) -> frozenset[str]:
 # measures
 
 
+def _into_operands(t: Term, _):
+    return t, operands(t), None
+
+
+def _size(_, sizes: list[int]) -> int:
+    return 1 + sum(sizes)
+
+
 def degree(t: Term) -> int:
     """Structural size where recursions and leaves count 1."""
-    match t:
-        case Nil() | Bottom() | Var(_) | Rec(_, _):
-            return 1
-        case Prefix(_, body):
-            return 1 + degree(body)
-        case _:
-            l, r = operands(t)
-            return 1 + degree(l) + degree(r)
+    return _walk(t, None, _into_operands, _size)
+
+
+def _plus_rec(t: Term, counts: list[int]) -> int:
+    return sum(counts) + (1 if isinstance(t, Rec) else 0)
+
+
+def _unguarded_operands(t: Term, _):
+    if isinstance(t, (Prefix, Disj)):
+        return 0, None, None
+    return t, operands(t), None
 
 
 def unguarded_rec_count(t: Term) -> int:
     """Number of recursion operators not protected by a prefix or disjunction."""
-    match t:
-        case Rec(_, _):
-            return 1
-        case Nil() | Bottom() | Var(_) | Prefix(_, _) | Disj(_, _):
-            return 0
-        case _:
-            l, r = operands(t)
-            return unguarded_rec_count(l) + unguarded_rec_count(r)
+    return _walk(t, None, _unguarded_operands, _plus_rec)
 
 
 @dataclass(frozen=True)
@@ -492,18 +551,15 @@ def rank_inconsistent() -> StratRank:
 
 def folding_number(t: Term, x: str) -> int:
     """Total nesting depth of recursions around unguarded occurrences of ``x``."""
-    match t:
-        case Nil() | Bottom() | Var(_) | Disj(_, _) | Prefix(_, _):
-            return 0
-        case ExtChoice(l, r) | Conj(l, r):
-            return folding_number(l, x) + folding_number(r, x)
-        case Parallel(_, l, r):
-            return folding_number(l, x) + folding_number(r, x)
-        case Rec(_, spec):
-            if x not in unguarded_free_vars(t):
-                return 0
-            return 1 + sum(folding_number(body, x) for _, body in spec.equations)
-    raise TypeError(f"not a term: {t!r}")
+
+    def enter(t: Term, _):
+        if isinstance(t, (Prefix, Disj)) or (
+            isinstance(t, Rec) and x not in unguarded_free_vars(t)
+        ):
+            return 0, None, None
+        return t, subterms(t), None
+
+    return _walk(t, None, enter, _plus_rec)
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +575,12 @@ def _fresh_name(base: str, avoid: set[str]) -> str:
     return name
 
 
-def _rename_spec(spec: RecSpec, renaming: Mapping[str, str]) -> RecSpec:
-    """Rename bound variables of a specification throughout its own scope."""
+def _rename_binders(t: Rec, renaming: Mapping[str, str]) -> Rec:
+    """``t`` with bound variables renamed throughout their own scope."""
     var_subst = {old: Var(new) for old, new in renaming.items()}
-    return RecSpec(
-        {
-            renaming.get(name, name): substitute(body, var_subst)
-            for name, body in spec.equations
-        }
+    return Rec(
+        renaming.get(t.var, t.var),
+        {renaming.get(n, n): substitute(body, var_subst) for n, body in t.spec.equations},
     )
 
 
@@ -537,47 +591,25 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     binder are left alone, and a binder that would capture a free variable of
     an inserted term is renamed first.
     """
-    subst = dict(bindings)
 
-    def go(t: Term, subst: dict[str, Term]) -> Term:
-        if not (free_vars(t) & subst.keys()):
-            return t
-        match t:
-            case Var(name):
-                return subst[name]
-            case Prefix(a, body):
-                return Prefix(a, go(body, subst))
-            case ExtChoice(l, r):
-                return ExtChoice(go(l, subst), go(r, subst))
-            case Conj(l, r):
-                return Conj(go(l, subst), go(r, subst))
-            case Disj(l, r):
-                return Disj(go(l, subst), go(r, subst))
-            case Parallel(sync, l, r):
-                return Parallel(sync, go(l, subst), go(r, subst))
-            case Rec(x, spec):
-                live = {
-                    k: v
-                    for k, v in subst.items()
-                    if k not in spec.names and k in free_vars(t)
-                }
-                if not live:
-                    return t
-                inserted: frozenset[str] = frozenset()
-                for v in live.values():
-                    inserted |= free_vars(v)
-                captured = spec.names & inserted
-                if captured:
-                    avoid = set(all_names(t)) | set(inserted) | set(live)
-                    renaming = {old: _fresh_name(old, avoid) for old in sorted(captured)}
-                    spec = _rename_spec(spec, renaming)
-                    x = renaming.get(x, x)
-                return Rec(
-                    x, RecSpec({n: go(body, live) for n, body in spec.equations})
-                )
-        raise TypeError(f"not a term: {t!r}")
+    def enter(t: Term, subst: dict[str, Term]):
+        free = free_vars(t)
+        if not (free & subst.keys()):
+            return t, None, None
+        if isinstance(t, Var):
+            return subst[t.name], None, None
+        if isinstance(t, Rec):
+            # free names of a recursion are never its own binders
+            subst = {k: v for k, v in subst.items() if k in free}
+            inserted = _EMPTY.union(*map(free_vars, subst.values()))
+            captured = t.spec.names & inserted
+            if captured:
+                avoid = set(all_names(t)) | set(inserted) | set(subst)
+                renaming = {old: _fresh_name(old, avoid) for old in sorted(captured)}
+                t = _rename_binders(t, renaming)
+        return t, subterms(t), subst
 
-    return go(t, subst) if subst else t
+    return _walk(t, dict(bindings), enter) if bindings else t
 
 
 @lru_cache(maxsize=1 << 16)
@@ -596,32 +628,12 @@ def unfold_one(t: Term) -> list[Term]:
     """All terms obtained by expanding exactly one recursion subterm that is
     not inside another recursion scope."""
 
-    def go(t: Term) -> list[Term]:
-        match t:
-            case Rec(_, _):
-                return [unfold_rec(t)]
-            case Prefix(a, body):
-                return [Prefix(a, b) for b in go(body)]
-            case ExtChoice(l, r):
-                return [ExtChoice(l2, r) for l2 in go(l)] + [
-                    ExtChoice(l, r2) for r2 in go(r)
-                ]
-            case Conj(l, r):
-                return [Conj(l2, r) for l2 in go(l)] + [Conj(l, r2) for r2 in go(r)]
-            case Disj(l, r):
-                return [Disj(l2, r) for l2 in go(l)] + [Disj(l, r2) for r2 in go(r)]
-            case Parallel(sync, l, r):
-                return [Parallel(sync, l2, r) for l2 in go(l)] + [
-                    Parallel(sync, l, r2) for r2 in go(r)
-                ]
-            case _:
-                return []
+    def enter(t: Term, _):
+        if isinstance(t, Rec):
+            return [unfold_rec(t)], None, None
+        return t, operands(t), None
 
-    out: list[Term] = []
-    for s in go(t):
-        if s not in out:
-            out.append(s)
-    return out
+    return list(dict.fromkeys(_walk(t, None, enter, _variants)))
 
 
 def is_multi_unfolding(
@@ -658,92 +670,61 @@ def normalize(t: Term) -> Term:
     free = free_vars(t)
     used = set(all_names(t))
 
-    def walk(t: Term, ren: dict[str, str], enclosing: frozenset[str]) -> Term:
-        match t:
-            case Var(name):
-                return Var(ren[name]) if name in ren else t
-            case Nil() | Bottom():
-                return t
-            case Prefix(a, body):
-                return Prefix(a, walk(body, ren, enclosing))
-            case ExtChoice(l, r):
-                return ExtChoice(walk(l, ren, enclosing), walk(r, ren, enclosing))
-            case Conj(l, r):
-                return Conj(walk(l, ren, enclosing), walk(r, ren, enclosing))
-            case Disj(l, r):
-                return Disj(walk(l, ren, enclosing), walk(r, ren, enclosing))
-            case Parallel(sync, l, r):
-                return Parallel(
-                    sync, walk(l, ren, enclosing), walk(r, ren, enclosing)
-                )
-            case Rec(x, spec):
-                mapping = {
-                    v: _fresh_name(v, used)
-                    for v in sorted(spec.names)
-                    if v in free or v in enclosing
-                }
-                inner_ren = {k: v for k, v in ren.items() if k not in spec.names}
-                inner_ren.update(mapping)
-                bound = frozenset(mapping.get(v, v) for v in spec.names)
-                eqs = {
-                    mapping.get(n, n): walk(body, inner_ren, enclosing | bound)
-                    for n, body in spec.equations
-                }
-                return Rec(mapping.get(x, x), RecSpec(eqs))
-        raise TypeError(f"not a term: {t!r}")
+    # A subterm without names has no variable and no binder to rename.
+    def rename(t: Term, ctx: tuple[dict[str, str], frozenset[str]]):
+        ren, enclosing = ctx
+        if not all_names(t):
+            return t, None, None
+        if isinstance(t, Var):
+            return (Var(ren[t.name]) if t.name in ren else t), None, None
+        if isinstance(t, Rec):
+            spec = t.spec
+            renaming = {
+                v: _fresh_name(v, used)
+                for v in sorted(spec.names)
+                if v in free or v in enclosing
+            }
+            ren = {k: v for k, v in ren.items() if k not in spec.names}
+            if renaming:
+                t = _rename_binders(t, renaming)
+            ctx = (ren, enclosing | t.spec.names)
+        return t, subterms(t), ctx
 
-    t = walk(t, {}, frozenset())
+    t = _walk(t, ({}, _EMPTY), rename)
 
     # Second pass: distinct specifications never share a bound name.
     claims: dict[str, RecSpec] = {}
 
-    def walk2(t: Term) -> Term:
-        match t:
-            case Rec(x, spec):
-                renaming = {}
-                for v in sorted(spec.names):
-                    claimed = claims.get(v)
-                    if claimed is None:
-                        claims[v] = spec
-                    elif claimed != spec:
-                        renaming[v] = _fresh_name(v, used)
-                if renaming:
-                    spec = _rename_spec(spec, renaming)
-                    x = renaming.get(x, x)
-                    for v in renaming.values():
-                        claims[v] = spec
-                return Rec(
-                    x, RecSpec({n: walk2(body) for n, body in spec.equations})
-                )
-            case Prefix(a, body):
-                return Prefix(a, walk2(body))
-            case ExtChoice(l, r):
-                return ExtChoice(walk2(l), walk2(r))
-            case Conj(l, r):
-                return Conj(walk2(l), walk2(r))
-            case Disj(l, r):
-                return Disj(walk2(l), walk2(r))
-            case Parallel(sync, l, r):
-                return Parallel(sync, walk2(l), walk2(r))
-            case _:
-                return t
+    def claim(t: Term, _):
+        if not all_names(t):
+            return t, None, None
+        if isinstance(t, Rec):
+            renaming = {}
+            for v in sorted(t.spec.names):
+                claimed = claims.get(v)
+                if claimed is None:
+                    claims[v] = t.spec
+                elif claimed != t.spec:
+                    renaming[v] = _fresh_name(v, used)
+            if renaming:
+                t = _rename_binders(t, renaming)
+                for v in renaming.values():
+                    claims[v] = t.spec
+        return t, subterms(t), None
 
-    return walk2(t)
+    return _walk(t, None, claim)
 
 
 def rec_specs(t: Term) -> list[tuple[Rec, RecSpec]]:
     """All recursion operators in ``t`` (including nested ones), pre-order."""
     out: list[tuple[Rec, RecSpec]] = []
 
-    def walk(t: Term) -> None:
-        match t:
-            case Rec(_, spec):
-                out.append((t, spec))
-                for _, body in spec.equations:
-                    walk(body)
-            case _:
-                for c in operands(t):
-                    walk(c)
+    def enter(t: Term, _):
+        if not all_names(t):
+            return None, None, None  # no binder below
+        if isinstance(t, Rec):
+            out.append((t, t.spec))
+        return t, subterms(t), None
 
-    walk(t)
+    _walk(t, None, enter, _ignore)
     return out

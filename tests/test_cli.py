@@ -22,6 +22,15 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "bot [] a.0 /\\ tau.bot")
         assert code in (0, 1) and out
 
+    def test_deep_prefix_chain(self, capsys):
+        chain = ".".join(f"a{i}" for i in range(20_000)) + ".0"
+        code, out, _ = run(capsys, "check", chain, "--max-states", "30000")
+        assert code == 0 and out.strip() == "consistent"
+
+    def test_nesting_deeper_than_the_parser_exit_2(self, capsys):
+        code, _, err = run(capsys, "check", "(" * 5000 + "0" + ")" * 5000)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
 
 class TestRefine:
     def test_holds(self, capsys):
@@ -144,9 +153,11 @@ class TestProps:
 
     def test_malformed_baseline_row_exit_2(self, capsys, tmp_path):
         baseline = tmp_path / "base.json"
-        baseline.write_text('[["f-laws", 3, 4], [5]]')
-        code, _, err = run(capsys, "props", "--baseline", str(baseline))
-        assert code == 2 and err.startswith("error:") and "[5]" in err
+        for row in ('[5]', '["f-laws", 3.7, 2]', '["f-laws", "3", 2]', '["f-laws", 3, true]'):
+            baseline.write_text(f'[["f-laws", 3, 4], {row}]')
+            code, _, err = run(capsys, "props", "--baseline", str(baseline))
+            assert code == 2 and err.startswith("error:")
+            assert repr(json.loads(row)) in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,6 @@
+import sys
+from functools import cache
+
 import pytest
 
 from llts.properties import GenConfig, _gen_term_trial
@@ -15,17 +18,24 @@ from llts.terms import (
     StratRank,
     UnboundRecVar,
     Var,
+    all_names,
     degree,
+    first_guard_violation,
     folding_number,
     free_vars,
     is_guarded_spec,
     is_multi_unfolding,
     normalize,
+    operands,
     plug,
     rank_inconsistent,
     rank_transition,
+    rebuild,
+    rec_specs,
     substitute,
+    subterms,
     unfold_one,
+    unfold_rec,
     unguarded_free_vars,
     unguarded_rec_count,
     variable_status,
@@ -459,3 +469,100 @@ class TestConstruction:
         s1 = RecSpec({"X": Var("Y"), "Y": Prefix("a", Var("X"))})
         s2 = RecSpec({"Y": Prefix("a", Var("X")), "X": Var("Y")})
         assert s1 == s2 and hash(s1) == hash(s2)
+
+
+class TestRebuild:
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Nil(),
+            Bottom(),
+            Var("X"),
+            Prefix("a", Nil()),
+            ExtChoice(Prefix("a", Nil()), Bottom()),
+            Conj(Prefix("a", Nil()), Bottom()),
+            Disj(Prefix("a", Nil()), Bottom()),
+            Parallel({"a"}, Prefix("a", Nil()), Bottom()),
+            Rec("X", {"X": Prefix("a", Var("Y")), "Y": Prefix("b", Var("X"))}),
+        ],
+        ids=repr,
+    )
+    def test_own_parts_give_the_same_term(self, t):
+        assert rebuild(t, operands(t)) is t
+        assert rebuild(t, subterms(t)) is t
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_own_parts_give_the_same_term_generated(self, seed):
+        todo = [gen(seed)]
+        while todo:
+            t = todo.pop()
+            assert rebuild(t, operands(t)) is t
+            assert rebuild(t, subterms(t)) is t
+            todo.extend(subterms(t))
+
+
+DEEP = 50_000
+LOOP = Rec("X", {"X": Prefix("a", Var("X"))})
+
+
+@cache
+def _deep(leaf, guarded=True):
+    """``leaf`` under DEEP operators, cycling through every operator, or
+    with ``guarded`` False through those that guard nothing."""
+    wraps = [
+        lambda t: ExtChoice(t, Nil()),
+        lambda t: Conj(Prefix("b", Nil()), t),
+        lambda t: Parallel({"a"}, t, Nil()),
+    ]
+    if guarded:
+        wraps += [lambda t: Prefix("a", t), lambda t: Disj(Nil(), t)]
+    t = leaf
+    for i in range(DEEP):
+        t = wraps[i % len(wraps)](t)
+    return t
+
+
+def _normalize():
+    # the free X clashes with the binder, renamed all the way down its body
+    t = normalize(ExtChoice(Var("X"), Rec("X", {"X": _deep(Var("X"))})))
+    return t.right.var == "X1" and free_vars(t) == {"X"}
+
+
+def _variable_status():
+    st = variable_status(_deep(Var("X")), "X")
+    return st.occurrence_count == 1 and st.strongly_guarded and st.weakly_guarded
+
+
+def _folding_number():
+    inner = Rec("Y", {"Y": ExtChoice(Var("X"), Prefix("a", Var("Y")))})
+    return folding_number(_deep(inner, guarded=False), "X") == 1
+
+
+DEEP_CHECKS = {
+    "normalize": _normalize,
+    "substitute": lambda: substitute(_deep(Var("X")), {"X": Bottom()}) is _deep(Bottom()),
+    "plug": lambda: plug(_deep(Var("X")), LOOP.spec) is _deep(LOOP),
+    "unfold_one": lambda: unfold_one(_deep(LOOP)) == [_deep(unfold_rec(LOOP))],
+    "free_vars": lambda: free_vars(_deep(Var("X"))) == {"X"},
+    "all_names": lambda: all_names(_deep(LOOP)) == {"X"},
+    "rec_specs": lambda: rec_specs(_deep(LOOP)) == [(LOOP, LOOP.spec)],
+    "first_guard_violation": lambda: first_guard_violation(
+        RecSpec({"X": _deep(Var("X"), guarded=False)})
+    )
+    == ("X", "X"),
+    "variable_status": _variable_status,
+    # per five levels: choice 2, conjunction 3, parallel 2, prefix 1, disjunction 2
+    "degree": lambda: degree(_deep(Nil())) == 2 * DEEP + 1,
+    "unguarded_rec_count": lambda: unguarded_rec_count(_deep(LOOP, guarded=False)) == 1,
+    "folding_number": _folding_number,
+}
+
+
+class TestDeepTerms:
+    """Term functions keep their own stack: a term deeper than the
+    interpreter's recursion limit is no harder than a shallow one."""
+
+    @pytest.mark.parametrize("name", sorted(DEEP_CHECKS))
+    def test_deeper_than_recursion_limit(self, name):
+        assert sys.getrecursionlimit() < DEEP
+        assert DEEP_CHECKS[name]()
