@@ -130,10 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, OSError, ValueError, RecursionError,
-            StateBoundExceeded, UnfoldDepthExceeded) as err:
-        # ValueError also covers the guardedness and binding errors, and
-        # RecursionError input nested deeper than the paths that still recurse
+    except (ParseError, OSError, ValueError, StateBoundExceeded, UnfoldDepthExceeded) as err:
+        # ValueError also covers the guardedness and binding errors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

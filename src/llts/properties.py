@@ -37,6 +37,7 @@ from .terms import (
     RecSpec,
     Term,
     Var,
+    _into_subterms,
     _variants,
     _walk,
     free_vars,
@@ -44,7 +45,6 @@ from .terms import (
     normalize,
     rec_specs,
     substitute,
-    subterms,
     unfold_one,
     variable_status,
 )
@@ -308,7 +308,7 @@ def _replace_positions(t: Term) -> list[Term]:
         own = [] if isinstance(t, Nil) else [Nil()]
         return own + _variants(t, values)
 
-    out = _walk(t, None, lambda t, _: (t, subterms(t), None), leave)
+    out = _walk(t, None, _into_subterms, leave)
     for rec, spec in rec_specs(t):
         for name, _ in spec.equations:
             if name == rec.var:

@@ -5,7 +5,9 @@ model validators.
 The rule table ``RULES`` writes each transition and inconsistency rule once,
 one entry per operator.  ``step`` reads its transition rules,
 ``compute_inconsistent`` its inconsistency rules as Horn clauses, and
-``used_rule_instances`` both, with their premises.
+``used_rule_instances`` both, with their premises.  ``step`` applies the rules
+bottom-up on the explicit-stack walk ``terms._walk``, so the depth of a term
+is no limit; only the unfold budget bounds a chain of recursion expansions.
 
 Internal moves take precedence over visible ones: a composition offers a
 visible action only while the blocking operand has no internal move.  Since
@@ -32,6 +34,7 @@ from .terms import (
     Prefix,
     Rec,
     Term,
+    _walk,
     free_vars,
     is_visible,
     operands,
@@ -314,25 +317,30 @@ def _closed_step(
     """``step`` on a term known to be closed."""
     budget = max_unfold_depth
 
-    def go(t: Term) -> tuple[tuple[str, Term], ...]:
+    # A known term is a leaf.  A recursion is charged to the budget and
+    # reads its expansion's moves; a prefix or disjunction reads none.
+    def enter(t: Term, _):
         nonlocal budget
         cached = memo.get(t)
         if cached is not None:
-            return cached
-        rules = RULES.get(type(t))
-        if rules is None:
-            raise TypeError(f"not a term: {t!r}")
+            return cached, None, None
         if type(t) is Rec:
             if budget <= 0:
                 raise UnfoldDepthExceeded(max_unfold_depth)
             budget -= 1
+        return t, (() if type(t) in (Prefix, Disj) else support_children(t)), None
+
+    def leave(t: Term, _) -> tuple[tuple[str, Term], ...]:
+        rules = RULES.get(type(t))
+        if rules is None:
+            raise TypeError(f"not a term: {t!r}")
         moves: list[tuple[str, Term]] = []
-        for _, _, batch in rules.moves(t, go):
+        for _, _, batch in rules.moves(t, memo.__getitem__):
             moves += batch
         out = memo[t] = tuple(dict.fromkeys(moves))  # first occurrences, in order
         return out
 
-    return go(t)
+    return _walk(t, None, enter, leave)
 
 
 class Lts:
@@ -547,18 +555,13 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         _check_closed(t)
     root_ids = [add(t) for t in roots]
     step_memo: dict = {}
-    try:
-        while todo:
-            i = todo.popleft()
-            t = terms[i]
-            for c in support_children(t):
-                add(c)
-            moves = _closed_step(t, limits.max_unfold_depth, step_memo)
-            transitions[i] = tuple((a, add(s)) for a, s in moves)
-    except RecursionError:
-        # States deep enough to exhaust the interpreter stack only arise
-        # while chasing an unbounded state space; report the resource bound.
-        raise StateBoundExceeded(len(terms)) from None
+    while todo:
+        i = todo.popleft()
+        t = terms[i]
+        for c in support_children(t):
+            add(c)
+        moves = _closed_step(t, limits.max_unfold_depth, step_memo)
+        transitions[i] = tuple((a, add(s)) for a, s in moves)
 
     lts = Lts(terms, index, root_ids, transitions, limits)
     compute_inconsistent(lts)

@@ -6,6 +6,11 @@ binary operators associate to the left; parentheses override.  Atoms are
 ``0``, ``bot``, uppercase variables and ``<X | X = t, Y = s>`` recursions.
 Visible actions are lowercase identifiers other than the reserved words
 ``tau`` and ``bot``.
+
+The binary operators and their precedence are written once, in ``_BINARY``.
+The parser is one operator-precedence loop over that table, with a stack of
+the parentheses and recursions still open; the printer reads the same table
+on the explicit-stack walk ``terms._walk``.  Neither recurses on input depth.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .terms import (
     RecSpec,
     Term,
     Var,
+    _into_subterms,
+    _walk,
     first_guard_violation,
     normalize,
     rec_specs,
@@ -59,6 +66,24 @@ class _Token:
     span: SourceSpan
 
 
+# The binary operators, loosest first and all left-associative: token, binding
+# level and constructor.  Tokenizer, parser and printer all read this table.
+# Prefixes and atoms bind tighter than any of them, at ``_TIGHT``.
+_BINARY = (
+    ("|[", 1, Parallel),
+    ("[]", 2, ExtChoice),
+    ("\\/", 3, Disj),
+    ("/\\", 4, Conj),
+)
+_TIGHT = 5
+_OF_TOKEN = {token: (level, cls) for token, level, cls in _BINARY}
+_OF_TYPE = {cls: (token, level) for token, level, cls in _BINARY}
+_ATOMS = {"0": Nil(), "bot": Bottom()}
+_ATOM_TEXT = {t: text for text, t in _ATOMS.items()}
+
+
+# Two-character tokens; the first character of one, left alone, is stray.
+_PAIRS = {"]|": "PARR", **{token: "OP" for token, _, _ in _BINARY}}
 _SIMPLE = {
     "(": "LPAREN",
     ")": "RPAREN",
@@ -67,6 +92,8 @@ _SIMPLE = {
     ".": "DOT",
     "<": "LANGLE",
     ">": "RANGLE",
+    "|": "BAR",
+    "0": "ZERO",
 }
 
 _RESERVED = {"tau": "TAU", "bot": "BOT"}
@@ -89,40 +116,16 @@ def _tokenize(text: str) -> list[_Token]:
         if c in " \t\r\n\f\v":
             i += 1
             continue
-        start = i
-        if c in _SIMPLE:
+        pair = text[i : i + 2]
+        if pair in _PAIRS:
+            out.append(_Token(_PAIRS[pair], pair, SourceSpan(i, i + 2)))
+            i += 2
+        elif c in _SIMPLE:
             out.append(_Token(_SIMPLE[c], c, SourceSpan(i, i + 1)))
             i += 1
-        elif c == "[":
-            if text[i : i + 2] != "[]":
-                raise ParseError(SourceSpan(i, i + 1), "stray '['", ("[]",))
-            out.append(_Token("CHOICE", "[]", SourceSpan(i, i + 2)))
-            i += 2
-        elif c == "]":
-            if text[i : i + 2] != "]|":
-                raise ParseError(SourceSpan(i, i + 1), "stray ']'", ("]|",))
-            out.append(_Token("PARR", "]|", SourceSpan(i, i + 2)))
-            i += 2
-        elif c == "|":
-            if text[i : i + 2] == "|[":
-                out.append(_Token("PARL", "|[", SourceSpan(i, i + 2)))
-                i += 2
-            else:
-                out.append(_Token("BAR", "|", SourceSpan(i, i + 1)))
-                i += 1
-        elif c == "/":
-            if text[i : i + 2] != "/\\":
-                raise ParseError(SourceSpan(i, i + 1), "stray '/'", ("/\\",))
-            out.append(_Token("CONJ", "/\\", SourceSpan(i, i + 2)))
-            i += 2
-        elif c == "\\":
-            if text[i : i + 2] != "\\/":
-                raise ParseError(SourceSpan(i, i + 1), "stray '\\'", ("\\/",))
-            out.append(_Token("DISJ", "\\/", SourceSpan(i, i + 2)))
-            i += 2
-        elif c == "0":
-            out.append(_Token("ZERO", "0", SourceSpan(i, i + 1)))
-            i += 1
+        elif c in "[]/\\":
+            expected = next(p for p in _PAIRS if p[0] == c)
+            raise ParseError(SourceSpan(i, i + 1), f"stray '{c}'", (expected,))
         elif _is_ident_start(c):
             j = i
             while j < n and _is_ident_char(text[j]):
@@ -142,13 +145,36 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    return ParseError(
+        tok.span, f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", expected
+    )
+
+
+class _Group:
+    """The whole input, a parenthesis or a recursion, while still open: its
+    pending operators and operands, and a recursion's equations so far."""
+
+    def __init__(self, opener: _Token | None):
+        self.opener, self.ops, self.operands = opener, [], []
+        self.var, self.name, self.equations = "", "", {}
+
+    def reduce(self, level: int) -> None:
+        """Apply the pending operators that bind at least as tight as ``level``."""
+        ops, operands = self.ops, self.operands
+        while ops and ops[-1][0] >= level:
+            _, cls, head = ops.pop()
+            n = 1 if cls is Prefix else 2
+            operands[-n:] = [cls(*head, *operands[-n:])]
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -157,121 +183,82 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                tok.span, f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", (what,)
-            )
+        if self.peek().kind != kind:
+            raise _unexpected(self.peek(), (what,))
         return self.advance()
 
-    def parse(self) -> Term:
-        t = self.parse_parallel()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(tok.span, f"unexpected {tok.text!r} after term")
-        return t
-
-    def parse_parallel(self) -> Term:
-        t = self.parse_choice()
-        while self.peek().kind == "PARL":
-            self.advance()
-            sync = self.parse_sync_set()
-            self.expect("PARR", "]|")
-            t = Parallel(sync, t, self.parse_choice())
-        return t
-
-    def parse_sync_set(self) -> frozenset[str]:
+    def sync_set(self) -> frozenset[str]:
         names: list[str] = []
         if self.peek().kind == "ACT":
             names.append(self.advance().text)
             while self.peek().kind == "COMMA":
                 self.advance()
                 names.append(self.expect("ACT", "action name").text)
-        elif self.peek().kind not in ("PARR",):
+        elif self.peek().kind != "PARR":
             tok = self.peek()
             raise ParseError(tok.span, f"unexpected {tok.text!r} in synchronisation set", ("action name", "]|"))
+        self.expect("PARR", "]|")
         return frozenset(names)
 
-    def parse_choice(self) -> Term:
-        t = self.parse_disj()
-        while self.peek().kind == "CHOICE":
-            self.advance()
-            t = ExtChoice(t, self.parse_disj())
-        return t
+    def equation(self, group: _Group) -> None:
+        """Read ``Name =``, the start of an equation of ``group``."""
+        name_tok = self.expect("VAR", "equation variable")
+        if name_tok.text in group.equations:
+            raise ParseError(name_tok.span, f"duplicate equation for {name_tok.text!r}")
+        self.expect("EQ", "=")
+        group.name = name_tok.text
 
-    def parse_disj(self) -> Term:
-        t = self.parse_conj()
-        while self.peek().kind == "DISJ":
-            self.advance()
-            t = Disj(t, self.parse_conj())
-        return t
-
-    def parse_conj(self) -> Term:
-        t = self.parse_prefix()
-        while self.peek().kind == "CONJ":
-            self.advance()
-            t = Conj(t, self.parse_prefix())
-        return t
-
-    def parse_prefix(self) -> Term:
-        actions = []
-        while (tok := self.peek()).kind in ("ACT", "TAU"):
-            if self.peek(1).kind != "DOT":
-                raise ParseError(tok.span, f"action {tok.text!r} must be followed by '.'", (".",))
-            self.advance()
-            self.advance()
-            actions.append(TAU if tok.kind == "TAU" else tok.text)
-        t = self.parse_atom()
-        for action in reversed(actions):
-            t = Prefix(action, t)
-        return t
-
-    def parse_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ZERO":
-            self.advance()
-            return Nil()
-        if tok.kind == "BOT":
-            self.advance()
-            return Bottom()
-        if tok.kind == "VAR":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
-            t = self.parse_parallel()
-            self.expect("RPAREN", ")")
-            return t
-        if tok.kind == "LANGLE":
-            return self.parse_rec()
-        raise ParseError(
-            tok.span,
-            f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
-            ("0", "bot", "variable", "prefix", "(", "<"),
-        )
-
-    def parse_rec(self) -> Term:
-        open_tok = self.expect("LANGLE", "<")
-        var = self.expect("VAR", "recursion variable").text
-        self.expect("BAR", "|")
-        equations: dict[str, Term] = {}
+    def parse(self) -> Term:
+        group, stack = _Group(None), []
         while True:
-            name_tok = self.expect("VAR", "equation variable")
-            if name_tok.text in equations:
-                raise ParseError(name_tok.span, f"duplicate equation for {name_tok.text!r}")
-            self.expect("EQ", "=")
-            equations[name_tok.text] = self.parse_parallel()
-            if self.peek().kind == "COMMA":
+            # an operand: prefixes, then an atom or the opening of a group
+            while (tok := self.advance()).kind in ("ACT", "TAU"):
+                if self.peek().kind != "DOT":
+                    raise ParseError(tok.span, f"action {tok.text!r} must be followed by '.'", (".",))
                 self.advance()
+                group.ops.append((_TIGHT, Prefix, (TAU if tok.kind == "TAU" else tok.text,)))
+            if tok.kind in ("LPAREN", "LANGLE"):
+                stack.append(group)
+                group = _Group(tok)
+                if tok.kind == "LANGLE":
+                    group.var = self.expect("VAR", "recursion variable").text
+                    self.expect("BAR", "|")
+                    self.equation(group)
                 continue
-            break
-        self.expect("RANGLE", ">")
-        if var not in equations:
-            raise ParseError(
-                SourceSpan(open_tok.span.start, self.tokens[self.pos - 1].span.end),
-                f"recursion variable {var!r} has no equation",
-            )
-        return Rec(var, RecSpec(equations))
+            atom = Var(tok.text) if tok.kind == "VAR" else _ATOMS.get(tok.text)
+            if atom is None:
+                raise _unexpected(tok, ("0", "bot", "variable", "prefix", "(", "<"))
+            group.operands.append(atom)
+            # after an operand: a binary operator, or the end of groups
+            while (tok := self.peek()).kind != "OP":
+                group.reduce(0)
+                t = group.operands.pop()
+                if group.opener is None:
+                    if tok.kind != "EOF":
+                        raise ParseError(tok.span, f"unexpected {tok.text!r} after term")
+                    return t
+                if group.opener.kind == "LPAREN":
+                    self.expect("RPAREN", ")")
+                else:
+                    group.equations[group.name] = t
+                    if tok.kind == "COMMA":
+                        self.advance()
+                        self.equation(group)
+                        break
+                    end = self.expect("RANGLE", ">")
+                    if group.var not in group.equations:
+                        raise ParseError(
+                            SourceSpan(group.opener.span.start, end.span.end),
+                            f"recursion variable {group.var!r} has no equation",
+                        )
+                    t = Rec(group.var, RecSpec(group.equations))
+                group = stack.pop()
+                group.operands.append(t)
+            else:
+                self.advance()
+                level, cls = _OF_TOKEN[tok.text]
+                group.reduce(level)
+                group.ops.append((level, cls, (self.sync_set(),) if cls is Parallel else ()))
 
 
 def parse(text: str) -> Term:
@@ -289,46 +276,30 @@ def parse(text: str) -> Term:
     return t
 
 
-_LEVEL_PARALLEL = 1
-_LEVEL_CHOICE = 2
-_LEVEL_DISJ = 3
-_LEVEL_CONJ = 4
-_LEVEL_PREFIX = 5
-_LEVEL_ATOM = 6
+def _fit(part: tuple[str, int], need: int) -> str:
+    text, level = part
+    return f"({text})" if level < need else text
 
 
-def _pp(t: Term, min_level: int) -> str:
-    match t:
-        case Nil():
-            return "0"
-        case Bottom():
-            return "bot"
-        case Var(name):
-            return name
-        case Rec(var, spec):
-            eqs = ", ".join(f"{n} = {_pp(b, _LEVEL_PARALLEL)}" for n, b in spec.equations)
-            return f"<{var} | {eqs}>"
-        case Prefix(action, body):
-            text = f"{action}.{_pp(body, _LEVEL_PREFIX)}"
-            level = _LEVEL_PREFIX
-        case Conj(l, r):
-            text = f"{_pp(l, _LEVEL_CONJ)} /\\ {_pp(r, _LEVEL_CONJ + 1)}"
-            level = _LEVEL_CONJ
-        case Disj(l, r):
-            text = f"{_pp(l, _LEVEL_DISJ)} \\/ {_pp(r, _LEVEL_DISJ + 1)}"
-            level = _LEVEL_DISJ
-        case ExtChoice(l, r):
-            text = f"{_pp(l, _LEVEL_CHOICE)} [] {_pp(r, _LEVEL_CHOICE + 1)}"
-            level = _LEVEL_CHOICE
-        case Parallel(sync, l, r):
-            acts = ",".join(sorted(sync))
-            text = f"{_pp(l, _LEVEL_PARALLEL)} |[{acts}]| {_pp(r, _LEVEL_PARALLEL + 1)}"
-            level = _LEVEL_PARALLEL
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    return f"({text})" if level < min_level else text
+def _text_of(t: Term, parts: list[tuple[str, int]]) -> tuple[str, int]:
+    """``leave`` of ``print_term``: ``t``'s text and binding level."""
+    cls = type(t)
+    if cls in _OF_TYPE:
+        token, level = _OF_TYPE[cls]
+        if cls is Parallel:
+            token += ",".join(sorted(t.sync)) + "]|"
+        return f"{_fit(parts[0], level)} {token} {_fit(parts[1], level + 1)}", level
+    if cls is Prefix:
+        return f"{t.action}.{_fit(parts[0], _TIGHT)}", _TIGHT
+    if cls is Rec:
+        eqs = ", ".join(f"{n} = {text}" for (n, _), (text, _) in zip(t.spec.equations, parts))
+        return f"<{t.var} | {eqs}>", _TIGHT
+    text = t.name if cls is Var else _ATOM_TEXT.get(t)
+    if text is None:
+        raise TypeError(f"not a term: {t!r}")
+    return text, _TIGHT
 
 
 def print_term(t: Term) -> str:
     """Canonical text with minimal parentheses; parses back to ``t``."""
-    return _pp(t, _LEVEL_PARALLEL)
+    return _walk(t, None, _into_subterms, _text_of)[0]

@@ -9,17 +9,9 @@ finite equation system (``Rec`` / ``RecSpec``).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
-
-# The term walks here keep their own stack (``_walk``), so input depth does
-# not limit them.  The printer, parenthesised parsing and ``step`` still
-# recurse once per level; until they do not, give the interpreter room for
-# legitimately deep terms.
-if sys.getrecursionlimit() < 15_000:
-    sys.setrecursionlimit(15_000)
 
 TAU = "tau"
 
@@ -66,8 +58,7 @@ class Term:
         return self._hash
 
     def __repr__(self) -> str:
-        args = ", ".join(repr(getattr(self, f)) for f in self._fields)
-        return f"{self.__class__.__name__}({args})"
+        return _walk(self, None, _into_subterms, _repr_of)
 
     def __str__(self) -> str:
         from .syntax import print_term
@@ -307,6 +298,21 @@ def _walk(t: Term, ctx, enter, leave=rebuild):
             values.append(value)
 
 
+def _into_subterms(t: Term, _):
+    return t, subterms(t), None
+
+
+def _repr_of(t: Term, parts: list[str]) -> str:
+    """``leave`` of ``repr``: ``t``'s fields, each subterm's repr in its slot."""
+    parts = iter(parts)
+    if isinstance(t, Rec):
+        eqs = ", ".join(f"{n!r}: {next(parts)}" for n, _ in t.spec.equations)
+        return f"Rec({t.var!r}, RecSpec({{{eqs}}}))"
+    fields = (getattr(t, f) for f in t._fields)
+    args = ", ".join(next(parts) if isinstance(v, Term) else repr(v) for v in fields)
+    return f"{type(t).__name__}({args})"
+
+
 def _ignore(head, values) -> None:
     """``leave`` for walks run for what ``enter`` records."""
 
@@ -328,7 +334,7 @@ def _variants(t: Term, values: list[list[Term]]) -> list[Term]:
 # binding analysis
 
 
-def _memoized(t: Term, memo: dict, combine) -> frozenset[str]:
+def _memoized(t: Term, memo: dict, combine):
     """``combine(node, parts)`` folded bottom-up over ``t``, every value
     kept in ``memo``."""
     _trim_memos()
@@ -339,7 +345,7 @@ def _memoized(t: Term, memo: dict, combine) -> frozenset[str]:
             return value, None, None
         return node, subterms(node), None
 
-    def leave(node: Term, parts: list) -> frozenset[str]:
+    def leave(node: Term, parts: list):
         value = memo[node] = combine(node, parts)
         return value
 
@@ -348,11 +354,11 @@ def _memoized(t: Term, memo: dict, combine) -> frozenset[str]:
 
 _EMPTY: frozenset[str] = frozenset()
 _free_vars_memo: dict[Term, frozenset[str]] = {}
-_all_names_memo: dict[Term, frozenset[str]] = {}
+_named_memo: dict[Term, bool] = {}
 
 
 def _trim_memos() -> None:
-    for memo in (_free_vars_memo, _all_names_memo):
+    for memo in (_free_vars_memo, _named_memo):
         if len(memo) > 1 << 20:
             memo.clear()
 
@@ -374,19 +380,34 @@ def free_vars(t: Term) -> frozenset[str]:
     return _memoized(t, _free_vars_memo, _free_vars_of) if found is None else found
 
 
-def _all_names_of(node: Term, parts: list[frozenset[str]]) -> frozenset[str]:
-    out = frozenset((node.name,)) if isinstance(node, Var) else _EMPTY
-    if isinstance(node, Rec):
-        out |= node.spec.names
-    for p in parts:
-        out |= p
-    return out
+def _named_of(node: Term, parts: list[bool]) -> bool:
+    return isinstance(node, (Var, Rec)) or any(parts)
+
+
+def _named(t: Term) -> bool:
+    """Whether a variable or a binder occurs in ``t``; unlike the names, one
+    bit per node however many binders lie below."""
+    found = _named_memo.get(t)
+    return _memoized(t, _named_memo, _named_of) if found is None else found
 
 
 def all_names(t: Term) -> frozenset[str]:
     """Every variable name occurring in ``t``, free or bound."""
-    found = _all_names_memo.get(t)
-    return _memoized(t, _all_names_memo, _all_names_of) if found is None else found
+    out: set[str] = set()
+    seen: set[Term] = set()
+
+    def enter(t: Term, _):
+        if t in seen or not _named(t):
+            return None, None, None
+        seen.add(t)
+        if isinstance(t, Var):
+            out.add(t.name)
+        elif isinstance(t, Rec):
+            out.update(t.spec.names)
+        return t, subterms(t), None
+
+    _walk(t, None, enter, _ignore)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -668,35 +689,37 @@ def normalize(t: Term) -> Term:
     with enclosing binders, or with a differently-defined specification seen
     earlier.  Renaming is deterministic in the structure of the input."""
     free = free_vars(t)
-    used = set(all_names(t))
+    used: set[str] = set()  # the input's names, read at the first renaming
+    scope: set[str] = set()  # the binders around the node being entered
+
+    def fresh(v: str) -> str:
+        if not used:  # nothing is renamed yet, so ``t`` is still the input
+            used.update(all_names(t))
+        return _fresh_name(v, used)
 
     # A subterm without names has no variable and no binder to rename.
-    def rename(t: Term, ctx: tuple[dict[str, str], frozenset[str]]):
-        ren, enclosing = ctx
-        if not all_names(t):
+    def rename(t: Term, _):
+        if not _named(t):
             return t, None, None
-        if isinstance(t, Var):
-            return (Var(ren[t.name]) if t.name in ren else t), None, None
         if isinstance(t, Rec):
-            spec = t.spec
-            renaming = {
-                v: _fresh_name(v, used)
-                for v in sorted(spec.names)
-                if v in free or v in enclosing
-            }
-            ren = {k: v for k, v in ren.items() if k not in spec.names}
+            renaming = {v: fresh(v) for v in sorted(t.spec.names) if v in free or v in scope}
             if renaming:
                 t = _rename_binders(t, renaming)
-            ctx = (ren, enclosing | t.spec.names)
-        return t, subterms(t), ctx
+            scope.update(t.spec.names)
+        return t, subterms(t), None
 
-    t = _walk(t, ({}, _EMPTY), rename)
+    def unscope(t: Term, parts: list[Term]) -> Term:
+        if isinstance(t, Rec):
+            scope.difference_update(t.spec.names)
+        return rebuild(t, parts)
+
+    t = _walk(t, None, rename, unscope)
 
     # Second pass: distinct specifications never share a bound name.
     claims: dict[str, RecSpec] = {}
 
     def claim(t: Term, _):
-        if not all_names(t):
+        if not _named(t):
             return t, None, None
         if isinstance(t, Rec):
             renaming = {}
@@ -705,7 +728,7 @@ def normalize(t: Term) -> Term:
                 if claimed is None:
                     claims[v] = t.spec
                 elif claimed != t.spec:
-                    renaming[v] = _fresh_name(v, used)
+                    renaming[v] = fresh(v)
             if renaming:
                 t = _rename_binders(t, renaming)
                 for v in renaming.values():
@@ -720,7 +743,7 @@ def rec_specs(t: Term) -> list[tuple[Rec, RecSpec]]:
     out: list[tuple[Rec, RecSpec]] = []
 
     def enter(t: Term, _):
-        if not all_names(t):
+        if not _named(t):
             return None, None, None  # no binder below
         if isinstance(t, Rec):
             out.append((t, t.spec))

@@ -27,9 +27,20 @@ class TestCheck:
         code, out, _ = run(capsys, "check", chain, "--max-states", "30000")
         assert code == 0 and out.strip() == "consistent"
 
-    def test_nesting_deeper_than_the_parser_exit_2(self, capsys):
-        code, _, err = run(capsys, "check", "(" * 5000 + "0" + ")" * 5000)
-        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    def test_deep_parenthesised_nesting(self, capsys):
+        code, out, _ = run(capsys, "check", "(" * 5000 + "0" + ")" * 5000)
+        assert code == 0 and out.strip() == "consistent"
+
+    # linear in size: one visible move, then deadlock
+    WIDE = "a.0" + " [] 0" * 19_999
+
+    def test_wide_choice(self, capsys):
+        code, out, _ = run(capsys, "check", self.WIDE, "--max-states", "100000")
+        assert code == 0 and out.strip() == "consistent"
+
+    def test_wide_choice_graph(self, capsys):
+        code, out, _ = run(capsys, "lts", self.WIDE, "--max-states", "100000", "--format", "json")
+        assert code == 0 and len(json.loads(out)["states"]) == 2
 
 
 class TestRefine:

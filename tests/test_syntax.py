@@ -104,6 +104,41 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse(text)
 
+    # one malformed input per place the parser raises: message, span, expected
+    EXACT = [
+        ("a 0", "action 'a' must be followed by '.' at 0..1 (expected .)", (0, 1), (".",)),
+        ("a.", "unexpected end of input at 2..2 (expected 0, bot, variable, prefix, (, <)",
+         (2, 2), ("0", "bot", "variable", "prefix", "(", "<")),
+        ("((a.0)", "unexpected end of input at 6..6 (expected ))", (6, 6), (")",)),
+        ("a.0)", "unexpected ')' after term at 3..4", (3, 4), ()),
+        ("0 |[a b]| 0", "unexpected 'b' at 6..7 (expected ]|)", (6, 7), ("]|",)),
+        ("0 |[a", "unexpected end of input at 5..5 (expected ]|)", (5, 5), ("]|",)),
+        ("0 |[,]| 0", "unexpected ',' in synchronisation set at 4..5 (expected action name, ]|)",
+         (4, 5), ("action name", "]|")),
+        ("0 |[a,]| 0", "unexpected ']|' at 6..8 (expected action name)", (6, 8), ("action name",)),
+        ("<0 | X = 0>", "unexpected '0' at 1..2 (expected recursion variable)", (1, 2),
+         ("recursion variable",)),
+        ("<X X = 0>", "unexpected 'X' at 3..4 (expected |)", (3, 4), ("|",)),
+        ("<X | 0>", "unexpected '0' at 5..6 (expected equation variable)", (5, 6),
+         ("equation variable",)),
+        ("<X | X 0>", "unexpected '0' at 7..8 (expected =)", (7, 8), ("=",)),
+        ("<X | X = a.0", "unexpected end of input at 12..12 (expected >)", (12, 12), (">",)),
+        ("<X | X = a.X, X = b.X>", "duplicate equation for 'X' at 14..15", (14, 15), ()),
+        ("<X | Y = a.X>", "recursion variable 'X' has no equation at 0..13", (0, 13), ()),
+        ("0 [] [] 0", "unexpected '[]' at 5..7 (expected 0, bot, variable, prefix, (, <)",
+         (5, 7), ("0", "bot", "variable", "prefix", "(", "<")),
+        ("", "unexpected end of input at 0..0 (expected 0, bot, variable, prefix, (, <)",
+         (0, 0), ("0", "bot", "variable", "prefix", "(", "<")),
+    ]
+
+    @pytest.mark.parametrize("text, message, span, expected", EXACT)
+    def test_exact_error(self, text, message, span, expected):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+        assert (err.value.span.start, err.value.span.end) == span
+        assert err.value.expected == expected
+
     def test_span_reported(self):
         with pytest.raises(ParseError) as err:
             parse("a.0 ?? 0")

@@ -1,9 +1,14 @@
+import os
+import subprocess
 import sys
 from functools import cache
 
 import pytest
 
+import llts
 from llts.properties import GenConfig, _gen_term_trial
+from llts.semantics import BuildLimits, UnfoldDepthExceeded, build_lts, step
+from llts.syntax import parse, print_term
 from llts.terms import (
     TAU,
     Bottom,
@@ -433,15 +438,12 @@ class TestNestedScopes:
         assert inner_expansion.right.body is self.rec
 
     def test_finite_graph(self):
-        from llts.semantics import build_lts
-
         lts = build_lts(self.rec)
         assert len(lts.state_ids()) == 2
         assert len(lts.terms) <= 8
 
     def test_reparse_of_shadowed_state_is_equivalent(self):
         from llts.refinement import equivalent
-        from llts.syntax import parse, print_term
 
         expansion = plug(self.spec.body("X"), self.spec)
         inner = expansion.body
@@ -505,17 +507,21 @@ DEEP = 50_000
 LOOP = Rec("X", {"X": Prefix("a", Var("X"))})
 
 
+# the operators that guard nothing come first
+WRAPS = [
+    lambda t: ExtChoice(t, Nil()),
+    lambda t: Conj(Prefix("b", Nil()), t),
+    lambda t: Parallel({"a"}, t, Nil()),
+    lambda t: Prefix("a", t),
+    lambda t: Disj(Nil(), t),
+]
+
+
 @cache
 def _deep(leaf, guarded=True):
     """``leaf`` under DEEP operators, cycling through every operator, or
     with ``guarded`` False through those that guard nothing."""
-    wraps = [
-        lambda t: ExtChoice(t, Nil()),
-        lambda t: Conj(Prefix("b", Nil()), t),
-        lambda t: Parallel({"a"}, t, Nil()),
-    ]
-    if guarded:
-        wraps += [lambda t: Prefix("a", t), lambda t: Disj(Nil(), t)]
+    wraps = WRAPS if guarded else WRAPS[:3]
     t = leaf
     for i in range(DEEP):
         t = wraps[i % len(wraps)](t)
@@ -538,6 +544,34 @@ def _folding_number():
     return folding_number(_deep(inner, guarded=False), "X") == 1
 
 
+def _repr():
+    # each level adds the text its operator puts around a hole
+    heads, tails = [], []
+    for i in range(DEEP):
+        head, tail = repr(WRAPS[i % len(WRAPS)](Var("HOLE"))).split("Var('HOLE')")
+        heads.append(head)
+        tails.append(tail)
+    return repr(_deep(LOOP)) == "".join(reversed(heads)) + repr(LOOP) + "".join(tails)
+
+
+def _nested_recursions():
+    n = 20_000
+    text = "".join(f"<X{i} | X{i} = a." for i in range(n)) + "0" + ">" * n
+    return len(rec_specs(parse(text))) == n
+
+
+def _unfold_bound():
+    with pytest.raises(UnfoldDepthExceeded):
+        build_lts(Rec("X", {"X": Var("X")}), BuildLimits(max_unfold_depth=100_000))
+    return True
+
+
+def _build_lts():
+    # every level and the loop's unfolding; the conjunction's b blocks a
+    lts = build_lts(_deep(LOOP, guarded=False), BuildLimits(max_states=100_000))
+    return len(lts.terms) == DEEP + 4 and lts.inconsistent[lts.root]
+
+
 DEEP_CHECKS = {
     "normalize": _normalize,
     "substitute": lambda: substitute(_deep(Var("X")), {"X": Bottom()}) is _deep(Bottom()),
@@ -555,14 +589,45 @@ DEEP_CHECKS = {
     "degree": lambda: degree(_deep(Nil())) == 2 * DEEP + 1,
     "unguarded_rec_count": lambda: unguarded_rec_count(_deep(LOOP, guarded=False)) == 1,
     "folding_number": _folding_number,
+    "repr": _repr,
+    "parse_parentheses": lambda: parse("(" * DEEP + "0" + ")" * DEEP) is Nil(),
+    "parse_recursions": _nested_recursions,
+    "print_term": lambda: parse(print_term(_deep(LOOP))) is _deep(LOOP),
+    "step": lambda: step(_deep(LOOP, guarded=False)) == [],
+    "build_lts": _build_lts,
+    "unfold_bound": _unfold_bound,
 }
 
 
 class TestDeepTerms:
-    """Term functions keep their own stack: a term deeper than the
-    interpreter's recursion limit is no harder than a shallow one."""
+    """Term functions, the parser, the printer and ``step`` keep their own
+    stack: a term deeper than the interpreter's recursion limit is no
+    harder than a shallow one."""
 
     @pytest.mark.parametrize("name", sorted(DEEP_CHECKS))
     def test_deeper_than_recursion_limit(self, name):
         assert sys.getrecursionlimit() < DEEP
         assert DEEP_CHECKS[name]()
+
+    def test_import_keeps_the_recursion_limit(self):
+        # a fresh interpreter, so no other import has set the limit first
+        code = (
+            "import sys; limit = sys.getrecursionlimit(); import llts; "
+            "assert sys.getrecursionlimit() == limit, sys.getrecursionlimit()"
+        )
+        src = os.path.dirname(os.path.dirname(llts.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestRepr:
+    def test_fields_in_order(self):
+        t = Parallel({"a"}, Nil(), ExtChoice(Bottom(), LOOP))
+        assert repr(t) == (
+            "Parallel(frozenset({'a'}), Nil(), ExtChoice(Bottom(), "
+            "Rec('X', RecSpec({'X': Prefix('a', Var('X'))}))))"
+        )
+
+    def test_equations_as_in_the_spec(self):
+        rec = Rec("X", {"Y": Prefix("b", Var("X")), "X": Prefix("a", Var("Y"))})
+        assert repr(rec) == f"Rec('X', {rec.spec!r})"
