@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 holds/pass, 1 refuted/fail/inconsistent, 2 input or limit
-errors.  ``LLTS_MAX_STATES`` overrides the default state bound.
+errors, 3 an internal error (a fault of the program, not of its input).
+``LLTS_MAX_STATES`` overrides the default state bound.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError also covers the guardedness and binding errors
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # never exit 1, which is a verdict
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

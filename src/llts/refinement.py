@@ -1,16 +1,20 @@
 """Ready-simulation refinement over finite graphs.
 
-``refines`` decides the refinement preorder by computing the largest stable
-ready simulation on a graph shared by both processes and then matching the
-stable consistent descendants of the two roots.  ``alt_refines`` decides the
-same preorder through an independent characterisation over all state pairs
-and serves as a cross-check oracle.
+``refines`` decides the refinement preorder on a graph shared by both
+processes: it computes the largest stable ready simulation over the state
+pairs reachable from the roots' stable consistent descendants, then matches
+those descendants.  ``alt_refines`` decides the same preorder through an
+independent characterisation over all state pairs and serves as a
+cross-check oracle.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import product
 
 from .semantics import (
     BuildLimits,
@@ -74,58 +78,113 @@ def _weak_moves(lts: Lts, i: int) -> dict[str, frozenset[int]]:
     return out
 
 
-def _stable_sim(lts: Lts):
-    """Largest stable ready simulation plus a deletion record per rejected
-    pair (used to assemble counterexamples)."""
-    stable_ids = [i for i in range(len(lts.terms)) if lts.stable[i]]
-    weak = {i: _weak_moves(lts, i) for i in stable_ids}
+def _stable_sim(lts: Lts, seeds):
+    """Largest stable ready simulation over the pairs reachable from ``seeds``
+    (pairs of stable states) through matching weak moves, plus a deletion
+    record per rejected pair (used to assemble counterexamples) and the weak
+    moves of every state it touched.
+
+    On a set of pairs closed under those moves, the largest simulation is the
+    graph's largest one restricted to the set.  Deletions are numbered in the
+    order of the fixpoint that checks every pair in sorted order, sweep after
+    sweep, until a sweep deletes nothing: first the pairs that fail on
+    consistency or ready sets, in sorted order, then failed checks in (sweep,
+    pair) order.  A pair is checked again only when a deletion leaves one of
+    its moves unmatched: in the same sweep if it sorts after the deleted pair,
+    else in the next.  So the numbering restricted to the reachable pairs is
+    the same for any seeds, and ``_diagnose`` follows the same partners.
+    """
     F = lts.inconsistent
+    weak: dict[int, dict[str, tuple[int, ...]]] = {}
+    ready: dict[int, frozenset[str]] = {}
+    # users[i][a]: the touched states with i among their weak a-targets
+    users: dict[int, dict[str, list[int]]] = defaultdict(lambda: defaultdict(list))
+
+    def matchable(pair) -> bool:
+        for i in pair:
+            if i not in weak:
+                weak[i] = {a: tuple(sorted(t)) for a, t in _weak_moves(lts, i).items()}
+                ready[i] = lts.ready(i)
+                for a, targets in weak[i].items():
+                    for t in targets:
+                        users[t][a].append(i)
+        p, q = pair
+        return not (F[p] or F[q]) and ready[p] == ready[q]
+
+    pairs = set(seeds)
+    todo = list(pairs)
+    while todo:
+        pair = todo.pop()
+        if matchable(pair):
+            q_moves = weak[pair[1]]
+            fresh = {
+                read
+                for a, targets in weak[pair[0]].items()
+                for read in product(targets, q_moves.get(a, ()))
+            }
+            fresh -= pairs
+            pairs |= fresh
+            todo.extend(fresh)
 
     relation: set[tuple[int, int]] = set()
     deleted: dict[tuple[int, int], _Deletion] = {}
-    seq = 0
-    for p in stable_ids:
-        for q in stable_ids:
-            if F[p]:
-                relation.add((p, q))
-            elif F[q]:
-                deleted[(p, q)] = _Deletion(seq, REASON_CONSISTENCY)
-                seq += 1
-            elif lts.ready(p) != lts.ready(q):
-                deleted[(p, q)] = _Deletion(seq, REASON_READY)
-                seq += 1
-            else:
-                relation.add((p, q))
+    for pair in sorted(pairs):
+        p, q = pair
+        if F[p]:
+            relation.add(pair)
+        elif F[q]:
+            deleted[pair] = _Deletion(len(deleted), REASON_CONSISTENCY)
+        elif ready[p] != ready[q]:
+            deleted[pair] = _Deletion(len(deleted), REASON_READY)
+        else:
+            relation.add(pair)
 
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(relation):
-            if pair not in relation:  # deleted earlier in this round
-                continue
-            p, q = pair
-            if F[p]:
-                continue
-            broken = None
-            for a, targets in weak[p].items():
-                q_targets = weak[q].get(a, frozenset())
-                for p2 in sorted(targets):
-                    if not any((p2, q2) in relation for q2 in q_targets):
-                        broken = (a, p2)
-                        break
-                if broken:
-                    break
-            if broken:
-                relation.discard(pair)
-                deleted[pair] = _Deletion(seq, REASON_NO_MOVE, broken[0], broken[1])
-                seq += 1
-                changed = True
+    # Counters in the style of Henzinger-Henzinger-Kopke: count[p2, a, q] is
+    # the number of weak a-targets q2 of q with (p2, q2) still related.  A
+    # pair (p, q) fails while one of its counters (p2 a weak a-target of p)
+    # is zero, and counters only fall.
+    count: dict[tuple[int, str, int], int] = {}
+
+    def unmatched_move(pair) -> tuple[str, int] | None:
+        p, q = pair
+        for a, targets in weak[p].items():
+            for p2 in targets:
+                key = (p2, a, q)
+                if key not in count:
+                    q_targets = weak[q].get(a, ())
+                    count[key] = sum((p2, q2) in relation for q2 in q_targets)
+                if not count[key]:
+                    return a, p2
+        return None
+
+    queue = [(0, pair) for pair in sorted(relation) if not F[pair[0]] and unmatched_move(pair)]
+    queued = {pair for _, pair in queue}
+    while queue:
+        sweep, pair = heappop(queue)
+        queued.discard(pair)
+        deleted[pair] = _Deletion(len(deleted), REASON_NO_MOVE, *unmatched_move(pair))
+        relation.discard(pair)
+        p2, q2 = pair
+        for a, q_users in users[q2].items():
+            for q in q_users:
+                key = (p2, a, q)
+                if key not in count:
+                    continue
+                count[key] -= 1
+                if count[key]:
+                    continue
+                for p in users[p2][a]:
+                    reader = (p, q)
+                    if reader in relation and reader not in queued:
+                        queued.add(reader)
+                        heappush(queue, (sweep if reader > pair else sweep + 1, reader))
     return relation, deleted, weak
 
 
 def largest_stable_sim(lts: Lts) -> SimRelation:
     """The largest stable ready simulation over the graph's stable states."""
-    relation, _, _ = _stable_sim(lts)
+    stable_ids = [i for i in range(len(lts.terms)) if lts.stable[i]]
+    relation, _, _ = _stable_sim(lts, product(stable_ids, stable_ids))
     return SimRelation(lts, frozenset(relation))
 
 
@@ -169,27 +228,31 @@ def _unmatched_start(lts: Lts, relation, ip: int, iq: int) -> int | None:
 
 def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVerdict:
     """Decide whether ``q`` ready-simulates ``p``; a refuted verdict carries a
-    diagnostic trace, a holding one the witnessing relation."""
+    diagnostic trace, a holding one the witnessing relation: the largest
+    simulation over the pairs reachable from the roots' stable consistent
+    descendants, in both directions (so ``equivalent`` reads its answer off
+    the same run)."""
     lts = build_combined([p, q], limits)
     ip, iq = lts.roots[0], lts.roots[1]
-    relation, deleted, weak = _stable_sim(lts)
+    csd = lts.consistent_stable_descendants()
+    seeds = {*product(csd[ip], csd[iq]), *product(csd[iq], csd[ip])}
+    relation, deleted, weak = _stable_sim(lts, seeds)
     p1 = _unmatched_start(lts, relation, ip, iq)
     if p1 is not None:
-        q_starts = lts.consistent_stable_descendants()[iq]
-        cex = _diagnose(lts, relation, deleted, weak, p1, q_starts)
+        cex = _diagnose(lts, relation, deleted, weak, p1, csd[iq])
         return RefinementVerdict(False, counterexample=cex)
     return RefinementVerdict(True, witness=SimRelation(lts, frozenset(relation)))
 
 
 def _stable_roots(p: Term, q: Term, limits: BuildLimits | None):
     """The root ids of ``p`` and ``q`` in their shared graph, with the largest
-    stable ready simulation there; the relation is empty when either root is
-    unstable."""
+    stable ready simulation over the pairs reachable from the two root pairs;
+    the relation is empty when either root is unstable."""
     lts = build_combined([p, q], limits)
     ip, iq = lts.roots[0], lts.roots[1]
     if not (lts.stable[ip] and lts.stable[iq]):
         return ip, iq, set()
-    return ip, iq, _stable_sim(lts)[0]
+    return ip, iq, _stable_sim(lts, {(ip, iq), (iq, ip)})[0]
 
 
 def stable_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
@@ -204,9 +267,9 @@ def equivalent(
 ) -> bool:
     """Mutual refinement; with ``stable=True`` mutual stable-state simulation.
 
-    Both directions are read off one graph: the witness of ``refines(p, q)``
-    is the largest simulation over every stable pair of the graph shared by
-    ``p`` and ``q``.
+    Both directions are read off one graph and one simulation: the witness of
+    ``refines(p, q)`` covers the pairs reachable from the roots' stable
+    consistent descendants in both directions.
     """
     if stable:
         ip, iq, relation = _stable_roots(p, q, limits)

@@ -31,7 +31,9 @@ from .terms import (
     RecSpec,
     Term,
     Var,
+    _commas,
     _into_subterms,
+    _join,
     _walk,
     first_guard_violation,
     normalize,
@@ -276,30 +278,31 @@ def parse(text: str) -> Term:
     return t
 
 
-def _fit(part: tuple[str, int], need: int) -> str:
-    text, level = part
-    return f"({text})" if level < need else text
+def _fit(part: tuple[list, int], need: int) -> list:
+    pieces, level = part
+    return ["(", pieces, ")"] if level < need else pieces
 
 
-def _text_of(t: Term, parts: list[tuple[str, int]]) -> tuple[str, int]:
-    """``leave`` of ``print_term``: ``t``'s text and binding level."""
+def _text_of(t: Term, parts: list[tuple[list, int]]) -> tuple[list, int]:
+    """``leave`` of ``print_term``: ``t``'s text, as a tree for
+    ``terms._join``, and its binding level."""
     cls = type(t)
     if cls in _OF_TYPE:
         token, level = _OF_TYPE[cls]
         if cls is Parallel:
             token += ",".join(sorted(t.sync)) + "]|"
-        return f"{_fit(parts[0], level)} {token} {_fit(parts[1], level + 1)}", level
+        return [_fit(parts[0], level), f" {token} ", _fit(parts[1], level + 1)], level
     if cls is Prefix:
-        return f"{t.action}.{_fit(parts[0], _TIGHT)}", _TIGHT
+        return [f"{t.action}.", _fit(parts[0], _TIGHT)], _TIGHT
     if cls is Rec:
-        eqs = ", ".join(f"{n} = {text}" for (n, _), (text, _) in zip(t.spec.equations, parts))
-        return f"<{t.var} | {eqs}>", _TIGHT
+        eqs = [[f"{n} = ", pieces] for (n, _), (pieces, _) in zip(t.spec.equations, parts)]
+        return [f"<{t.var} | ", _commas(eqs), ">"], _TIGHT
     text = t.name if cls is Var else _ATOM_TEXT.get(t)
     if text is None:
         raise TypeError(f"not a term: {t!r}")
-    return text, _TIGHT
+    return [text], _TIGHT
 
 
 def print_term(t: Term) -> str:
     """Canonical text with minimal parentheses; parses back to ``t``."""
-    return _walk(t, None, _into_subterms, _text_of)[0]
+    return _join(_walk(t, None, _into_subterms, _text_of)[0])

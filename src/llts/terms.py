@@ -58,7 +58,7 @@ class Term:
         return self._hash
 
     def __repr__(self) -> str:
-        return _walk(self, None, _into_subterms, _repr_of)
+        return _join(_walk(self, None, _into_subterms, _repr_of))
 
     def __str__(self) -> str:
         from .syntax import print_term
@@ -302,15 +302,42 @@ def _into_subterms(t: Term, _):
     return t, subterms(t), None
 
 
-def _repr_of(t: Term, parts: list[str]) -> str:
-    """``leave`` of ``repr``: ``t``'s fields, each subterm's repr in its slot."""
+def _join(pieces: list) -> str:
+    """The strings in a tree of nested lists, in order, joined once.  A
+    ``leave`` that returns such a tree, with its children's trees inside,
+    copies no text from one level into the next."""
+    out: list[str] = []
+    stack = [iter(pieces)]
+    while stack:
+        for piece in stack[-1]:
+            if isinstance(piece, str):
+                out.append(piece)
+            else:
+                stack.append(iter(piece))
+                break
+        else:
+            stack.pop()
+    return "".join(out)
+
+
+def _commas(items: list) -> list:
+    """The pieces of ``", ".join(items)`` as a tree for ``_join``."""
+    out = items[:1]
+    for item in items[1:]:
+        out += (", ", item)
+    return out
+
+
+def _repr_of(t: Term, parts: list[list]) -> list:
+    """``leave`` of ``repr``: ``t``'s fields, each subterm's repr in its slot,
+    as a tree for ``_join``."""
     parts = iter(parts)
     if isinstance(t, Rec):
-        eqs = ", ".join(f"{n!r}: {next(parts)}" for n, _ in t.spec.equations)
-        return f"Rec({t.var!r}, RecSpec({{{eqs}}}))"
+        eqs = [[f"{n!r}: ", next(parts)] for n, _ in t.spec.equations]
+        return [f"Rec({t.var!r}, RecSpec({{", _commas(eqs), "}))"]
     fields = (getattr(t, f) for f in t._fields)
-    args = ", ".join(next(parts) if isinstance(v, Term) else repr(v) for v in fields)
-    return f"{type(t).__name__}({args})"
+    args = [next(parts) if isinstance(v, Term) else repr(v) for v in fields]
+    return [f"{type(t).__name__}(", _commas(args), ")"]
 
 
 def _ignore(head, values) -> None:
@@ -587,10 +614,16 @@ def folding_number(t: Term, x: str) -> int:
 # substitution and unfolding
 
 
-def _fresh_name(base: str, avoid: set[str]) -> str:
-    i = 1
+def _fresh_name(base: str, avoid: set[str], first: dict[str, int] | None = None) -> str:
+    """The first of ``base1``, ``base2``, ... not in ``avoid``, added to it.
+    ``first`` maps a base to the index its search starts from; a caller whose
+    ``avoid`` only grows passes one map to every call, so that the names below
+    that index, all taken, are not tried again."""
+    i = first.get(base, 1) if first else 1
     while f"{base}{i}" in avoid:
         i += 1
+    if first is not None:
+        first[base] = i + 1
     name = f"{base}{i}"
     avoid.add(name)
     return name
@@ -690,12 +723,13 @@ def normalize(t: Term) -> Term:
     earlier.  Renaming is deterministic in the structure of the input."""
     free = free_vars(t)
     used: set[str] = set()  # the input's names, read at the first renaming
+    first: dict[str, int] = {}  # per base, the index ``fresh`` resumes at
     scope: set[str] = set()  # the binders around the node being entered
 
     def fresh(v: str) -> str:
         if not used:  # nothing is renamed yet, so ``t`` is still the input
             used.update(all_names(t))
-        return _fresh_name(v, used)
+        return _fresh_name(v, used, first)
 
     # A subterm without names has no variable and no binder to rename.
     def rename(t: Term, _):

@@ -1,5 +1,6 @@
 import json
 
+from llts import refinement
 from llts.cli import expand_source, main
 
 
@@ -58,6 +59,15 @@ class TestRefine:
         doc = json.loads(out)
         assert code == 1 and doc["holds"] is False
         assert doc["counterexample"]["reason"]
+
+    def test_internal_error_exit_3(self, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("simulation lost a pair")
+
+        monkeypatch.setattr(refinement, "refines", fail)
+        code, out, err = run(capsys, "refine", "a.0", "a.0")
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: simulation lost a pair\n"
 
 
 class TestEquiv:

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,11 @@ from llts.properties import (
     enumerate_stable_sim_pairs,
 )
 from llts.refinement import (
+    REASON_CONSISTENCY,
+    REASON_NO_MOVE,
     REASON_READY,
+    _stable_sim,
+    _weak_moves,
     alt_refines,
     equivalent,
     largest_stable_sim,
@@ -18,12 +23,28 @@ from llts.refinement import (
 )
 from llts.semantics import StateBoundExceeded, build_combined, weak_visible_step
 from llts.syntax import parse
+from llts.terms import Disj
 
 CFG = GenConfig(seed=37, max_depth=3)
 
 
 def build(*texts):
     return build_combined([parse(s) for s in texts])
+
+
+def _assert_simulation(lts, rel):
+    """``rel`` is a stable ready simulation on ``lts``."""
+    for i, j in rel:
+        assert lts.stable[i] and lts.stable[j]
+        if lts.inconsistent[i]:
+            continue
+        assert not lts.inconsistent[j]
+        assert lts.ready(i) == lts.ready(j)
+        for a in sorted(lts.visible_ready(i)):
+            for p2 in weak_visible_step(lts, i, a):
+                assert any(
+                    (p2, q2) in rel for q2 in weak_visible_step(lts, j, a)
+                ), "weak move unmatched inside witness"
 
 
 class TestLargestStableSim:
@@ -53,18 +74,7 @@ class TestLargestStableSim:
             lts = build_combined([p, q])
         except StateBoundExceeded:
             return
-        rel = largest_stable_sim(lts).pairs
-        for i, j in rel:
-            assert lts.stable[i] and lts.stable[j]
-            if lts.inconsistent[i]:
-                continue
-            assert not lts.inconsistent[j]
-            assert lts.ready(i) == lts.ready(j)
-            for a in sorted(lts.visible_ready(i)):
-                for p2 in weak_visible_step(lts, i, a):
-                    assert any(
-                        (p2, q2) in rel for q2 in weak_visible_step(lts, j, a)
-                    ), "weak move unmatched inside witness"
+        _assert_simulation(lts, largest_stable_sim(lts).pairs)
 
 
 class TestRefines:
@@ -205,3 +215,178 @@ class TestSerialization:
         assert doc["holds"] is False
         assert doc["counterexample"]["reason"] == REASON_READY
         assert isinstance(doc["counterexample"]["path"], list)
+
+
+def _interleaving(swapped=None):
+    """Three copies of ``<X | X = a.(b.X \\/ c.X)>`` in parallel; copy
+    ``swapped`` offers b and c by external choice instead."""
+    ops = ["[]" if j == swapped else "\\/" for j in range(3)]
+    return " |[]| ".join(f"(<X | X = a.(b.X {op} c.X)>)" for op in ops)
+
+
+# (reason, path) of refines(P, P') and refines(P', P), where P' swaps copy k,
+# as the round-robin simulation over every stable pair (``_round_robin_sim``)
+# gives them
+PINNED = {
+    (0, "P<=Q"): (
+        "ready-set-mismatch",
+        [
+            ("eps", "<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)>"),
+        ],
+    ),
+    (0, "Q<=P"): (
+        "ready-set-mismatch",
+        [
+            ("eps", "<X | X = a.(b.X [] c.X)> |[]| <X1 | X1 = a.(b.X1 \\/ c.X1)> |[]| <X2 | X2 = a.(b.X2 \\/ c.X2)>"),
+            ("a", "b.<X | X = a.(b.X [] c.X)> [] c.<X | X = a.(b.X [] c.X)> |[]| <X1 | X1 = a.(b.X1 \\/ c.X1)> |[]| <X2 | X2 = a.(b.X2 \\/ c.X2)>"),
+        ],
+    ),
+    (1, "P<=Q"): (
+        "ready-set-mismatch",
+        [
+            ("eps", "<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)>"),
+        ],
+    ),
+    (1, "Q<=P"): (
+        "ready-set-mismatch",
+        [
+            ("eps", "<X | X = a.(b.X \\/ c.X)> |[]| <X1 | X1 = a.(b.X1 [] c.X1)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "<X | X = a.(b.X \\/ c.X)> |[]| b.<X1 | X1 = a.(b.X1 [] c.X1)> [] c.<X1 | X1 = a.(b.X1 [] c.X1)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+        ],
+    ),
+    (2, "P<=Q"): (
+        "ready-set-mismatch",
+        [
+            ("eps", "<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)>"),
+            ("a", "b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)> |[]| b.<X | X = a.(b.X \\/ c.X)>"),
+        ],
+    ),
+    (2, "Q<=P"): (
+        "ready-set-mismatch",
+        [
+            ("eps", "<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| <X1 | X1 = a.(b.X1 [] c.X1)>"),
+            ("a", "<X | X = a.(b.X \\/ c.X)> |[]| <X | X = a.(b.X \\/ c.X)> |[]| b.<X1 | X1 = a.(b.X1 [] c.X1)> [] c.<X1 | X1 = a.(b.X1 [] c.X1)>"),
+        ],
+    ),
+}
+
+
+def _round_robin_sim(lts):
+    """Reference for ``_stable_sim``: check every stable pair in sorted order,
+    sweep after sweep, until a sweep deletes nothing.  Returns the relation
+    and, per deleted pair, (sequence number, reason, action, successor)."""
+    stable = [i for i in range(len(lts.terms)) if lts.stable[i]]
+    weak = {i: _weak_moves(lts, i) for i in stable}
+    F = lts.inconsistent
+    relation, deleted = set(), {}
+    for pair in product(stable, stable):
+        p, q = pair
+        if F[p] or not (F[q] or lts.ready(p) != lts.ready(q)):
+            relation.add(pair)
+        else:
+            reason = REASON_CONSISTENCY if F[q] else REASON_READY
+            deleted[pair] = (len(deleted), reason, None, None)
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(relation):
+            p, q = pair
+            if pair not in relation or F[p]:
+                continue
+            for a, targets in weak[p].items():
+                q_targets = weak[q].get(a, ())
+                unmatched = [
+                    p2
+                    for p2 in sorted(targets)
+                    if not any((p2, q2) in relation for q2 in q_targets)
+                ]
+                if unmatched:
+                    relation.discard(pair)
+                    deleted[pair] = (len(deleted), REASON_NO_MOVE, a, unmatched[0])
+                    changed = True
+                    break
+    return relation, deleted
+
+
+def _generated_pairs(seed):
+    """A generated pair and a holding one, (p, p \\/ q)."""
+    p = _gen_term_trial(CFG, 2 * seed)
+    q = _gen_term_trial(CFG, 2 * seed + 1)
+    return [(p, q), (p, Disj(p, q))]
+
+
+class TestEngine:
+    @pytest.mark.parametrize("k,direction", sorted(PINNED))
+    def test_pinned_counterexample(self, k, direction):
+        p, q = parse(_interleaving()), parse(_interleaving(k))
+        if direction == "Q<=P":
+            p, q = q, p
+        reason, path = PINNED[k, direction]
+        doc = {"holds": False, "counterexample": {"path": [list(s) for s in path], "reason": reason}}
+        assert verdict_to_json(refines(p, q)) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_replays_round_robin_deletions(self, seed):
+        # the deletions on the pairs reachable from any seeds, in the order
+        # the round-robin fixpoint over every stable pair makes them
+        if seed < 3:
+            p, q = parse(_interleaving()), parse(_interleaving(seed))
+        else:
+            p, q = _generated_pairs(seed)[0]
+        try:
+            lts = build_combined([p, q])
+        except StateBoundExceeded:
+            return
+        relation, deleted = _round_robin_sim(lts)
+        ip, iq = lts.roots
+        csd = lts.consistent_stable_descendants()
+        stable = [i for i in range(len(lts.terms)) if lts.stable[i]]
+        roots = [(ip, iq), (iq, ip)] if lts.stable[ip] and lts.stable[iq] else []
+        for seeds in (list(product(csd[ip], csd[iq])), roots):
+            got, got_deleted, _ = _stable_sim(lts, seeds)
+            reached = got | got_deleted.keys()
+            assert set(seeds) <= reached
+            assert got == relation & reached
+            order = sorted(reached & deleted.keys(), key=lambda pair: deleted[pair][0])
+            assert sorted(got_deleted, key=lambda pair: got_deleted[pair].seq) == order
+            for pair in order:
+                record = got_deleted[pair]
+                assert (record.reason, record.action, record.successor) == deleted[pair][1:]
+        full = _stable_sim(lts, product(stable, stable))[1]
+        assert {pair: (d.seq, d.reason, d.action, d.successor) for pair, d in full.items()} == deleted
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_witness_on_generated(self, seed):
+        for p, q in _generated_pairs(seed):
+            try:
+                verdict = refines(p, q)
+            except StateBoundExceeded:
+                continue
+            if not verdict.holds:
+                continue
+            lts, rel = verdict.witness.lts, verdict.witness.pairs
+            _assert_simulation(lts, rel)
+            assert rel <= largest_stable_sim(lts).pairs
+            csd = lts.consistent_stable_descendants()
+            ip, iq = lts.roots
+            for p1 in csd[ip]:
+                assert any((p1, q1) in rel for q1 in csd[iq])
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equivalent_and_stable_on_generated(self, seed):
+        for p, q in _generated_pairs(seed):
+            try:
+                lts = build_combined([p, q])
+            except StateBoundExceeded:
+                continue
+            assert equivalent(p, q) == (alt_refines(p, q) and alt_refines(q, p))
+            full = largest_stable_sim(lts).pairs
+            assert stable_refines(p, q) == (tuple(lts.roots) in full)

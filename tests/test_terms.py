@@ -389,6 +389,19 @@ class TestNormalize:
         assert isinstance(body.body, Rec)
         assert body.body.var != got.var
 
+    def test_nested_same_name_binders(self):
+        # each binder clashes with every one around it: X, X1, ..., X3999
+        n = 4000
+        t = Nil()
+        for _ in range(n):
+            t = Rec("X", {"X": Prefix("a", t)})
+        t = normalize(t)
+        names = []
+        while isinstance(t, Rec):
+            names.append(t.var)
+            t = t.spec.body(t.var).body
+        assert names == ["X"] + [f"X{i}" for i in range(1, n)]
+
     def test_distinct_sibling_specs_renamed(self):
         a = Rec("X", {"X": Prefix("a", Var("X"))})
         b = Rec("X", {"X": Prefix("b", Var("X"))})
