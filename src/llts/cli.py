@@ -108,6 +108,9 @@ def main(argv: list[str] | None = None) -> int:
     p_refine.add_argument("p")
     p_refine.add_argument("q")
     p_refine.add_argument("--format", choices=("text", "json"), default="text")
+    p_refine.add_argument(
+        "--certify", action="store_true", help="check the verdict's explanation against the graph"
+    )
     _add_limit_args(p_refine)
 
     p_equiv = sub.add_parser("equiv", help="decide mutual refinement")
@@ -183,6 +186,10 @@ def _dispatch(args) -> int:
         p = syntax.parse(args.p)
         q = syntax.parse(args.q)
         verdict = refinement.refines(p, q, _limits(args))
+        if args.certify:
+            failure = refinement.check_verdict(verdict.lts, *verdict.lts.roots, verdict)
+            if failure is not None:
+                raise RuntimeError(f"certificate check failed: {failure}")
         if args.format == "json":
             print(refinement.verdict_to_json(verdict))
         elif verdict.holds:

@@ -1,9 +1,13 @@
 """Ready-simulation refinement over finite graphs.
 
 ``refines`` decides the refinement preorder on a graph shared by both
-processes: it computes the largest stable ready simulation over the state
-pairs reachable from the roots' stable consistent descendants, then matches
-those descendants.  ``alt_refines`` decides the same preorder through an
+processes.  It folds the stable states reachable by weak moves from the roots'
+stable consistent descendants into blocks of weakly bisimilar states, computes
+the largest stable ready simulation over the block pairs reachable from those
+descendants' blocks, then matches the descendants.  The witness and the
+counterexample come from the same simulation engine run on states, and only
+when one of them is read.  ``check_verdict`` checks such an explanation
+against the graph.  ``alt_refines`` decides the same preorder through an
 independent characterisation over all state pairs and serves as a
 cross-check oracle.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import product
 
@@ -53,13 +58,6 @@ class Counterexample:
 
 
 @dataclass(frozen=True)
-class RefinementVerdict:
-    holds: bool
-    witness: SimRelation | None = None
-    counterexample: Counterexample | None = None
-
-
-@dataclass(frozen=True)
 class _Deletion:
     seq: int
     reason: str
@@ -78,11 +76,13 @@ def _weak_moves(lts: Lts, i: int) -> dict[str, frozenset[int]]:
     return out
 
 
-def _stable_sim(lts: Lts, seeds):
-    """Largest stable ready simulation over the pairs reachable from ``seeds``
-    (pairs of stable states) through matching weak moves, plus a deletion
-    record per rejected pair (used to assemble counterexamples) and the weak
-    moves of every state it touched.
+def _simulate(view, seeds):
+    """Largest stable ready simulation over the pairs of nodes reachable from
+    ``seeds`` through matching weak moves, plus a deletion record per rejected
+    pair (used to assemble counterexamples) and the weak moves of every node
+    it touched.  ``view(i)`` gives node ``i``'s inconsistency flag, ready set
+    and weak moves, as sorted targets per action; nodes are the stable states
+    of a graph, or blocks of them.
 
     On a set of pairs closed under those moves, the largest simulation is the
     graph's largest one restricted to the set.  Deletions are numbered in the
@@ -94,17 +94,16 @@ def _stable_sim(lts: Lts, seeds):
     else in the next.  So the numbering restricted to the reachable pairs is
     the same for any seeds, and ``_diagnose`` follows the same partners.
     """
-    F = lts.inconsistent
-    weak: dict[int, dict[str, tuple[int, ...]]] = {}
+    F: dict[int, bool] = {}
     ready: dict[int, frozenset[str]] = {}
-    # users[i][a]: the touched states with i among their weak a-targets
+    weak: dict[int, dict[str, tuple[int, ...]]] = {}
+    # users[i][a]: the touched nodes with i among their weak a-targets
     users: dict[int, dict[str, list[int]]] = defaultdict(lambda: defaultdict(list))
 
     def matchable(pair) -> bool:
         for i in pair:
             if i not in weak:
-                weak[i] = {a: tuple(sorted(t)) for a, t in _weak_moves(lts, i).items()}
-                ready[i] = lts.ready(i)
+                F[i], ready[i], weak[i] = view(i)
                 for a, targets in weak[i].items():
                     for t in targets:
                         users[t][a].append(i)
@@ -181,11 +180,106 @@ def _stable_sim(lts: Lts, seeds):
     return relation, deleted, weak
 
 
+def _stable_sim(lts: Lts, seeds):
+    """``_simulate`` on the graph's stable states: the relation over the
+    state pairs reachable from ``seeds``, the deletion records and the weak
+    moves, from which ``_diagnose`` explains a refutation."""
+
+    def view(i):
+        moves = _weak_moves(lts, i)
+        return lts.inconsistent[i], lts.ready(i), {a: tuple(sorted(t)) for a, t in moves.items()}
+
+    return _simulate(view, seeds)
+
+
+@dataclass(frozen=True)
+class _Quotient:
+    """A stable ready simulation as a relation over blocks of weakly
+    bisimilar states: (p, q) is related when (block[p], block[q]) is."""
+
+    block: dict[int, int]
+    pairs: set[tuple[int, int]]
+
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        p, q = pair
+        return (self.block[p], self.block[q]) in self.pairs
+
+
+def _partition(lts: Lts, starts):
+    """Fold the stable states reachable by weak moves from ``starts`` into
+    blocks of weakly bisimilar states: the coarsest partition whose blocks
+    agree on (inconsistent, ready set, set of blocks per weak action).
+    Returns every state's block and a view of the blocks for ``_simulate``.
+
+    A state is signed again only when one of its weak-move successors
+    changes block.  When a block splits, the part whose signature is
+    unchanged keeps the block's id, or the largest part when every member was
+    signed again; the other parts' members move."""
+    weak = {s: _weak_moves(lts, s) for s in starts}
+    order = list(weak)
+    preds: dict[int, set[int]] = defaultdict(set)
+    for s in order:  # grows as states are found
+        for targets in weak[s].values():
+            for t in targets:
+                preds[t].add(s)
+                if t not in weak:
+                    weak[t] = _weak_moves(lts, t)
+                    order.append(t)
+    label = {s: (lts.inconsistent[s], lts.ready(s)) for s in order}
+    block = dict.fromkeys(order, 0)
+    size = [len(order)]
+    sig: list = [None]  # the signature of each block's members not in dirty
+    dirty = {0: set(order)} if order else {}  # block -> its members to sign again
+    while dirty:
+        b, members = dirty.popitem()
+        parts: dict = defaultdict(list)
+        for s in members:
+            moves = frozenset((a, block[t]) for a, ts in weak[s].items() for t in ts)
+            parts[label[s], moves].append(s)
+        if len(members) == size[b]:
+            sig[b] = max(parts, key=lambda key: len(parts[key]))
+        moved = []
+        for key, part in parts.items():
+            if key != sig[b]:
+                size[b] -= len(part)
+                for s in part:
+                    block[s] = len(size)
+                size.append(len(part))
+                sig.append(key)
+                moved += part
+        for s in moved:
+            for r in preds[s]:
+                dirty.setdefault(block[r], set()).add(r)
+
+    rep = {block[s]: s for s in order}
+
+    def view(b):
+        s = rep[b]
+        moves = {a: tuple(sorted({block[t] for t in ts})) for a, ts in weak[s].items()}
+        return (*label[s], moves)
+
+    return block, view
+
+
+def _quotient_sim(lts: Lts, left, right) -> _Quotient:
+    """The largest stable ready simulation over the block pairs reachable
+    from the blocks of ``left`` × ``right`` and of ``right`` × ``left``."""
+    block, view = _partition(lts, {*left, *right})
+    left_blocks = {block[s] for s in left}
+    right_blocks = {block[s] for s in right}
+    seeds = {*product(left_blocks, right_blocks), *product(right_blocks, left_blocks)}
+    return _Quotient(block, _simulate(view, seeds)[0])
+
+
 def largest_stable_sim(lts: Lts) -> SimRelation:
     """The largest stable ready simulation over the graph's stable states."""
     stable_ids = [i for i in range(len(lts.terms)) if lts.stable[i]]
-    relation, _, _ = _stable_sim(lts, product(stable_ids, stable_ids))
-    return SimRelation(lts, frozenset(relation))
+    quotient = _quotient_sim(lts, stable_ids, stable_ids)
+    members = defaultdict(list)
+    for s in stable_ids:
+        members[quotient.block[s]].append(s)
+    pairs = (pair for b, c in quotient.pairs for pair in product(members[b], members[c]))
+    return SimRelation(lts, frozenset(pairs))
 
 
 def _diagnose(lts, relation, deleted, weak, p0: int, candidates):
@@ -226,33 +320,61 @@ def _unmatched_start(lts: Lts, relation, ip: int, iq: int) -> int | None:
     return None
 
 
+class RefinementVerdict:
+    """Whether the second root of ``lts`` refines the first.  ``holds`` is
+    read off the block relation.  The witness and the counterexample come
+    from ``_stable_sim`` seeded with the roots' stable consistent
+    descendants, csd(p) × csd(q), run when either is first read."""
+
+    def __init__(self, lts: Lts, relation: _Quotient):
+        self.lts = lts
+        self._relation = relation
+        self._unmatched = _unmatched_start(lts, relation, *lts.roots)
+        self.holds = self._unmatched is None
+
+    @cached_property
+    def _explanation(self):
+        lts = self.lts
+        ip, iq = lts.roots
+        csd = lts.consistent_stable_descendants()
+        relation, deleted, weak = _stable_sim(lts, product(csd[ip], csd[iq]))
+        if _unmatched_start(lts, relation, ip, iq) != self._unmatched:
+            raise RuntimeError("the state simulation disagrees with the quotient")
+        return relation, deleted, weak
+
+    @cached_property
+    def witness(self) -> SimRelation | None:
+        return SimRelation(self.lts, frozenset(self._explanation[0])) if self.holds else None
+
+    @cached_property
+    def counterexample(self) -> Counterexample | None:
+        if self.holds:
+            return None
+        csd = self.lts.consistent_stable_descendants()
+        return _diagnose(self.lts, *self._explanation, self._unmatched, csd[self.lts.roots[1]])
+
+
 def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVerdict:
     """Decide whether ``q`` ready-simulates ``p``; a refuted verdict carries a
     diagnostic trace, a holding one the witnessing relation: the largest
-    simulation over the pairs reachable from the roots' stable consistent
-    descendants, in both directions (so ``equivalent`` reads its answer off
-    the same run)."""
+    simulation over the pairs reachable from csd(p) × csd(q).  The block
+    relation it is decided on covers both directions, so ``equivalent``
+    reads its answer off the same quotient."""
     lts = build_combined([p, q], limits)
-    ip, iq = lts.roots[0], lts.roots[1]
+    ip, iq = lts.roots
     csd = lts.consistent_stable_descendants()
-    seeds = {*product(csd[ip], csd[iq]), *product(csd[iq], csd[ip])}
-    relation, deleted, weak = _stable_sim(lts, seeds)
-    p1 = _unmatched_start(lts, relation, ip, iq)
-    if p1 is not None:
-        cex = _diagnose(lts, relation, deleted, weak, p1, csd[iq])
-        return RefinementVerdict(False, counterexample=cex)
-    return RefinementVerdict(True, witness=SimRelation(lts, frozenset(relation)))
+    return RefinementVerdict(lts, _quotient_sim(lts, csd[ip], csd[iq]))
 
 
 def _stable_roots(p: Term, q: Term, limits: BuildLimits | None):
     """The root ids of ``p`` and ``q`` in their shared graph, with the largest
-    stable ready simulation over the pairs reachable from the two root pairs;
-    the relation is empty when either root is unstable."""
+    stable ready simulation over the block pairs reachable from the two root
+    pairs; the relation is empty when either root is unstable."""
     lts = build_combined([p, q], limits)
     ip, iq = lts.roots[0], lts.roots[1]
     if not (lts.stable[ip] and lts.stable[iq]):
         return ip, iq, set()
-    return ip, iq, _stable_sim(lts, {(ip, iq), (iq, ip)})[0]
+    return ip, iq, _quotient_sim(lts, [ip], [iq])
 
 
 def stable_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
@@ -267,9 +389,9 @@ def equivalent(
 ) -> bool:
     """Mutual refinement; with ``stable=True`` mutual stable-state simulation.
 
-    Both directions are read off one graph and one simulation: the witness of
-    ``refines(p, q)`` covers the pairs reachable from the roots' stable
-    consistent descendants in both directions.
+    Both directions are read off one graph and one quotient: the block
+    relation of ``refines(p, q)`` covers the pairs reachable from the roots'
+    stable consistent descendants in both directions.
     """
     if stable:
         ip, iq, relation = _stable_roots(p, q, limits)
@@ -277,8 +399,66 @@ def equivalent(
     verdict = refines(p, q, limits)
     if not verdict.holds:
         return False
-    lts, relation = verdict.witness.lts, verdict.witness.pairs
-    return _unmatched_start(lts, relation, lts.roots[1], lts.roots[0]) is None
+    lts = verdict.lts
+    return _unmatched_start(lts, verdict._relation, lts.roots[1], lts.roots[0]) is None
+
+
+def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str | None:
+    """Check a verdict on whether ``iq`` refines ``ip`` against ``lts``, by
+    its explanation alone; returns None, or the first condition that fails.
+
+    A holding verdict's witness must be a stable ready simulation that gives
+    every stable consistent descendant of ``ip`` a partner among those of
+    ``iq``.  A refuted verdict's path must replay as weak moves from a stable
+    consistent descendant of ``ip``, and its reason must hold at the path's
+    end for some state that ``iq``'s descendants reach by the same actions:
+    its ready set differs, it is inconsistent, or it lacks the last move.
+    """
+    F = lts.inconsistent
+    csd = lts.consistent_stable_descendants()
+    if verdict.holds:
+        rel = verdict.witness.pairs
+        for i, j in sorted(rel):
+            if not (lts.stable[i] and lts.stable[j]):
+                return f"witness pair {(i, j)} is not a pair of stable states"
+            if F[i]:
+                continue
+            if F[j]:
+                return f"witness pair {(i, j)} relates a consistent state to an inconsistent one"
+            if lts.ready(i) != lts.ready(j):
+                return f"witness pair {(i, j)} has different ready sets"
+            for a in sorted(lts.visible_ready(i)):
+                partners = weak_visible_step(lts, j, a)
+                for p2 in sorted(weak_visible_step(lts, i, a)):
+                    if not any((p2, q2) in rel for q2 in partners):
+                        return f"witness pair {(i, j)} leaves the weak {a}-move to {p2} unmatched"
+        for p1 in sorted(csd[ip]):
+            if not any((p1, q1) in rel for q1 in csd[iq]):
+                return f"witness gives the stable consistent descendant {p1} no partner"
+        return None
+
+    cex = verdict.counterexample
+    (_, name), *steps = cex.path
+    here = {s for s in csd[ip] if str(lts.terms[s]) == name}
+    if not here:
+        return f"path start {name} is not a stable consistent descendant of the first root"
+    before, there = set(), set(csd[iq])
+    for a, name in steps:
+        here = {t for s in here for t in weak_visible_step(lts, s, a) if str(lts.terms[t]) == name}
+        if not here:
+            return f"path step {a}: {name} is not a weak move"
+        before, there = there, {t for s in there for t in weak_visible_step(lts, s, a)}
+    if cex.reason == REASON_NO_DESCENDANT:
+        holds = not steps and not csd[iq]
+    elif cex.reason == REASON_NO_MOVE:
+        holds = bool(steps) and any(not weak_visible_step(lts, s, steps[-1][0]) for s in before)
+    elif cex.reason == REASON_CONSISTENCY:
+        holds = any(F[s] for s in there)
+    else:
+        holds = cex.reason == REASON_READY and any(
+            lts.ready(s) != lts.ready(t) for s in here for t in there
+        )
+    return None if holds else f"reason {cex.reason} does not hold at the path's end"
 
 
 def alt_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:

@@ -361,16 +361,16 @@ def _variants(t: Term, values: list[list[Term]]) -> list[Term]:
 # binding analysis
 
 
-def _memoized(t: Term, memo: dict, combine):
-    """``combine(node, parts)`` folded bottom-up over ``t``, every value
-    kept in ``memo``."""
+def _memoized(t: Term, memo: dict, combine, parts_of=subterms):
+    """``combine(node, parts)`` folded bottom-up over ``t``, with ``parts``
+    the values of ``parts_of(node)``, every value kept in ``memo``."""
     _trim_memos()
 
     def enter(node: Term, _):
         value = memo.get(node)
         if value is not None:
             return value, None, None
-        return node, subterms(node), None
+        return node, parts_of(node), None
 
     def leave(node: Term, parts: list):
         value = memo[node] = combine(node, parts)
@@ -381,11 +381,12 @@ def _memoized(t: Term, memo: dict, combine):
 
 _EMPTY: frozenset[str] = frozenset()
 _free_vars_memo: dict[Term, frozenset[str]] = {}
+_unguarded_memo: dict[Term, frozenset[str]] = {}
 _named_memo: dict[Term, bool] = {}
 
 
 def _trim_memos() -> None:
-    for memo in (_free_vars_memo, _named_memo):
+    for memo in (_free_vars_memo, _unguarded_memo, _named_memo):
         if len(memo) > 1 << 20:
             memo.clear()
 
@@ -405,6 +406,20 @@ def free_vars(t: Term) -> frozenset[str]:
     """The set of variables with a free occurrence in ``t``."""
     found = _free_vars_memo.get(t)
     return _memoized(t, _free_vars_memo, _free_vars_of) if found is None else found
+
+
+def _unguarded_parts(node: Term) -> tuple[Term, ...]:
+    """No occurrence under a prefix or in a disjunction is unguarded."""
+    return () if isinstance(node, (Prefix, Disj)) else subterms(node)
+
+
+def unguarded_free_vars(t: Term) -> frozenset[str]:
+    """Free variables having at least one unguarded occurrence in ``t``: one
+    under no prefix and in no disjunction operand."""
+    found = _unguarded_memo.get(t)
+    if found is None:
+        found = _memoized(t, _unguarded_memo, _free_vars_of, _unguarded_parts)
+    return found
 
 
 def _named_of(node: Term, parts: list[bool]) -> bool:
@@ -509,27 +524,18 @@ def variable_status(t: Term, x: str) -> VarStatus:
 
 
 def first_guard_violation(spec: RecSpec) -> tuple[str, str] | None:
-    """Return (variable, equation) for the first unguarded bound occurrence."""
+    """Return (variable, equation) for the first unguarded bound occurrence:
+    equations in order, variables sorted."""
     for eq_name, body in spec.equations:
-        for var in sorted(spec.names):
-            for occ in _occurrences(body, var):
-                if not occ.strong and not occ.weak:
-                    return (var, eq_name)
+        unguarded = unguarded_free_vars(body) & spec.names
+        if unguarded:
+            return (min(unguarded), eq_name)
     return None
 
 
 def is_guarded_spec(spec: RecSpec) -> bool:
     """True when every bound variable is guarded in every equation body."""
     return first_guard_violation(spec) is None
-
-
-def unguarded_free_vars(t: Term) -> frozenset[str]:
-    """Free variables having at least one unguarded occurrence in ``t``."""
-    return frozenset(
-        x
-        for x in free_vars(t)
-        if any(not o.strong and not o.weak for o in _occurrences(t, x))
-    )
 
 
 # ---------------------------------------------------------------------------

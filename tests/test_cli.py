@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from llts import refinement
 from llts.cli import expand_source, main
 
@@ -68,6 +70,21 @@ class TestRefine:
         code, out, err = run(capsys, "refine", "a.0", "a.0")
         assert code == 3 and out == ""
         assert err == "internal error: RuntimeError: simulation lost a pair\n"
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    @pytest.mark.parametrize("p,q", [("a.0", "a.0 \\/ b.0"), ("a.b.0", "a.c.0"), ("0", "bot")])
+    def test_certify_keeps_output(self, capsys, fmt, p, q):
+        plain = run(capsys, "refine", p, q, "--format", fmt)
+        assert run(capsys, "refine", p, q, "--format", fmt, "--certify") == plain
+
+    def test_certify_failure_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(refinement, "check_verdict", lambda *args: "witness pair (0, 1) has different ready sets")
+        code, out, err = run(capsys, "refine", "a.0", "a.0", "--certify")
+        assert code == 3 and out == ""
+        assert err == (
+            "internal error: RuntimeError: certificate check failed: "
+            "witness pair (0, 1) has different ready sets\n"
+        )
 
 
 class TestEquiv:

@@ -1,7 +1,10 @@
 import json
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
+
+from llts import refinement
 
 from llts.properties import (
     GenConfig,
@@ -12,16 +15,19 @@ from llts.refinement import (
     REASON_CONSISTENCY,
     REASON_NO_MOVE,
     REASON_READY,
+    Counterexample,
+    SimRelation,
     _stable_sim,
     _weak_moves,
     alt_refines,
+    check_verdict,
     equivalent,
     largest_stable_sim,
     refines,
     stable_refines,
     verdict_to_json,
 )
-from llts.semantics import StateBoundExceeded, build_combined, weak_visible_step
+from llts.semantics import BuildLimits, StateBoundExceeded, build_combined
 from llts.syntax import parse
 from llts.terms import Disj
 
@@ -32,19 +38,15 @@ def build(*texts):
     return build_combined([parse(s) for s in texts])
 
 
-def _assert_simulation(lts, rel):
-    """``rel`` is a stable ready simulation on ``lts``."""
-    for i, j in rel:
-        assert lts.stable[i] and lts.stable[j]
-        if lts.inconsistent[i]:
-            continue
-        assert not lts.inconsistent[j]
-        assert lts.ready(i) == lts.ready(j)
-        for a in sorted(lts.visible_ready(i)):
-            for p2 in weak_visible_step(lts, i, a):
-                assert any(
-                    (p2, q2) in rel for q2 in weak_visible_step(lts, j, a)
-                ), "weak move unmatched inside witness"
+def _holding(lts, rel):
+    """A holding verdict with witness ``rel``, as ``check_verdict`` reads it."""
+    return SimpleNamespace(holds=True, witness=SimRelation(lts, rel))
+
+
+def _assert_simulation(lts, rel, ip, iq):
+    """``rel`` is a stable ready simulation on ``lts`` that gives every
+    stable consistent descendant of ``ip`` a partner among those of ``iq``."""
+    assert check_verdict(lts, ip, iq, _holding(lts, rel)) is None
 
 
 class TestLargestStableSim:
@@ -74,7 +76,8 @@ class TestLargestStableSim:
             lts = build_combined([p, q])
         except StateBoundExceeded:
             return
-        _assert_simulation(lts, largest_stable_sim(lts).pairs)
+        ip = lts.roots[0]
+        _assert_simulation(lts, largest_stable_sim(lts).pairs, ip, ip)
 
 
 class TestRefines:
@@ -188,6 +191,7 @@ class TestCounterexampleFuzz:
             verdict = refines(p, q)
         except StateBoundExceeded:
             return
+        assert check_verdict(verdict.lts, *verdict.lts.roots, verdict) is None
         if verdict.holds:
             assert verdict.witness is not None
             return
@@ -217,10 +221,10 @@ class TestSerialization:
         assert isinstance(doc["counterexample"]["path"], list)
 
 
-def _interleaving(swapped=None):
-    """Three copies of ``<X | X = a.(b.X \\/ c.X)>`` in parallel; copy
+def _interleaving(swapped=None, n=3):
+    """``n`` copies of ``<X | X = a.(b.X \\/ c.X)>`` in parallel; copy
     ``swapped`` offers b and c by external choice instead."""
-    ops = ["[]" if j == swapped else "\\/" for j in range(3)]
+    ops = ["[]" if j == swapped else "\\/" for j in range(n)]
     return " |[]| ".join(f"(<X | X = a.(b.X {op} c.X)>)" for op in ops)
 
 
@@ -373,12 +377,8 @@ class TestEngine:
             if not verdict.holds:
                 continue
             lts, rel = verdict.witness.lts, verdict.witness.pairs
-            _assert_simulation(lts, rel)
+            _assert_simulation(lts, rel, *lts.roots)
             assert rel <= largest_stable_sim(lts).pairs
-            csd = lts.consistent_stable_descendants()
-            ip, iq = lts.roots
-            for p1 in csd[ip]:
-                assert any((p1, q1) in rel for q1 in csd[iq])
 
     @pytest.mark.parametrize("seed", range(60))
     def test_equivalent_and_stable_on_generated(self, seed):
@@ -390,3 +390,116 @@ class TestEngine:
             assert equivalent(p, q) == (alt_refines(p, q) and alt_refines(q, p))
             full = largest_stable_sim(lts).pairs
             assert stable_refines(p, q) == (tuple(lts.roots) in full)
+
+
+class TestQuotient:
+    """Verdicts come from a simulation over blocks of weakly bisimilar
+    states; the state-level engine only explains them."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_lifted_blocks_equal_state_relation(self, seed):
+        for p, q in _generated_pairs(seed):
+            try:
+                lts = build_combined([p, q])
+            except StateBoundExceeded:
+                continue
+            stable = [i for i in range(len(lts.terms)) if lts.stable[i]]
+            assert largest_stable_sim(lts).pairs == _stable_sim(lts, product(stable, stable))[0]
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_lifted_blocks_on_interleavings(self, n):
+        for k in range(n):
+            lts = build_combined([parse(_interleaving(None, n)), parse(_interleaving(k, n))])
+            stable = [i for i in range(len(lts.terms)) if lts.stable[i]]
+            assert largest_stable_sim(lts).pairs == _stable_sim(lts, product(stable, stable))[0]
+
+    def test_verdicts_never_run_the_state_engine(self, monkeypatch):
+        def explain(*_):
+            raise RuntimeError("explanation requested")
+
+        monkeypatch.setattr(refinement, "_stable_sim", explain)
+        p, q = parse(_interleaving()), parse(_interleaving(1))
+        assert refines(p, p).holds
+        assert equivalent(p, p) and not equivalent(p, q)
+        assert stable_refines(p, p) and not stable_refines(p, q)
+        assert equivalent(p, p, stable=True)
+        held, refuted = refines(p, Disj(p, q)), refines(p, q)
+        assert held.holds and not refuted.holds
+        with pytest.raises(RuntimeError, match="explanation requested"):
+            refuted.counterexample
+        with pytest.raises(RuntimeError, match="explanation requested"):
+            held.witness.pairs
+
+    def test_engine_disagreeing_with_quotient_raises(self, monkeypatch):
+        p, q = parse(_interleaving()), parse(_interleaving(1))
+        verdict = refines(p, q)
+        states = range(len(verdict.lts.terms))
+        monkeypatch.setattr(
+            refinement, "_stable_sim", lambda lts, seeds: (set(product(states, states)), {}, {})
+        )
+        with pytest.raises(RuntimeError, match="disagrees with the quotient"):
+            verdict.counterexample
+
+    def test_long_chain_where_nothing_collapses(self):
+        # every state is its own block; a quadratic partition cannot finish
+        chain = "a." * 20_000
+        limits = BuildLimits(max_states=50_000)
+        p, q = parse(chain + "0"), parse(chain + "b.0")
+        assert refines(p, p, limits).holds
+        assert not refines(p, q, limits).holds
+
+
+class TestCheckVerdict:
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_every_interleaving_verdict_passes(self, n):
+        p = parse(_interleaving(None, n))
+        swapped = [parse(_interleaving(k, n)) for k in range(n)]
+        pairs = [(p, p)] + [pair for q in swapped for pair in ((p, q), (q, p), (p, Disj(p, q)))]
+        for left, right in pairs:
+            verdict = refines(left, right)
+            lts = verdict.lts
+            assert check_verdict(lts, *lts.roots, verdict) is None
+
+    def test_rejects_witness_missing_a_needed_pair(self):
+        p, q = parse(_interleaving(None, 4)), parse(_interleaving(1, 4))
+        verdict = refines(p, Disj(p, q))
+        lts, rel = verdict.lts, verdict.witness.pairs
+        ip, iq = lts.roots
+        csd = lts.consistent_stable_descendants()
+        # a partner some start has alone, and a move target some pair has alone
+        needed = [
+            [(p1, q1) for q1 in csd[iq] if (p1, q1) in rel] for p1 in csd[ip]
+        ] + [
+            [(p2, q2) for q2 in _weak_moves(lts, j).get(a, ()) if (p2, q2) in rel]
+            for i, j in rel
+            for a, targets in _weak_moves(lts, i).items()
+            for p2 in targets
+        ]
+        alone = {pairs[0] for pairs in needed if len(pairs) == 1}
+        assert alone
+        for pair in sorted(alone)[:20]:
+            failure = check_verdict(lts, ip, iq, _holding(lts, rel - {pair}))
+            assert failure is not None and "witness" in failure
+
+    def test_rejects_path_with_one_action_changed(self):
+        for k in range(4):
+            p, q = parse(_interleaving(None, 4)), parse(_interleaving(k, 4))
+            verdict = refines(p, q)
+            cex = verdict.counterexample
+            lts = verdict.lts
+            assert len(cex.path) > 1
+            for i, (a, state) in enumerate(cex.path[1:], 1):
+                path = list(cex.path)
+                path[i] = ("b" if a != "b" else "c", state)
+                forged = SimpleNamespace(holds=False, counterexample=Counterexample(tuple(path), cex.reason))
+                failure = check_verdict(lts, *lts.roots, forged)
+                assert failure is not None and "not a weak move" in failure
+
+    def test_rejects_a_reason_that_does_not_hold(self):
+        p, q = parse(_interleaving(None, 4)), parse(_interleaving(2, 4))
+        verdict = refines(p, q)
+        lts, cex = verdict.lts, verdict.counterexample
+        assert cex.reason == REASON_READY
+        for reason in (REASON_CONSISTENCY, REASON_NO_MOVE, "no-stable-descendant-match"):
+            forged = SimpleNamespace(holds=False, counterexample=Counterexample(cex.path, reason))
+            assert "does not hold" in check_verdict(lts, *lts.roots, forged)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from functools import cache
 
 import pytest
@@ -15,6 +16,7 @@ from llts.terms import (
     Conj,
     Disj,
     ExtChoice,
+    GuardednessError,
     Nil,
     Parallel,
     Prefix,
@@ -45,6 +47,8 @@ from llts.terms import (
     unguarded_rec_count,
     variable_status,
 )
+from llts.terms import _occurrences
+from test_semantics import FACTS
 
 CFG = GenConfig(seed=11, max_depth=4)
 
@@ -118,6 +122,60 @@ class TestGuardedness:
         # X unguarded inside a nested recursion body
         inner = RecSpec({"Y": ExtChoice(Var("X"), Prefix("b", Var("Y")))})
         assert not is_guarded_spec(RecSpec({"X": Rec("Y", inner)}))
+
+
+def _reference_violation(spec):
+    """The first unguarded bound occurrence, found one variable's
+    occurrences at a time."""
+    for eq_name, body in spec.equations:
+        for var in sorted(spec.names):
+            for occ in _occurrences(body, var):
+                if not occ.strong and not occ.weak:
+                    return (var, eq_name)
+    return None
+
+
+def _guard_corpus():
+    """Every recursion of the fact table and of 200 generated terms, each as
+    written and with one name made unguarded in its last equation."""
+    config = GenConfig(seed=23, max_depth=4)
+    terms = [parse(text) for text, _ in FACTS]
+    terms += [_gen_term_trial(config, k) for k in range(200)]
+    for t in terms:
+        for rec, spec in rec_specs(t):
+            yield rec
+            (last, body), names = spec.equations[-1], sorted(spec.names)
+            for x in (names[0], names[-1]):
+                yield Rec(rec.var, {**dict(spec.equations), last: ExtChoice(body, Var(x))})
+                yield Rec(rec.var, {**dict(spec.equations), last: Conj(Disj(Var(x), body), Var(x))})
+
+
+class TestGuardCheck:
+    def test_same_first_violation_as_occurrence_walk(self):
+        recs = list(_guard_corpus())
+        assert sum(_reference_violation(rec.spec) is not None for rec in recs) > 100
+        for rec in recs:
+            assert first_guard_violation(rec.spec) == _reference_violation(rec.spec)
+
+    def test_same_parse_error_as_occurrence_walk(self):
+        for rec in _guard_corpus():
+            violations = (_reference_violation(spec) for _, spec in rec_specs(normalize(rec)))
+            expected = next((v for v in violations if v is not None), None)
+            if expected is None:
+                assert parse(print_term(rec)) is normalize(rec)
+                continue
+            with pytest.raises(GuardednessError) as err:
+                parse(print_term(rec))
+            assert str(err.value) == str(GuardednessError(*expected))
+
+    def test_nested_recursions_naming_every_outer_variable(self):
+        # <X0 | X0 = a.<X1 | X1 = a. ... a.(X0 [] ... [] X1999)>...>
+        names = [f"X{i}" for i in range(2000)]
+        text = "".join(f"<{x} | {x} = a." for x in names)
+        text += "(" + " [] ".join(names) + ")" + ">" * len(names)
+        start = time.perf_counter()
+        assert len(rec_specs(parse(text))) == len(names)
+        assert time.perf_counter() - start < 10
 
 
 class TestMeasures:
