@@ -23,7 +23,6 @@ from .semantics import (
     compute_inconsistent,
     lts_to_dot,
     lts_to_json,
-    stable_consistent_descendants,
     step,
     validate_llts,
     weak_visible_step,
@@ -49,7 +48,6 @@ from .terms import (
     degree,
     folding_number,
     free_vars,
-    is_guarded_spec,
     is_visible,
     normalize,
     plug,

@@ -57,7 +57,6 @@ class GenConfig:
     alphabet: tuple[str, ...] = ("a", "b", "c")
     rec_probability: float = 0.2
     conj_probability: float = 0.2
-    force_guarded: bool = True
 
     def __post_init__(self):
         if not self.alphabet:
@@ -141,7 +140,7 @@ class _Gen:
         for var, req in scope.items():
             if req == "anywhere":
                 out.append(var)
-            elif req == "guarded" and (path.guarded or not self.config.force_guarded):
+            elif req == "guarded" and path.guarded:
                 out.append(var)
             elif req == "strong-no-conj" and path.strong and not path.in_conj:
                 out.append(var)
@@ -252,12 +251,6 @@ def _probed(gen: _Gen, depth: int) -> Term:
             continue
         return candidate
     return fallback
-
-
-def gen_term(config: GenConfig) -> Term:
-    """Deterministic-in-seed closed guarded term that builds within the
-    default limits."""
-    return _probed(_Gen(random.Random(config.seed), config), config.max_depth)
 
 
 def _gen_term_trial(config: GenConfig, trial: int, depth: int | None = None) -> Term:
@@ -708,7 +701,6 @@ def check_conjunction_laws(config: GenConfig, trials: int = 80) -> TheoremReport
 def check_unique_solution(
     t_body: Term,
     x: str,
-    config: GenConfig | None = None,
     candidates: list[Term] | None = None,
 ) -> TheoremReport:
     """For an equation body with the variable strongly guarded outside all
@@ -786,12 +778,12 @@ def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport
     for k in range(trials):
         report.trials += 1
         body = gen_equation_body(config, k, var)
-        sub = check_unique_solution(body, var, config)
+        sub = check_unique_solution(body, var)
         report.failures.extend(sub.failures)
         report.skipped.extend((k, reason) for _, reason in sub.skipped)
     for k in range(max(1, trials // 8)):
         body = gen_equation_body(config, 50_000 + k, var, conj_scope=True)
-        sub = check_unique_solution(body, var, config)
+        sub = check_unique_solution(body, var)
         report.notes.extend(sub.notes)
     return report
 
@@ -913,12 +905,14 @@ def run_checks(
     seed: int = 0, trials: int | None = None, only: str | None = None
 ) -> list[TheoremReport]:
     """Run the theorem suite with seed-derived trials; ``only`` selects one."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trial count must be at least 1: {trials}")
     config = GenConfig(seed=seed)
     reports = []
     for name, fn in ALL_CHECKS.items():
         if only is not None and name != only:
             continue
-        reports.append(fn(config, trials) if trials else fn(config))
+        reports.append(fn(config) if trials is None else fn(config, trials))
     return reports
 
 
@@ -937,6 +931,8 @@ def load_baseline(path: str) -> list[tuple[str, int, int]]:
             raise ValueError(f"unknown theorem id {theorem!r}")
         if type(seed) is not int or type(trials) is not int:
             raise ValueError(f"baseline seed or trials not an integer: {row!r}")
+        if trials < 1:
+            raise ValueError(f"baseline trial count must be at least 1: {row!r}")
         entries.append((theorem, seed, trials))
     return entries
 

@@ -293,28 +293,24 @@ RULES: dict[type, OperatorRules] = {
 
 
 def step(
-    t: Term,
-    max_unfold_depth: int = DEFAULT_MAX_UNFOLD_DEPTH,
-    _memo: dict | None = None,
+    t: Term, max_unfold_depth: int = DEFAULT_MAX_UNFOLD_DEPTH
 ) -> list[tuple[str, Term]]:
-    """All one-step transitions of a closed term, internal moves first.
-
-    ``_memo`` may be shared across calls (completed results stay valid); the
-    unfold budget is charged per call.
-    """
+    """All one-step transitions of a closed term, internal moves first."""
     _check_closed(t)
-    return list(_closed_step(t, max_unfold_depth, {} if _memo is None else _memo))
+    return list(_closed_step(t, max_unfold_depth, {}))
 
 
 def _check_closed(t: Term) -> None:
     if free_vars(t):
-        raise ValueError(f"transitions are defined for closed terms only: {t}")
+        raise ValueError(f"only closed terms have a transition graph: {t}")
 
 
 def _closed_step(
     t: Term, max_unfold_depth: int, memo: dict
 ) -> tuple[tuple[str, Term], ...]:
-    """``step`` on a term known to be closed."""
+    """``step`` on a term known to be closed.  ``memo`` may be shared across
+    calls (completed results stay valid); the unfold budget is charged per
+    call."""
     budget = max_unfold_depth
 
     # A known term is a leaf.  A recursion is charged to the budget and
@@ -570,8 +566,6 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
 
 def build_lts(p: Term, limits: BuildLimits | None = None) -> Lts:
     """Build the transition graph rooted at ``p`` with inconsistency flags."""
-    if free_vars(p):
-        raise ValueError("only closed terms have a transition graph")
     return build_combined([p], limits)
 
 
@@ -616,12 +610,6 @@ def compute_inconsistent(lts: Lts, _reverse: bool = False) -> frozenset[int]:
     lts.inconsistent = F
     lts._csd = None  # consistency changed; invalidate derived relation
     return frozenset(i for i in range(n) if F[i])
-
-
-def stable_consistent_descendants(lts: Lts, s: int) -> frozenset[int]:
-    """Stable consistent states reachable from ``s`` by internal moves that
-    pass through consistent states only (``s`` itself included when stable)."""
-    return lts.consistent_stable_descendants()[s]
 
 
 def weak_visible_step(lts: Lts, s: int, a: str) -> frozenset[int]:

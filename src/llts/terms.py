@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
 
@@ -43,7 +43,55 @@ class GuardednessError(ValueError):
 _INTERN: dict = {}
 
 
-class Term:
+class _Facts(NamedTuple):
+    """What the recursion theory reads of a term's names, kept on the term."""
+
+    free: frozenset[str]  # the variables with a free occurrence
+    unguarded: frozenset[str]  # those with one under no prefix and in no disjunction
+    named: bool  # a variable or a binder occurs
+
+
+_EMPTY: frozenset[str] = frozenset()
+_CLOSED = _Facts(_EMPTY, _EMPTY, False)  # every closed term without a binder
+_BOUND = _Facts(_EMPTY, _EMPTY, True)  # every closed term with one
+
+
+class _Interned:
+    """Hash-consed values: construction returns the one instance with the
+    given fields, so equality is identity and so is the hash.
+
+    A class lists its fields once, in ``__slots__``; ``_key`` checks the
+    constructor's arguments and turns them into the fields.  Each instance
+    records its ``_Facts`` when it is first built.
+    """
+
+    __slots__ = ("_facts",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = cls._fields + cls.__dict__["__slots__"]
+
+    @staticmethod
+    def _key(*fields):
+        return fields
+
+    def __new__(cls, *args):
+        fields = cls._key(*args)
+        key = (cls, *fields)
+        inst = _INTERN.get(key)
+        if inst is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+            inst = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                setattr(inst, name, value)
+            inst._facts = _facts_of(inst)
+            # setdefault is atomic: concurrent constructions agree on one instance
+            inst = _INTERN.setdefault(key, inst)
+        return inst
+
+
+class Term(_Interned):
     """Base class for process terms.
 
     Terms are hash-consed: construction returns the unique instance for each
@@ -51,11 +99,7 @@ class Term:
     immutable by convention.
     """
 
-    __slots__ = ("_hash",)
-    _fields: tuple[str, ...] = ()
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return _join(_walk(self, None, _into_subterms, _repr_of))
@@ -66,24 +110,10 @@ class Term:
         return print_term(self)
 
 
-def _interned(cls, key, build):
-    inst = _INTERN.get(key)
-    if inst is None:
-        inst = object.__new__(cls)
-        build(inst)
-        inst._hash = hash(key)
-        # setdefault is atomic: concurrent constructions agree on one instance
-        inst = _INTERN.setdefault(key, inst)
-    return inst
-
-
 class Nil(Term):
     """Deadlock: no transitions, consistent."""
 
     __slots__ = ()
-
-    def __new__(cls):
-        return _interned(cls, ("Nil",), lambda inst: None)
 
 
 class Bottom(Term):
@@ -91,37 +121,19 @@ class Bottom(Term):
 
     __slots__ = ()
 
-    def __new__(cls):
-        return _interned(cls, ("Bottom",), lambda inst: None)
-
 
 class Prefix(Term):
     __slots__ = ("action", "body")
-    _fields = ("action", "body")
-    __match_args__ = ("action", "body")
 
-    def __new__(cls, action: str, body: Term):
+    @staticmethod
+    def _key(action: str, body: Term):
         if not action:
             raise ValueError("action name must be nonempty")
-
-        def build(inst):
-            inst.action = action
-            inst.body = body
-
-        return _interned(cls, ("Prefix", action, body), build)
+        return action, body
 
 
 class _Binary(Term):
     __slots__ = ("left", "right")
-    _fields = ("left", "right")
-    __match_args__ = ("left", "right")
-
-    def __new__(cls, left: Term, right: Term):
-        def build(inst):
-            inst.left = left
-            inst.right = right
-
-        return _interned(cls, (cls.__name__, left, right), build)
 
 
 class ExtChoice(_Binary):
@@ -138,59 +150,40 @@ class Disj(_Binary):
 
 class Parallel(Term):
     __slots__ = ("sync", "left", "right")
-    _fields = ("sync", "left", "right")
-    __match_args__ = ("sync", "left", "right")
 
-    def __new__(cls, sync: Iterable[str], left: Term, right: Term):
+    @staticmethod
+    def _key(sync: Iterable[str], left: Term, right: Term):
         sync = frozenset(sync)
         if TAU in sync:
             raise ValueError("synchronisation sets contain visible actions only")
-
-        def build(inst):
-            inst.sync = sync
-            inst.left = left
-            inst.right = right
-
-        return _interned(cls, ("Parallel", sync, left, right), build)
+        return sync, left, right
 
 
 class Var(Term):
     __slots__ = ("name",)
-    _fields = ("name",)
-    __match_args__ = ("name",)
 
-    def __new__(cls, name: str):
+    @staticmethod
+    def _key(name: str):
         if not name:
             raise ValueError("variable name must be nonempty")
-
-        def build(inst):
-            inst.name = name
-
-        return _interned(cls, ("Var", name), build)
+        return (name,)
 
 
-class RecSpec:
+class RecSpec(_Interned):
     """A finite, nonempty map from recursion variables to their bodies.
 
     Equations are stored sorted by variable name, so two specifications with
     the same equations are the same object regardless of construction order.
     """
 
-    __slots__ = ("equations", "names", "_hash")
+    __slots__ = ("equations", "names")
 
-    def __new__(cls, equations):
+    @staticmethod
+    def _key(equations):
         items = tuple(sorted(dict(equations).items()))
         if not items:
             raise ValueError("recursive specification must be nonempty")
-
-        def build(inst):
-            inst.equations = items
-            inst.names = frozenset(name for name, _ in items)
-
-        return _interned(cls, ("RecSpec", items), build)
-
-    def __hash__(self) -> int:
-        return self._hash
+        return items, frozenset(name for name, _ in items)
 
     def body(self, name: str) -> Term:
         for n, t in self.equations:
@@ -210,20 +203,44 @@ class RecSpec:
 
 class Rec(Term):
     __slots__ = ("var", "spec")
-    _fields = ("var", "spec")
-    __match_args__ = ("var", "spec")
 
-    def __new__(cls, var: str, spec):
+    @staticmethod
+    def _key(var: str, spec):
         if not isinstance(spec, RecSpec):
             spec = RecSpec(spec)
         if var not in spec.names:
             raise UnboundRecVar(var)
+        return var, spec
 
-        def build(inst):
-            inst.var = var
-            inst.spec = spec
 
-        return _interned(cls, ("Rec", var, spec), build)
+def _facts_of(t: _Interned) -> _Facts:
+    """``t``'s facts, read off those of its parts: the operands, or an
+    equation system's bodies, less the names it binds.  A recursion shares
+    its equation system's facts."""
+    cls = type(t)
+    if cls is Var:
+        free = frozenset((t.name,))
+        return _Facts(free, free, True)
+    if cls is Rec:
+        return t.spec._facts
+    if cls is RecSpec:
+        parts, bound = [body for _, body in t.equations], t.names
+    else:
+        parts, bound = operands(t), _EMPTY
+    named, free, unguarded = bool(bound), _EMPTY, _EMPTY
+    for part in parts:
+        p = part._facts
+        if p.named:
+            named, free, unguarded = True, free | p.free, unguarded | p.unguarded
+    if not named:
+        return _CLOSED
+    free -= bound
+    if not free:
+        return _BOUND
+    # no occurrence under a prefix or in a disjunction is unguarded
+    if cls is Prefix or cls is Disj:
+        return _Facts(free, _EMPTY, True)
+    return _Facts(free, (unguarded - bound) or _EMPTY, True)
 
 
 def operands(t: Term) -> tuple[Term, ...]:
@@ -361,76 +378,20 @@ def _variants(t: Term, values: list[list[Term]]) -> list[Term]:
 # binding analysis
 
 
-def _memoized(t: Term, memo: dict, combine, parts_of=subterms):
-    """``combine(node, parts)`` folded bottom-up over ``t``, with ``parts``
-    the values of ``parts_of(node)``, every value kept in ``memo``."""
-    _trim_memos()
-
-    def enter(node: Term, _):
-        value = memo.get(node)
-        if value is not None:
-            return value, None, None
-        return node, parts_of(node), None
-
-    def leave(node: Term, parts: list):
-        value = memo[node] = combine(node, parts)
-        return value
-
-    return _walk(t, None, enter, leave)
-
-
-_EMPTY: frozenset[str] = frozenset()
-_free_vars_memo: dict[Term, frozenset[str]] = {}
-_unguarded_memo: dict[Term, frozenset[str]] = {}
-_named_memo: dict[Term, bool] = {}
-
-
-def _trim_memos() -> None:
-    for memo in (_free_vars_memo, _unguarded_memo, _named_memo):
-        if len(memo) > 1 << 20:
-            memo.clear()
-
-
-def _free_vars_of(node: Term, parts: list[frozenset[str]]) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    out = _EMPTY
-    for p in parts:
-        out |= p
-    if isinstance(node, Rec):
-        return out - node.spec.names
-    return out
-
-
 def free_vars(t: Term) -> frozenset[str]:
     """The set of variables with a free occurrence in ``t``."""
-    found = _free_vars_memo.get(t)
-    return _memoized(t, _free_vars_memo, _free_vars_of) if found is None else found
-
-
-def _unguarded_parts(node: Term) -> tuple[Term, ...]:
-    """No occurrence under a prefix or in a disjunction is unguarded."""
-    return () if isinstance(node, (Prefix, Disj)) else subterms(node)
+    return t._facts.free
 
 
 def unguarded_free_vars(t: Term) -> frozenset[str]:
     """Free variables having at least one unguarded occurrence in ``t``: one
     under no prefix and in no disjunction operand."""
-    found = _unguarded_memo.get(t)
-    if found is None:
-        found = _memoized(t, _unguarded_memo, _free_vars_of, _unguarded_parts)
-    return found
-
-
-def _named_of(node: Term, parts: list[bool]) -> bool:
-    return isinstance(node, (Var, Rec)) or any(parts)
+    return t._facts.unguarded
 
 
 def _named(t: Term) -> bool:
-    """Whether a variable or a binder occurs in ``t``; unlike the names, one
-    bit per node however many binders lie below."""
-    found = _named_memo.get(t)
-    return _memoized(t, _named_memo, _named_of) if found is None else found
+    """Whether a variable or a binder occurs in ``t``."""
+    return t._facts.named
 
 
 def all_names(t: Term) -> frozenset[str]:
@@ -531,11 +492,6 @@ def first_guard_violation(spec: RecSpec) -> tuple[str, str] | None:
         if unguarded:
             return (min(unguarded), eq_name)
     return None
-
-
-def is_guarded_spec(spec: RecSpec) -> bool:
-    """True when every bound variable is guarded in every equation body."""
-    return first_guard_violation(spec) is None
 
 
 # ---------------------------------------------------------------------------

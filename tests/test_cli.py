@@ -197,6 +197,21 @@ class TestProps:
             assert code == 2 and err.startswith("error:")
             assert repr(json.loads(row)) in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trial_count_below_one_exit_2(self, capsys, trials):
+        code, out, err = run(capsys, "props", "--trials", trials, "--only", "coincidence")
+        assert code == 2 and not out
+        assert err == f"error: trial count must be at least 1: {trials}\n"
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_baseline_trial_count_below_one_exit_2(self, capsys, tmp_path, trials):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(f'[["f-laws", 3, 4], ["coincidence", 1, {trials}]]')
+        code, out, err = run(capsys, "props", "--baseline", str(baseline))
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(["coincidence", 1, trials]) in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys,

@@ -17,7 +17,6 @@ from llts.properties import (
     check_unique_solutions,
     gen_context,
     gen_equation_body,
-    gen_term,
     report_to_json,
     shrink_term,
 )
@@ -29,8 +28,8 @@ from llts.terms import (
     Prefix,
     Var,
     degree,
+    first_guard_violation,
     free_vars,
-    is_guarded_spec,
     rec_specs,
     variable_status,
 )
@@ -40,27 +39,27 @@ CFG = GenConfig(seed=3, max_depth=4)
 
 class TestGenerator:
     def test_deterministic_in_seed(self):
-        a = gen_term(GenConfig(seed=1, max_depth=3))
-        b = gen_term(GenConfig(seed=1, max_depth=3))
+        a = _gen_term_trial(GenConfig(seed=1, max_depth=3), 0)
+        b = _gen_term_trial(GenConfig(seed=1, max_depth=3), 0)
         assert a == b
 
     def test_distinct_seeds_vary(self):
-        terms = {gen_term(GenConfig(seed=s, max_depth=4)) for s in range(30)}
+        terms = {_gen_term_trial(GenConfig(seed=s, max_depth=4), 0) for s in range(30)}
         assert len(terms) > 20
 
     @pytest.mark.parametrize("seed", range(120))
     def test_closed_guarded_round_trip(self, seed):
-        t = gen_term(GenConfig(seed=seed, max_depth=4))
+        t = _gen_term_trial(GenConfig(seed=seed, max_depth=4), 0)
         assert not free_vars(t)
         for _, spec in rec_specs(t):
-            assert is_guarded_spec(spec)
+            assert first_guard_violation(spec) is None
         assert parse(print_term(t)) == t
 
     def test_build_rate_within_default_limits(self):
         built = 0
         total = 300
         for seed in range(total):
-            t = gen_term(GenConfig(seed=seed, max_depth=5))
+            t = _gen_term_trial(GenConfig(seed=seed, max_depth=5), 0)
             try:
                 build_lts(t)
                 built += 1
@@ -74,7 +73,7 @@ class TestGenerator:
         for k in range(1000):
             t = _gen_term_trial(cfg, k)
             assert not free_vars(t)
-            assert all(is_guarded_spec(spec) for _, spec in rec_specs(t))
+            assert all(first_guard_violation(spec) is None for _, spec in rec_specs(t))
             assert parse(print_term(t)) == t
 
     def test_context_contains_hole(self):

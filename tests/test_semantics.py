@@ -18,7 +18,6 @@ from llts.semantics import (
     consistency_law_violations,
     lts_to_dot,
     lts_to_json,
-    stable_consistent_descendants,
     step,
     stratification_violations,
     used_rule_instances,
@@ -316,16 +315,16 @@ class TestInconsistency:
 class TestDescendants:
     def test_disjunction(self):
         lts = build_lts(parse("a.0 \\/ b.0"))
-        got = {print_term(lts.terms[i]) for i in stable_consistent_descendants(lts, lts.root)}
+        got = {print_term(lts.terms[i]) for i in lts.consistent_stable_descendants()[lts.root]}
         assert got == {"a.0", "b.0"}
 
     def test_inconsistent_start_blocked(self):
         lts = build_lts(parse("bot"))
-        assert stable_consistent_descendants(lts, lts.root) == frozenset()
+        assert lts.consistent_stable_descendants()[lts.root] == frozenset()
 
     def test_stable_state_reaches_itself(self):
         lts = build_lts(parse("a.0"))
-        assert stable_consistent_descendants(lts, lts.root) == {lts.root}
+        assert lts.consistent_stable_descendants()[lts.root] == {lts.root}
 
     def test_weak_step(self):
         lts = build_lts(parse("a.(b.0 \\/ c.0)"))
@@ -367,7 +366,7 @@ class TestDescendants:
             return frozenset(out)
 
         for i in range(len(lts.terms)):
-            assert stable_consistent_descendants(lts, i) == naive(i)
+            assert lts.consistent_stable_descendants()[i] == naive(i)
 
 
 def _handmade_lts(terms, transitions, inconsistent):

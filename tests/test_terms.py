@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 
 import llts
-from llts.properties import GenConfig, _gen_term_trial
+from llts.properties import GenConfig, _gen_term_trial, gen_context, gen_equation_body
 from llts.semantics import BuildLimits, UnfoldDepthExceeded, build_lts, step
 from llts.syntax import parse, print_term
 from llts.terms import (
@@ -30,7 +30,6 @@ from llts.terms import (
     first_guard_violation,
     folding_number,
     free_vars,
-    is_guarded_spec,
     is_multi_unfolding,
     normalize,
     operands,
@@ -47,7 +46,7 @@ from llts.terms import (
     unguarded_rec_count,
     variable_status,
 )
-from llts.terms import _occurrences
+from llts.terms import _into_subterms, _named, _occurrences, _walk
 from test_semantics import FACTS
 
 CFG = GenConfig(seed=11, max_depth=4)
@@ -108,20 +107,21 @@ class TestVariableStatus:
 
 class TestGuardedness:
     def test_strong_guard(self):
-        assert is_guarded_spec(RecSpec({"X": Prefix("a", Var("X"))}))
+        assert first_guard_violation(RecSpec({"X": Prefix("a", Var("X"))})) is None
 
     def test_unguarded_choice(self):
-        assert not is_guarded_spec(
-            RecSpec({"X": ExtChoice(Var("X"), Prefix("a", Nil()))})
+        assert (
+            first_guard_violation(RecSpec({"X": ExtChoice(Var("X"), Prefix("a", Nil()))}))
+            is not None
         )
 
     def test_disjunction_guards(self):
-        assert is_guarded_spec(RecSpec({"X": Disj(Var("X"), Nil())}))
+        assert first_guard_violation(RecSpec({"X": Disj(Var("X"), Nil())})) is None
 
     def test_nested_scope_counts(self):
         # X unguarded inside a nested recursion body
         inner = RecSpec({"Y": ExtChoice(Var("X"), Prefix("b", Var("Y")))})
-        assert not is_guarded_spec(RecSpec({"X": Rec("Y", inner)}))
+        assert first_guard_violation(RecSpec({"X": Rec("Y", inner)})) is not None
 
 
 def _reference_violation(spec):
@@ -176,6 +176,65 @@ class TestGuardCheck:
         start = time.perf_counter()
         assert len(rec_specs(parse(text))) == len(names)
         assert time.perf_counter() - start < 10
+
+
+def _reference_facts(t):
+    """(free names, unguarded free names, whether a name occurs) of ``t``,
+    folded over its subterms with nothing kept between calls."""
+
+    def leave(node, parts):
+        if isinstance(node, Var):
+            return {node.name}, {node.name}, True
+        free = set().union(*(f for f, _, _ in parts))
+        unguarded = set()
+        if not isinstance(node, (Prefix, Disj)):
+            unguarded = unguarded.union(*(u for _, u, _ in parts))
+        if isinstance(node, Rec):
+            free -= node.spec.names
+            unguarded -= node.spec.names
+        return free, unguarded, isinstance(node, Rec) or any(n for _, _, n in parts)
+
+    return _walk(t, None, _into_subterms, leave)
+
+
+def _nested(names):
+    """One recursion per name, the first innermost.  The innermost body
+    names every name and a free Y unguarded, and each body also names its
+    own variable under a prefix."""
+    t = Var("Y")
+    for x in names:
+        t = ExtChoice(t, Var(x))
+    for x in names:
+        t = Rec(x, {x: ExtChoice(t, Prefix("a", Var(x)))})
+    return t
+
+
+def _facts_corpus():
+    config = GenConfig(seed=23, max_depth=4)
+    yield from (parse(text) for text, _ in FACTS)
+    for k in range(50):
+        yield _gen_term_trial(config, k)
+        yield gen_context(config, k)
+        yield gen_equation_body(config, k, "RX")
+    yield _nested(["X"] * 20)
+    yield _nested([f"X{i}" for i in range(20)])
+
+
+class TestNameFacts:
+    def test_same_as_reference_fold_on_every_subterm(self):
+        seen = set()
+        todo = list(_facts_corpus())
+        while todo:
+            t = todo.pop()
+            if t in seen:
+                continue
+            seen.add(t)
+            free, unguarded, named = _reference_facts(t)
+            assert free_vars(t) == free
+            assert unguarded_free_vars(t) == unguarded
+            assert _named(t) == named
+            todo.extend(subterms(t))
+        assert sum(bool(unguarded_free_vars(t)) for t in seen) > 100
 
 
 class TestMeasures:
@@ -488,7 +547,7 @@ class TestNestedScopes:
         self.rec = Rec("X", self.spec)
 
     def test_guarded(self):
-        assert is_guarded_spec(self.spec)
+        assert first_guard_violation(self.spec) is None
 
     def test_unfolding_creates_shadowed_copy(self):
         expansion = plug(self.spec.body("X"), self.spec)
@@ -542,6 +601,20 @@ class TestConstruction:
         s1 = RecSpec({"X": Var("Y"), "Y": Prefix("a", Var("X"))})
         s2 = RecSpec({"Y": Prefix("a", Var("X")), "X": Var("Y")})
         assert s1 == s2 and hash(s1) == hash(s2)
+
+    def test_interned_per_class_and_fields(self):
+        a, b = Prefix("a", Nil()), Prefix("b", Nil())
+        assert ExtChoice(a, b) is ExtChoice(a, b)
+        assert ExtChoice(a, b) is not Conj(a, b)
+        assert Parallel(["a"], a, b) is Parallel({"a"}, a, b)
+        equations = {"X": Prefix("a", Var("X"))}
+        assert Rec("X", equations) is Rec("X", RecSpec(equations))
+
+    def test_empty_names(self):
+        with pytest.raises(ValueError):
+            Prefix("", Nil())
+        with pytest.raises(ValueError):
+            Var("")
 
 
 class TestRebuild:
@@ -689,6 +762,38 @@ class TestDeepTerms:
         src = os.path.dirname(os.path.dirname(llts.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+WIDE = 5000
+
+
+def _wide(op, operand):
+    return f" {op} ".join(operand.format(i=i) for i in range(WIDE))
+
+
+class TestWideTerms:
+    """Inputs 5000 operands wide parse, print back and are checked."""
+
+    @pytest.mark.parametrize("op", ["[]", "\\/"])
+    def test_wide_recursion(self, op):
+        text = f"<X | X = {_wide(op, 'a{i}.X')}>"
+        t = parse(text)
+        assert parse(print_term(t)) is t
+        assert [first_guard_violation(spec) for _, spec in rec_specs(t)] == [None]
+        with pytest.raises(GuardednessError):
+            parse(f"<X | X = {_wide(op, 'a{i}.X')} [] X>")
+
+    def test_wide_disjunction_consistent(self):
+        t = parse(_wide("\\/", "a{i}.0"))
+        assert parse(print_term(t)) is t
+        lts = build_lts(t)
+        assert not lts.inconsistent[lts.root]
+
+    def test_wide_conjunction_inconsistent(self):
+        t = parse(_wide("/\\", "a{i}.0"))
+        assert parse(print_term(t)) is t
+        lts = build_lts(t)
+        assert lts.inconsistent[lts.root]
 
 
 class TestRepr:
