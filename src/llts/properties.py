@@ -50,17 +50,16 @@ from .terms import (
 )
 
 
+ALPHABET = ("a", "b", "c")
+CONJ_PROBABILITY = 0.2
+HOLE = "HOLE"  # the free variable a generated context leaves open
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 0
     max_depth: int = 4
-    alphabet: tuple[str, ...] = ("a", "b", "c")
     rec_probability: float = 0.2
-    conj_probability: float = 0.2
-
-    def __post_init__(self):
-        if not self.alphabet:
-            raise ValueError("alphabet must be nonempty")
 
 
 @dataclass
@@ -158,7 +157,7 @@ class _Gen:
     def action(self) -> str:
         if self.rng.random() < 0.2:
             return TAU
-        return self.rng.choice(self.config.alphabet)
+        return self.rng.choice(ALPHABET)
 
     def term(
         self, depth: int, scope: dict[str, str], path: _Path, in_rec: bool = False
@@ -173,7 +172,7 @@ class _Gen:
             ("prefix", 0.30),
             ("choice", 0.14),
             ("disj", 0.14),
-            ("conj", cfg.conj_probability * (0.4 if in_rec else 1.0)),
+            ("conj", CONJ_PROBABILITY * (0.4 if in_rec else 1.0)),
             ("par", 0.015 if in_rec else 0.08),
             ("rec", cfg.rec_probability * (0.4 if in_rec else 1.0)),
             ("leaf", 0.14),
@@ -212,7 +211,7 @@ class _Gen:
             )
         if kind == "par":
             sync = frozenset(
-                a for a in cfg.alphabet if self.rng.random() < 0.4
+                a for a in ALPHABET if self.rng.random() < 0.4
             )
             return Parallel(
                 sync,
@@ -242,7 +241,7 @@ _PROBE_LIMITS = BuildLimits(max_states=800, max_unfold_depth=200)
 def _probed(gen: _Gen, depth: int) -> Term:
     """Emit the first candidate whose graph fits a small probe bound;
     unbounded state spaces are resampled deterministically."""
-    fallback = Prefix(gen.config.alphabet[0], Nil())
+    fallback = Prefix(ALPHABET[0], Nil())
     for _ in range(20):
         candidate = normalize(gen.term(depth, {}, _Path()))
         try:
@@ -258,12 +257,12 @@ def _gen_term_trial(config: GenConfig, trial: int, depth: int | None = None) -> 
     return _probed(gen, depth or config.max_depth)
 
 
-def gen_context(config: GenConfig, trial: int, hole: str = "HOLE") -> Term:
-    """A term with the designated free variable as its hole (at least once)."""
+def gen_context(config: GenConfig, trial: int) -> Term:
+    """A term with the free variable ``HOLE`` as its hole (at least once)."""
     gen = _Gen(_trial_rng(config, trial), config)
-    t = gen.term(config.max_depth, {hole: "anywhere"}, _Path())
-    if hole not in free_vars(t):
-        t = ExtChoice(t, Prefix(gen.rng.choice(config.alphabet), Var(hole)))
+    t = gen.term(config.max_depth, {HOLE: "anywhere"}, _Path())
+    if HOLE not in free_vars(t):
+        t = ExtChoice(t, Prefix(gen.rng.choice(ALPHABET), Var(HOLE)))
     return normalize(t)
 
 
@@ -275,11 +274,11 @@ def gen_equation_body(
     The resulting recursion is probed to build within a small bound."""
     gen = _Gen(_trial_rng(config, trial), config)
     req = "guarded" if conj_scope else "strong-no-conj"
-    fallback = Prefix(gen.config.alphabet[0], Var(var))
+    fallback = Prefix(ALPHABET[0], Var(var))
     for _ in range(20):
         body = gen.term(config.max_depth, {var: req}, _Path(), in_rec=True)
         if var not in free_vars(body):
-            graft = Prefix(gen.rng.choice(config.alphabet), Var(var))
+            graft = Prefix(gen.rng.choice(ALPHABET), Var(var))
             body = Conj(body, graft) if conj_scope else ExtChoice(body, graft)
         try:
             build_lts(normalize(Rec(var, RecSpec({var: body}))), _PROBE_LIMITS)
@@ -485,7 +484,7 @@ def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
         p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
         q = _gen_term_trial(config, 2 * k + 1, depth=max(2, config.max_depth - 1))
         rng = _trial_rng(config, trials + k)
-        a = rng.choice(config.alphabet)
+        a = rng.choice(ALPHABET)
         composites = [
             (Disj(p, q), "both", lambda fp, fq: fp and fq),
             (ExtChoice(p, q), "either", lambda fp, fq: fp or fq),
@@ -596,7 +595,6 @@ def _true_pairs(config: GenConfig, trial: int) -> list[tuple[Term, Term]]:
 def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
     """Verified refinement pairs stay related inside every generated context."""
     report = TheoremReport("precongruence")
-    hole = "HOLE"
     for k in range(trials):
         report.trials += 1
         try:
@@ -618,9 +616,9 @@ def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
         p, q = pair
         verdict = None
         for attempt in range(5):
-            context = gen_context(config, 7_000_000 + 5 * k + attempt, hole)
-            cp = substitute(context, {hole: p})
-            cq = substitute(context, {hole: q})
+            context = gen_context(config, 7_000_000 + 5 * k + attempt)
+            cp = substitute(context, {HOLE: p})
+            cq = substitute(context, {HOLE: q})
             try:
                 verdict = refines(cp, cq)
                 break
@@ -652,7 +650,7 @@ def check_operator_closure(config: GenConfig, trials: int = 60) -> TheoremReport
                 continue
             (p, q), (s, r) = verified[0], verified[1]
             rng = _trial_rng(config, 9_000_000 + k)
-            sync = frozenset(a for a in config.alphabet if rng.random() < 0.4)
+            sync = frozenset(a for a in ALPHABET if rng.random() < 0.4)
             combos = [
                 (ExtChoice(p, s), ExtChoice(q, r), "choice"),
                 (Parallel(sync, p, s), Parallel(sync, q, r), "parallel"),

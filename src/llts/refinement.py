@@ -47,9 +47,6 @@ class SimRelation:
             (str(self.lts.terms[p]), str(self.lts.terms[q])) for p, q in self.pairs
         )
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -366,36 +363,24 @@ def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVe
     return RefinementVerdict(lts, _quotient_sim(lts, csd[ip], csd[iq]))
 
 
-def _stable_roots(p: Term, q: Term, limits: BuildLimits | None):
-    """The root ids of ``p`` and ``q`` in their shared graph, with the largest
-    stable ready simulation over the block pairs reachable from the two root
-    pairs; the relation is empty when either root is unstable."""
-    lts = build_combined([p, q], limits)
-    ip, iq = lts.roots[0], lts.roots[1]
-    if not (lts.stable[ip] and lts.stable[iq]):
-        return ip, iq, set()
-    return ip, iq, _quotient_sim(lts, [ip], [iq])
-
-
 def stable_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
     """Stable ready simulation between the roots themselves: both must be
-    stable and related by the largest stable ready simulation."""
-    ip, iq, relation = _stable_roots(p, q, limits)
-    return (ip, iq) in relation
+    stable and related by the largest stable ready simulation, computed over
+    the block pairs reachable from the root pair."""
+    lts = build_combined([p, q], limits)
+    ip, iq = lts.roots
+    if not (lts.stable[ip] and lts.stable[iq]):
+        return False
+    return (ip, iq) in _quotient_sim(lts, [ip], [iq])
 
 
-def equivalent(
-    p: Term, q: Term, limits: BuildLimits | None = None, stable: bool = False
-) -> bool:
-    """Mutual refinement; with ``stable=True`` mutual stable-state simulation.
+def equivalent(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
+    """Mutual refinement.
 
     Both directions are read off one graph and one quotient: the block
     relation of ``refines(p, q)`` covers the pairs reachable from the roots'
     stable consistent descendants in both directions.
     """
-    if stable:
-        ip, iq, relation = _stable_roots(p, q, limits)
-        return (ip, iq) in relation and (iq, ip) in relation
     verdict = refines(p, q, limits)
     if not verdict.holds:
         return False

@@ -358,7 +358,7 @@ class Lts:
         "limits",
         "_shape",
         "_csd",
-        "_tau_stable",
+        "_std",
     )
 
     def __init__(self, terms, index, roots, transitions, limits):
@@ -374,7 +374,7 @@ class Lts:
         self.reachable: list[bool] = self._compute_reachable()
         self._shape = None
         self._csd = None
-        self._tau_stable: dict[int, frozenset[int]] = {}
+        self._std: list[frozenset[int] | None] = [None] * len(terms)
 
     def _compute_reachable(self) -> list[bool]:
         seen = [False] * len(self.terms)
@@ -419,98 +419,77 @@ class Lts:
     def stable_tau_descendants(self, i: int) -> frozenset[int]:
         """Stable states reachable via internal moves, self included when
         stable.  No consistency requirement."""
-        cached = self._tau_stable.get(i)
-        if cached is not None:
-            return cached
-        seen = {i}
-        todo = deque([i])
-        out = set()
-        while todo:
-            j = todo.popleft()
-            if self.stable[j]:
-                out.add(j)
-            for a, k in self.transitions[j]:
-                if a == TAU and k not in seen:
-                    seen.add(k)
-                    todo.append(k)
-        result = frozenset(out)
-        self._tau_stable[i] = result
-        return result
+        if self._std[i] is None:
+            _fill_descendants(self, (i,), self._std)
+        return self._std[i]
 
     def consistent_stable_descendants(self):
         """For every state, the stable consistent states reachable via
         internal moves through consistent states only."""
         if self._csd is None:
-            n = len(self.terms)
-            order: list[int] = []
-            low = [0] * n
-            num = [-1] * n
-            on_stack = [False] * n
-            stack: list[int] = []
-            comp = [-1] * n
-            counter = [0]
-            comps: list[list[int]] = []
-
-            def strongconnect(v0: int) -> None:
-                work = [(v0, 0)]
-                while work:
-                    v, pi = work.pop()
-                    if pi == 0:
-                        num[v] = low[v] = counter[0]
-                        counter[0] += 1
-                        stack.append(v)
-                        on_stack[v] = True
-                    recurse = False
-                    succs = [
-                        k
-                        for a, k in self.transitions[v]
-                        if a == TAU and not self.inconsistent[k]
-                    ]
-                    for idx in range(pi, len(succs)):
-                        w = succs[idx]
-                        if num[w] == -1:
-                            work.append((v, idx + 1))
-                            work.append((w, 0))
-                            recurse = True
-                            break
-                        if on_stack[w]:
-                            low[v] = min(low[v], num[w])
-                    if recurse:
-                        continue
-                    if low[v] == num[v]:
-                        members = []
-                        while True:
-                            w = stack.pop()
-                            on_stack[w] = False
-                            comp[w] = len(comps)
-                            members.append(w)
-                            if w == v:
-                                break
-                        comps.append(members)
-                    if work:
-                        parent = work[-1][0]
-                        low[parent] = min(low[parent], low[v])
-
-            for v in range(n):
-                if num[v] == -1 and not self.inconsistent[v]:
-                    strongconnect(v)
-
-            comp_sets: list[frozenset[int]] = [frozenset()] * len(comps)
-            # Tarjan emits components in reverse topological order: successors first.
-            for ci, members in enumerate(comps):
-                acc = {m for m in members if self.stable[m]}
-                for m in members:
-                    for a, k in self.transitions[m]:
-                        if a == TAU and not self.inconsistent[k] and comp[k] != ci:
-                            acc |= comp_sets[comp[k]]
-                comp_sets[ci] = frozenset(acc)
-
-            result: list[frozenset[int]] = [frozenset()] * n
-            for v in range(n):
-                if not self.inconsistent[v] and comp[v] != -1:
-                    result[v] = comp_sets[comp[v]]
-            self._csd = result
+            csd = [frozenset() if f else None for f in self.inconsistent]
+            _fill_descendants(self, range(len(csd)), csd)
+            self._csd = csd
         return self._csd
+
+
+def _fill_descendants(lts: Lts, roots, out: list) -> None:
+    """Set ``out[v]`` to the stable states ``v`` reaches by internal moves,
+    for every state ``v`` the ``roots`` reach so, through states whose entry
+    is still None.  A state already set is done: presetting a state to the
+    empty set blocks every path through it.
+
+    Tarjan's strongly connected components (SICOMP 1972) on an explicit
+    stack, with one number per state as in Pearce (IPL 2016).  A stable state
+    has no internal move, so it is done on sight, with itself alone.  A
+    component is closed after every component it reaches, so its members
+    share one set: the join of the sets of their successors outside it."""
+    transitions, stable = lts.transitions, lts.stable
+    # a state's entry number, lowered to the least one of an open state it
+    # reaches; the open states are those entered whose component is not closed
+    low: dict[int, int] = {}
+    stack: list[int] = []  # the open states
+    for root in roots:
+        if out[root] is not None:
+            continue
+        if stable[root]:
+            out[root] = frozenset((root,))
+            continue
+        low[root] = len(low)
+        stack.append(root)
+        # the depth-first path: each state with its unread moves and entry number
+        work = [(root, iter(transitions[root]), low[root])]
+        while work:
+            v, moves, number = work[-1]
+            for a, w in moves:
+                if a != TAU or out[w] is not None:
+                    continue
+                if stable[w]:
+                    out[w] = frozenset((w,))
+                elif w not in low:
+                    low[w] = len(low)
+                    stack.append(w)
+                    work.append((w, iter(transitions[w]), low[w]))
+                    break
+                elif low[w] < low[v]:  # ``w`` is open: in ``v``'s component
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] < number:  # ``v``'s component closes earlier on the path
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                    continue
+                members = [stack.pop()]
+                while members[-1] != v:
+                    members.append(stack.pop())
+                reached: set[int] = set()
+                for m in members:
+                    for a, k in transitions[m]:
+                        if a == TAU and out[k] is not None:
+                            reached |= out[k]
+                shared = frozenset(reached)
+                for m in members:
+                    out[m] = shared
 
 
 def support_children(t: Term) -> tuple[Term, ...]:
@@ -569,7 +548,7 @@ def build_lts(p: Term, limits: BuildLimits | None = None) -> Lts:
     return build_combined([p], limits)
 
 
-def compute_inconsistent(lts: Lts, _reverse: bool = False) -> frozenset[int]:
+def compute_inconsistent(lts: Lts) -> frozenset[int]:
     """Least fixpoint of the inconsistency rules over the universe.
 
     Each rule of the table is a Horn clause on the state ids it needs; a
@@ -595,9 +574,6 @@ def compute_inconsistent(lts: Lts, _reverse: bool = False) -> frozenset[int]:
             waiting.append(len(needs))
             for j in needs:
                 watchers[j].append(c)
-
-    if _reverse:
-        pending.reverse()
 
     while pending:
         for c in watchers[pending.popleft()]:

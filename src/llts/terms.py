@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
 
@@ -191,12 +191,6 @@ class RecSpec(_Interned):
                 return t
         raise KeyError(name)
 
-    def __iter__(self) -> Iterator[tuple[str, Term]]:
-        return iter(self.equations)
-
-    def __len__(self) -> int:
-        return len(self.equations)
-
     def __repr__(self) -> str:
         return f"RecSpec({dict(self.equations)!r})"
 
@@ -353,8 +347,16 @@ def _repr_of(t: Term, parts: list[list]) -> list:
         eqs = [[f"{n!r}: ", next(parts)] for n, _ in t.spec.equations]
         return [f"Rec({t.var!r}, RecSpec({{", _commas(eqs), "}))"]
     fields = (getattr(t, f) for f in t._fields)
-    args = [next(parts) if isinstance(v, Term) else repr(v) for v in fields]
+    args = [next(parts) if isinstance(v, Term) else _field_repr(v) for v in fields]
     return [f"{type(t).__name__}(", _commas(args), ")"]
+
+
+def _field_repr(v) -> str:
+    """``repr`` of a field that is not a term; a sync set lists its actions
+    sorted, so the text does not depend on the hash seed."""
+    if isinstance(v, frozenset) and v:
+        return f"frozenset({{{', '.join(map(repr, sorted(v)))}}})"
+    return repr(v)
 
 
 def _ignore(head, values) -> None:
@@ -652,13 +654,16 @@ def unfold_one(t: Term) -> list[Term]:
     return list(dict.fromkeys(_walk(t, None, enter, _variants)))
 
 
-def is_multi_unfolding(
-    t: Term, s: Term, max_steps: int = 8, max_frontier: int = 2000
-) -> bool:
-    """Bounded search for a chain of single-step unfoldings from ``t`` to ``s``."""
+_UNFOLD_STEPS = 8
+_UNFOLD_FRONTIER = 2000
+
+
+def is_multi_unfolding(t: Term, s: Term) -> bool:
+    """Bounded search for a chain of single-step unfoldings from ``t`` to ``s``:
+    at most ``_UNFOLD_STEPS`` steps over at most ``_UNFOLD_FRONTIER`` terms."""
     frontier = [t]
     seen = {t}
-    for _ in range(max_steps):
+    for _ in range(_UNFOLD_STEPS):
         if s in seen:
             return True
         nxt = []
@@ -667,7 +672,7 @@ def is_multi_unfolding(
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
-                    if len(seen) > max_frontier:
+                    if len(seen) > _UNFOLD_FRONTIER:
                         return s in seen
         if not nxt:
             break

@@ -1,6 +1,7 @@
 import pytest
 
 from llts.properties import (
+    HOLE,
     GenConfig,
     _gen_term_trial,
     check_brute_force,
@@ -78,8 +79,7 @@ class TestGenerator:
 
     def test_context_contains_hole(self):
         for k in range(30):
-            c = gen_context(CFG, k, "HOLE")
-            assert "HOLE" in free_vars(c)
+            assert HOLE in free_vars(gen_context(CFG, k))
 
     def test_equation_body_placement(self):
         for k in range(30):

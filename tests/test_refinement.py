@@ -131,7 +131,8 @@ class TestEquivalence:
     def test_stable_variant(self):
         assert stable_refines(parse("a.0"), parse("a.0"))
         assert not stable_refines(parse("tau.a.0"), parse("a.0"))  # left unstable
-        assert equivalent(parse("a.0"), parse("a.0"), stable=True)
+        assert stable_refines(parse("a.0 [] b.0"), parse("b.0 [] a.0"))
+        assert stable_refines(parse("b.0 [] a.0"), parse("a.0 [] b.0"))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reflexive_on_generated(self, seed):
@@ -422,7 +423,7 @@ class TestQuotient:
         assert refines(p, p).holds
         assert equivalent(p, p) and not equivalent(p, q)
         assert stable_refines(p, p) and not stable_refines(p, q)
-        assert equivalent(p, p, stable=True)
+        assert not stable_refines(q, p)
         held, refuted = refines(p, Disj(p, q)), refines(p, q)
         assert held.holds and not refuted.holds
         with pytest.raises(RuntimeError, match="explanation requested"):

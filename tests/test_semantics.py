@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -291,15 +292,24 @@ class TestInconsistency:
         assert lts.inconsistent[lts.root] is expected
 
     def test_worklist_order_irrelevant(self):
+        # number the states backwards, so the saturation meets the axioms and
+        # the clauses in the opposite order, and map the flags back
         for seed in range(25):
             t = _gen_term_trial(CFG, seed)
             try:
                 lts = build_lts(t)
             except StateBoundExceeded:
                 continue
-            forward = list(lts.inconsistent)
-            compute_inconsistent(lts, _reverse=True)
-            assert lts.inconsistent == forward
+            last = len(lts.terms) - 1
+            terms = lts.terms[::-1]
+            transitions = [
+                tuple((a, last - j) for a, j in succ) for succ in lts.transitions[::-1]
+            ]
+            index = {u: i for i, u in enumerate(terms)}
+            roots = [last - r for r in lts.roots]
+            mirrored = Lts(terms, index, roots, transitions, lts.limits)
+            compute_inconsistent(mirrored)
+            assert mirrored.inconsistent[::-1] == lts.inconsistent
 
     def test_naive_saturation_agrees(self):
         for seed in range(40):
@@ -341,16 +351,17 @@ class TestDescendants:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_descendants_match_naive_search(self, seed):
-        # independent oracle: plain breadth-first search per state over the
-        # internal moves between consistent states
+        # independent oracle: plain search per state over the internal moves,
+        # between consistent states only when ``consistent`` is set
         t = _gen_term_trial(CFG, seed)
         try:
             lts = build_lts(t)
         except StateBoundExceeded:
             return
 
-        def naive(i):
-            if lts.inconsistent[i]:
+        def naive(i, consistent):
+            blocked = lts.inconsistent if consistent else [False] * len(lts.terms)
+            if blocked[i]:
                 return frozenset()
             seen = {i}
             queue = [i]
@@ -360,22 +371,61 @@ class TestDescendants:
                 if lts.stable[j]:
                     out.add(j)
                 for a, k in lts.transitions[j]:
-                    if a == TAU and not lts.inconsistent[k] and k not in seen:
+                    if a == TAU and not blocked[k] and k not in seen:
                         seen.add(k)
                         queue.append(k)
             return frozenset(out)
 
-        for i in range(len(lts.terms)):
-            assert lts.consistent_stable_descendants()[i] == naive(i)
+        states = range(len(lts.terms))
+        for i in states:
+            assert lts.consistent_stable_descendants()[i] == naive(i, True)
+            assert lts.stable_tau_descendants(i) == naive(i, False)
+        # the relation is filled on demand, so a fresh graph asked in another
+        # order must give the same sets
+        fresh = Lts(lts.terms, lts.index, lts.roots, lts.transitions, lts.limits)
+        for i in reversed(states):
+            assert fresh.stable_tau_descendants(i) == naive(i, False)
+
+    # a cycle of internal moves 0 -> 1 -> 2 -> 0, entered from state 3
+    CYCLE = [parse("tau." * n + "0") for n in range(1, 5)]
+    CYCLE_MOVES = [((TAU, 1),), ((TAU, 2),), ((TAU, 0),), ((TAU, 0),)]
+
+    def test_tau_cycle_with_stable_exit(self):
+        terms = self.CYCLE + [parse("0")]
+        transitions = [((TAU, 1), (TAU, 4)), *self.CYCLE_MOVES[1:], ()]
+        lts = _handmade_lts(terms, transitions, [False] * 5)
+        csd = lts.consistent_stable_descendants()
+        assert csd == [{4}] * 5
+        assert csd[0] is csd[1] is csd[2]  # one component, one set
+        assert [lts.stable_tau_descendants(i) for i in (3, 1, 0, 4, 2)] == [{4}] * 5
+        # an inconsistent exit blocks only the consistent relation
+        lts = _handmade_lts(terms, transitions, [False] * 4 + [True])
+        assert lts.consistent_stable_descendants() == [set()] * 5
+        assert [lts.stable_tau_descendants(i) for i in (2, 4, 3, 0, 1)] == [{4}] * 5
+
+    def test_tau_cycle_without_exit(self):
+        lts = _handmade_lts(self.CYCLE, self.CYCLE_MOVES, [False] * 4)
+        assert lts.consistent_stable_descendants() == [set()] * 4
+        assert [lts.stable_tau_descendants(i) for i in (1, 3, 0, 2)] == [set()] * 4
+
+    def test_long_internal_chains_build_fast(self):
+        # every conjunction state of the product reads its stable internal
+        # descendants, so a search per state is quadratic in the chain length
+        chain = "tau." * 100 + "a.0"
+        start = time.perf_counter()
+        lts = build_lts(parse(f"{chain} /\\ {chain}"), BuildLimits(max_states=20_000))
+        assert time.perf_counter() - start < 3
+        assert len(lts.terms) == 10_304
+        assert not lts.inconsistent[lts.root]
 
 
 def _handmade_lts(terms, transitions, inconsistent):
-    """Assemble a graph directly, bypassing the builder, to exercise the
-    validators on structures the semantics can never produce."""
+    """Assemble a graph directly, bypassing the builder, with the given
+    inconsistency flags: the validators meet structures the semantics can
+    never produce, and the descendant relations meet hand-drawn cycles."""
     index = {t: i for i, t in enumerate(terms)}
     lts = Lts(list(terms), index, [0], [tuple(t) for t in transitions], BuildLimits())
     lts.inconsistent = list(inconsistent)
-    lts._csd = None
     return lts
 
 

@@ -804,6 +804,20 @@ class TestRepr:
             "Rec('X', RecSpec({'X': Prefix('a', Var('X'))}))))"
         )
 
+    @pytest.mark.parametrize("hash_seed", ["11", "977"])
+    def test_sync_set_sorted_under_any_hash_seed(self, hash_seed):
+        # a fresh interpreter per seed: set order follows the string hashes
+        code = (
+            "from llts.terms import Nil, Parallel; "
+            "print(repr(Parallel({'a', 'b', 'c'}, Nil(), Nil())))"
+        )
+        src = os.path.dirname(os.path.dirname(llts.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        assert out == "Parallel(frozenset({'a', 'b', 'c'}), Nil(), Nil())\n"
+
     def test_equations_as_in_the_spec(self):
         rec = Rec("X", {"Y": Prefix("b", Var("X")), "X": Prefix("a", Var("Y"))})
         assert repr(rec) == f"Rec('X', {rec.spec!r})"
