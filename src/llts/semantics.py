@@ -14,6 +14,15 @@ visible action only while the blocking operand has no internal move.  Since
 every internal-move rule has positive premises only, transitions are computed
 internal-first and the "no internal move" side conditions are read off the
 finished operand results.
+
+Purity lemma: every term's moves are all internal or all visible.  A prefix
+has one move and a disjunction two internal ones; a choice, conjunction or
+parallel composition with an operand that moves internally has only the
+internal moves of its operands, and otherwise only visible ones; a recursion
+has its expansion's moves.  So the rules for ``[]``, ``/\\`` and ``|[..]|``
+read whether an operand moves internally off its first move (``_internal``),
+and pass a stable operand's move tuple on whole.  Only the rules rely on the
+lemma: ``Lts`` also holds hand-made graphs, which need not satisfy it.
 """
 
 from __future__ import annotations
@@ -141,27 +150,33 @@ def _disj_moves(t, moves_of):
     )
 
 
+def _internal(moves) -> bool:
+    """Whether a term with these moves moves internally.  Its moves are all
+    internal or all visible (module docstring), so the first one decides."""
+    return bool(moves) and moves[0][0] == TAU
+
+
 def _choice_moves(t, moves_of):
     l, r = t.left, t.right
     lt, rt = moves_of(l), moves_of(r)
-    int_l = [(TAU, ExtChoice(s, r)) for a, s in lt if a == TAU]
-    int_r = [(TAU, ExtChoice(l, s)) for a, s in rt if a == TAU]
+    int_l = [(TAU, ExtChoice(s, r)) for _, s in lt] if _internal(lt) else ()
+    int_r = [(TAU, ExtChoice(l, s)) for _, s in rt] if _internal(rt) else ()
     out = [("choice-int-left", _int_left, int_l), ("choice-int-right", _int_right, int_r)]
-    if all(a != TAU for a, _ in rt):
-        vis = [(a, s) for a, s in lt if a != TAU]
-        out.append(("choice-vis-left", _choice_vis_left, vis))
-    if all(a != TAU for a, _ in lt):
-        vis = [(a, s) for a, s in rt if a != TAU]
-        out.append(("choice-vis-right", _choice_vis_right, vis))
+    if not int_r:
+        out.append(("choice-vis-left", _choice_vis_left, () if int_l else lt))
+    if not int_l:
+        out.append(("choice-vis-right", _choice_vis_right, () if int_r else rt))
     return out
 
 
 def _conj_moves(t, moves_of):
     l, r = t.left, t.right
     lt, rt = moves_of(l), moves_of(r)
-    int_l = [(TAU, Conj(s, r)) for a, s in lt if a == TAU]
-    int_r = [(TAU, Conj(l, s)) for a, s in rt if a == TAU]
-    both = [(a, Conj(s1, s2)) for a, s1 in lt if a != TAU for b, s2 in rt if b == a]
+    int_l = [(TAU, Conj(s, r)) for _, s in lt] if _internal(lt) else ()
+    int_r = [(TAU, Conj(l, s)) for _, s in rt] if _internal(rt) else ()
+    both = () if int_l or int_r else [
+        (a, Conj(s1, s2)) for a, s1 in lt for b, s2 in rt if b == a
+    ]
     return (
         ("conj-int-left", _int_left, int_l),
         ("conj-int-right", _int_right, int_r),
@@ -172,16 +187,16 @@ def _conj_moves(t, moves_of):
 def _par_moves(t, moves_of):
     sync, l, r = t.sync, t.left, t.right
     lt, rt = moves_of(l), moves_of(r)
-    int_l = [(TAU, Parallel(sync, s, r)) for a, s in lt if a == TAU]
-    int_r = [(TAU, Parallel(sync, l, s)) for a, s in rt if a == TAU]
+    int_l = [(TAU, Parallel(sync, s, r)) for _, s in lt] if _internal(lt) else ()
+    int_r = [(TAU, Parallel(sync, l, s)) for _, s in rt] if _internal(rt) else ()
     out = [("par-int-left", _int_left, int_l), ("par-int-right", _int_right, int_r)]
-    if all(a != TAU for a, _ in rt):
-        vis = [(a, Parallel(sync, s, r)) for a, s in lt if a != TAU and a not in sync]
+    if not int_r:
+        vis = () if int_l else [(a, Parallel(sync, s, r)) for a, s in lt if a not in sync]
         out.append(("par-vis-left", _par_vis_left, vis))
-    if all(a != TAU for a, _ in lt):
-        vis = [(a, Parallel(sync, l, s)) for a, s in rt if a != TAU and a not in sync]
+    if not int_l:
+        vis = () if int_r else [(a, Parallel(sync, l, s)) for a, s in rt if a not in sync]
         out.append(("par-vis-right", _par_vis_right, vis))
-    both = [
+    both = () if int_l or int_r else [
         (a, Parallel(sync, s1, s2))
         for a, s1 in lt
         if a in sync
@@ -345,6 +360,10 @@ class Lts:
     ``terms`` is the support universe: the states reachable from the roots
     plus every operand subterm and recursion expansion needed to evaluate the
     inconsistency predicate.  Indices into ``terms`` identify states.
+
+    ``stable`` reads every move of a state, not its first: the validators
+    take hand-made graphs that break the purity lemma, and a state with both
+    kinds of move must not count as stable there.
     """
 
     __slots__ = (
@@ -499,6 +518,19 @@ def support_children(t: Term) -> tuple[Term, ...]:
     return operands(t)
 
 
+class _MovePairs(dict):
+    """One stored pair ``(action, id)`` per distinct move ``(action, term)``
+    of a build, shared by every state with that move.  Looking up a move not
+    met before adds its target to the universe with ``add``."""
+
+    def __init__(self, add: Callable[[Term], int]):
+        self.add = add
+
+    def __missing__(self, move: tuple[str, Term]) -> tuple[str, int]:
+        pair = self[move] = (move[0], self.add(move[1]))
+        return pair
+
+
 def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     """Explore the given closed terms into one shared graph.
 
@@ -530,13 +562,14 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         _check_closed(t)
     root_ids = [add(t) for t in roots]
     step_memo: dict = {}
+    pairs = _MovePairs(add)
     while todo:
         i = todo.popleft()
         t = terms[i]
         for c in support_children(t):
             add(c)
         moves = _closed_step(t, limits.max_unfold_depth, step_memo)
-        transitions[i] = tuple((a, add(s)) for a, s in moves)
+        transitions[i] = tuple(map(pairs.__getitem__, moves))
 
     lts = Lts(terms, index, root_ids, transitions, limits)
     compute_inconsistent(lts)

@@ -443,6 +443,8 @@ class TestValidate:
     def test_handcrafted_tau_purity_violation(self):
         terms = [parse("a.0 [] tau.0"), parse("0")]
         lts = _handmade_lts(terms, [(("a", 1), (TAU, 1)), ()], [False, False])
+        # ``stable`` reads every move, not the first: this graph is impure
+        assert lts.stable == [False, True]
         report = validate_llts(lts)
         assert not report.tau_pure
         assert any(prop == "tau-purity" for _, prop in report.counterexamples)
@@ -525,6 +527,93 @@ class TestRuleTable:
         for i, u in enumerate(lts.terms):
             assert moves[u] == {(a, lts.terms[j]) for a, j in lts.transitions[i]}
             assert (u in flagged) == lts.inconsistent[i]
+
+
+# Operands that move internally, leaves first: a prefix, a disjunction and a
+# recursion whose expansion is a disjunction.  Visible or stuck ones follow.
+_INTERNAL = ("tau.a.0", "(b.0 \\/ c.0)", "<X | X = (a.X \\/ b.0)>")
+_VISIBLE = ("a.0", "b.a.0", "0", "bot", "<X | X = a.(b.X \\/ c.X)>")
+
+
+def _mixed_operands():
+    """Internal and visible operands under ``[]``, ``|[..]|`` and ``/\\``,
+    nested to the left, to the right and balanced, with the internal leaf
+    first, in the middle or last, and with duplicate moves."""
+    i, v = _INTERNAL, _VISIBLE
+    threes = [
+        (i[0], v[0], v[1]),
+        (v[0], i[1], v[0]),
+        (v[0], v[1], i[2]),
+        (v[0], v[0], v[1]),
+        (i[0], i[1], i[0]),
+        (v[2], v[3], v[4]),
+        (i[2], v[4], i[0]),
+    ]
+    fours = [
+        (i[0], v[0], v[1], v[0]),
+        (v[0], v[1], i[1], v[4]),
+        (v[0], v[0], v[0], v[1]),
+        (i[0], i[0], i[2], v[2]),
+    ]
+    out = []
+    for op in ("[]", "|[a]|", "|[]|", "/\\"):
+        for x, y, z in threes:
+            out.append(f"({x} {op} {y}) {op} {z}")
+            out.append(f"{x} {op} ({y} {op} {z})")
+        for w, x, y, z in fours:
+            out.append(f"({w} {op} {x}) {op} ({y} {op} {z})")
+    return out + [
+        "a.0 [] a.0 [] b.0",
+        "(tau.a.0 [] b.0) |[a]| (a.0 /\\ (c.0 \\/ a.0))",
+        "(a.0 |[a]| tau.a.0) [] (a.b.0 /\\ a.c.0)",
+        "(a.0 \\/ b.0) /\\ (a.0 [] b.0)",
+    ]
+
+
+def _assert_pure(moves):
+    """The purity lemma: a term's moves are all internal or all visible."""
+    assert len({a == TAU for a, _ in moves}) <= 1, moves
+
+
+class TestOperandRules:
+    """The composition rules decide from an operand's first move whether it
+    moves internally, which the purity lemma allows."""
+
+    @pytest.mark.parametrize("text", _mixed_operands())
+    def test_rules_exact_on_mixed_operands(self, text):
+        t = parse(text)
+        assert set(step(t)) == oracle_step(t)
+        lts = build_lts(t)
+        instance_moves = {u: [] for u in lts.terms}
+        for inst in used_rule_instances(lts):
+            if inst.conclusion[0] == "t":
+                _, src, a, dst = inst.conclusion
+                instance_moves[src].append((a, dst))
+        for i, u in enumerate(lts.terms):
+            stored = [(a, lts.terms[j]) for a, j in lts.transitions[i]]
+            assert stored == step(u)
+            _assert_pure(stored)
+            assert list(dict.fromkeys(instance_moves[u])) == stored
+        assert validate_llts(lts).ok
+
+    def test_duplicate_moves_stored_once(self):
+        lts = build_lts(parse("a.0 [] a.0 [] b.0"))
+        root = [(a, print_term(lts.terms[j])) for a, j in lts.transitions[lts.root]]
+        assert root == [("a", "0"), ("b", "0")]
+
+    @pytest.mark.parametrize(
+        "config", [GenConfig(seed=23, max_depth=4), GenConfig(seed=7, max_depth=5)]
+    )
+    def test_purity_on_generated_terms(self, config):
+        for trial in range(200):
+            t = _gen_term_trial(config, trial)
+            _assert_pure(step(t))
+            try:
+                lts = build_lts(t)
+            except StateBoundExceeded:
+                continue
+            for u in lts.terms:
+                _assert_pure(step(u))
 
 
 class TestExport:

@@ -795,6 +795,20 @@ class TestWideTerms:
         lts = build_lts(t)
         assert lts.inconsistent[lts.root]
 
+    def test_wide_choice_builds_fast(self):
+        # every left-nested choice stores its leaves' moves: 4 504 499
+        # transitions, but each distinct move is one pair shared by all
+        branches = [f"x{i}.0" for i in range(3000)]
+        start = time.perf_counter()
+        lts = build_lts(parse(" [] ".join(branches)))
+        assert time.perf_counter() - start < 4
+        assert not lts.inconsistent[lts.root]
+        assert sum(map(len, lts.transitions)) == 4_504_499
+        assert len({id(p) for succ in lts.transitions for p in succ}) == 3000
+        branches[1500] = "bot"
+        lts = build_lts(parse(" [] ".join(branches)))
+        assert lts.inconsistent[lts.root]
+
 
 class TestRepr:
     def test_fields_in_order(self):
