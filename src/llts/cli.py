@@ -38,8 +38,9 @@ def _add_limit_args(sub: argparse.ArgumentParser) -> None:
 
 def expand_source(text: str) -> str:
     """Strip ``#`` comments and expand ``let NAME = TERM`` definitions in the
-    remaining term, textually and in order."""
-    lets: list[tuple[str, str]] = []
+    remaining term, textually and in order.  NAME is an identifier, not a
+    reserved word, defined once."""
+    lets: dict[str, str] = {}
     term_lines: list[str] = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
@@ -50,31 +51,42 @@ def expand_source(text: str) -> str:
             head, _, rhs = stripped[4:].partition("=")
             name = head.strip()
             if not name or not rhs.strip():
-                raise ParseError(
-                    syntax.SourceSpan(0, 0), f"malformed let definition: {stripped!r}"
-                )
-            lets.append((name, _expand(rhs.strip(), lets)))
+                raise _let_error(f"malformed let definition: {stripped!r}")
+            if _word_end(name, 0) != len(name):
+                raise _let_error(f"let name is not an identifier: {name!r}")
+            if name in syntax._RESERVED:
+                raise _let_error(f"let name is a reserved word: {name!r}")
+            if name in lets:
+                raise _let_error(f"let name defined twice: {name!r}")
+            lets[name] = _expand(rhs.strip(), lets)
         else:
             term_lines.append(stripped)
     return _expand(" ".join(term_lines), lets)
 
 
-def _expand(text: str, lets: list[tuple[str, str]]) -> str:
+def _let_error(message: str) -> ParseError:
+    return ParseError(syntax.SourceSpan(0, 0), message)
+
+
+def _word_end(text: str, i: int) -> int:
+    """The end of the identifier starting at ``text[i]`` (``i`` itself if
+    none does), by the tokenizer's rules."""
+    if not syntax._is_ident_start(text[i]):
+        return i
+    i += 1
+    while i < len(text) and syntax._is_ident_char(text[i]):
+        i += 1
+    return i
+
+
+def _expand(text: str, lets: dict[str, str]) -> str:
     out = []
-    i, n = 0, len(text)
-    table = dict(lets)
-    while i < n:
-        c = text[i]
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            out.append(f"({table[word]})" if word in table else word)
-            i = j
-        else:
-            out.append(c)
-            i += 1
+    i = 0
+    while i < len(text):
+        j = max(_word_end(text, i), i + 1)  # a character starting no word goes alone
+        word = text[i:j]
+        out.append(f"({lets[word]})" if word in lets else word)
+        i = j
     return "".join(out)
 
 

@@ -1,8 +1,9 @@
 """Random term generation and desk-scale machine checks of the calculus laws.
 
-Each check runs a number of independent, seed-derived trials and returns a
-``TheoremReport``.  Failures carry the offending terms (greedily shrunk);
-trials whose graphs exceed the configured bounds are skipped, not failed.
+Each check runs a number of independent, seed-derived trials through one
+loop, ``_run``, and returns a ``TheoremReport``.  Failures carry the
+offending terms (model-laws shrinks them greedily first); trials whose
+graphs exceed the configured bounds are skipped, not failed.
 """
 
 from __future__ import annotations
@@ -120,6 +121,9 @@ def _trial_rng(config: GenConfig, trial: int) -> random.Random:
     return random.Random(config.seed * 1_000_003 + trial)
 
 
+_KINDS = ("prefix", "choice", "disj", "conj", "par", "rec", "leaf")
+
+
 class _Gen:
     """Recursive generator; ``scope`` maps in-scope variables to a placement
     requirement: "guarded" for recursion variables, "anywhere" for context
@@ -164,28 +168,14 @@ class _Gen:
     ) -> Term:
         if depth <= 0:
             return self.leaf(scope, path)
-        cfg = self.config
-        # recursion bodies avoid the state-multiplying operators: a recursive
-        # call kept inside a parallel or conjunction context grows without
-        # bound, which only produces bound-exceeded skips
-        weights = [
-            ("prefix", 0.30),
-            ("choice", 0.14),
-            ("disj", 0.14),
-            ("conj", CONJ_PROBABILITY * (0.4 if in_rec else 1.0)),
-            ("par", 0.015 if in_rec else 0.08),
-            ("rec", cfg.rec_probability * (0.4 if in_rec else 1.0)),
-            ("leaf", 0.14),
-        ]
-        total = sum(w for _, w in weights)
-        pick = self.rng.random() * total
-        acc = 0.0
-        kind = weights[-1][0]
-        for name, w in weights:
-            acc += w
-            if pick < acc:
-                kind = name
-                break
+        # the shares of the kinds in ``_KINDS``, in order; recursion bodies
+        # avoid the state-multiplying operators: a recursive call kept inside
+        # a parallel or conjunction context grows without bound, which only
+        # produces bound-exceeded skips
+        damp = 0.4 if in_rec else 1.0
+        shares = (0.30, 0.14, 0.14, CONJ_PROBABILITY * damp, 0.015 if in_rec else 0.08,
+                  self.config.rec_probability * damp, 0.14)
+        kind = self.rng.choices(_KINDS, shares)[0]
         if kind == "leaf":
             return self.leaf(scope, path)
         if kind == "prefix":
@@ -238,18 +228,23 @@ class _Gen:
 _PROBE_LIMITS = BuildLimits(max_states=800, max_unfold_depth=200)
 
 
+def _fits(t: Term) -> bool:
+    """Whether the graph of ``t`` builds within the small probe bound."""
+    try:
+        build_lts(t, _PROBE_LIMITS)
+    except StateBoundExceeded:
+        return False
+    return True
+
+
 def _probed(gen: _Gen, depth: int) -> Term:
-    """Emit the first candidate whose graph fits a small probe bound;
-    unbounded state spaces are resampled deterministically."""
-    fallback = Prefix(ALPHABET[0], Nil())
+    """Emit the first candidate whose graph fits the probe bound; unbounded
+    state spaces are resampled deterministically."""
     for _ in range(20):
         candidate = normalize(gen.term(depth, {}, _Path()))
-        try:
-            build_lts(candidate, _PROBE_LIMITS)
-        except StateBoundExceeded:
-            continue
-        return candidate
-    return fallback
+        if _fits(candidate):
+            return candidate
+    return Prefix(ALPHABET[0], Nil())
 
 
 def _gen_term_trial(config: GenConfig, trial: int, depth: int | None = None) -> Term:
@@ -274,18 +269,14 @@ def gen_equation_body(
     The resulting recursion is probed to build within a small bound."""
     gen = _Gen(_trial_rng(config, trial), config)
     req = "guarded" if conj_scope else "strong-no-conj"
-    fallback = Prefix(ALPHABET[0], Var(var))
     for _ in range(20):
         body = gen.term(config.max_depth, {var: req}, _Path(), in_rec=True)
         if var not in free_vars(body):
             graft = Prefix(gen.rng.choice(ALPHABET), Var(var))
             body = Conj(body, graft) if conj_scope else ExtChoice(body, graft)
-        try:
-            build_lts(normalize(Rec(var, RecSpec({var: body}))), _PROBE_LIMITS)
-        except StateBoundExceeded:
-            continue
-        return body
-    return fallback
+        if _fits(normalize(Rec(var, RecSpec({var: body})))):
+            return body
+    return Prefix(ALPHABET[0], Var(var))
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +434,33 @@ def enumerate_stable_sim_pairs(lts: Lts, max_subsets: int = 4096):
 # theorem checks
 
 
+def _run(theorem: str, trials: int, trial) -> TheoremReport:
+    """Run ``trial(report, k)`` for each trial index ``k``.  A trial whose
+    graph exceeds the state bound is skipped as ``(k, "state-bound")``,
+    keeping any failure it recorded before the build that raised."""
+    report = TheoremReport(theorem)
+    for k in range(trials):
+        report.trials += 1
+        try:
+            trial(report, k)
+        except StateBoundExceeded:
+            report.skip(k, "state-bound")
+    return report
+
+
 def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
     """Every generated term builds a graph that is internally-pure, satisfies
     both closure conditions of the inconsistency predicate, propagates
     inconsistency forward over internal moves, and obeys the compositional
-    inconsistency laws."""
-    report = TheoremReport("model-laws")
-    for k in range(trials):
-        report.trials += 1
+    inconsistency laws.  Failures carry the term greedily shrunk."""
+
+    def trial(report: TheoremReport, k: int) -> None:
         t = _gen_term_trial(config, k)
-        try:
-            lts = build_lts(t)
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-            continue
+        lts = build_lts(t)
         v = validate_llts(lts)
         if not v.ok:
             report.fail([t], v.counterexamples[:3], "all model validators hold")
-            continue
+            return
         bad = consistency_law_violations(lts)
         if bad:
 
@@ -473,14 +473,14 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
 
             small = shrink_term(t, still_fails)
             report.fail([small], bad[:3], "compositional inconsistency laws hold")
-    return report
+
+    return _run("model-laws", trials, trial)
 
 
 def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
     """Compositional inconsistency laws on explicitly constructed pairs."""
-    report = TheoremReport("f-laws")
-    for k in range(trials):
-        report.trials += 1
+
+    def trial(report: TheoremReport, k: int) -> None:
         p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
         q = _gen_term_trial(config, 2 * k + 1, depth=max(2, config.max_depth - 1))
         rng = _trial_rng(config, trials + k)
@@ -492,32 +492,30 @@ def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
             (Prefix(a, p), "left", lambda fp, fq: fp),
             (Prefix(TAU, p), "left", lambda fp, fq: fp),
         ]
-        try:
-            for composite, _, expect in composites:
-                lts = build_combined([composite, p, q])
-                fp = lts.inconsistent[lts.index[p]]
-                fq = lts.inconsistent[lts.index[q]]
-                fc = lts.inconsistent[lts.roots[0]]
-                if fc != expect(fp, fq):
-                    report.fail([composite], fc, expect(fp, fq))
-            # a conjunction with an inconsistent operand is inconsistent
-            lts = build_combined([Conj(p, q), p, q])
-            if (
-                lts.inconsistent[lts.index[p]] or lts.inconsistent[lts.index[q]]
-            ) and not lts.inconsistent[lts.roots[0]]:
-                report.fail([Conj(p, q)], False, True)
-            # a recursion and its expansion agree
-            var = "RF"
-            body = gen_equation_body(config, 3 * trials + k, var)
-            rec = normalize(Rec(var, RecSpec({var: body})))
-            lts = build_lts(rec)
-            shapes = lts.shapes()
-            i = lts.roots[0]
-            if lts.inconsistent[i] != lts.inconsistent[shapes[i][1]]:
-                report.fail([rec], lts.inconsistent[i], lts.inconsistent[shapes[i][1]])
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-    return report
+        for composite, _, expect in composites:
+            lts = build_combined([composite, p, q])
+            fp = lts.inconsistent[lts.index[p]]
+            fq = lts.inconsistent[lts.index[q]]
+            fc = lts.inconsistent[lts.roots[0]]
+            if fc != expect(fp, fq):
+                report.fail([composite], fc, expect(fp, fq))
+        # a conjunction with an inconsistent operand is inconsistent
+        lts = build_combined([Conj(p, q), p, q])
+        if (
+            lts.inconsistent[lts.index[p]] or lts.inconsistent[lts.index[q]]
+        ) and not lts.inconsistent[lts.roots[0]]:
+            report.fail([Conj(p, q)], False, True)
+        # a recursion and its expansion agree
+        var = "RF"
+        body = gen_equation_body(config, 3 * trials + k, var)
+        rec = normalize(Rec(var, RecSpec({var: body})))
+        lts = build_lts(rec)
+        shapes = lts.shapes()
+        i = lts.roots[0]
+        if lts.inconsistent[i] != lts.inconsistent[shapes[i][1]]:
+            report.fail([rec], lts.inconsistent[i], lts.inconsistent[shapes[i][1]])
+
+    return _run("f-laws", trials, trial)
 
 
 def check_unfolding_equiv(config: GenConfig, trials: int = 150) -> TheoremReport:
@@ -525,53 +523,42 @@ def check_unfolding_equiv(config: GenConfig, trials: int = 150) -> TheoremReport
     commutes with single transitions in both directions."""
     from .semantics import step
 
-    report = TheoremReport("unfolding")
-    for k in range(trials):
-        report.trials += 1
+    def trial(report: TheoremReport, k: int) -> None:
         t = _gen_term_trial(config, k)
-        expansions = unfold_one(t)
-        if not expansions:
-            continue
-        try:
-            for s in expansions:
-                if not equivalent(t, s):
-                    report.fail([t, s], "inequivalent", "expansion preserves equivalence")
-                    continue
-                t_moves = step(t)
-                s_moves = step(s)
-                for a, t2 in t_moves:
-                    if not any(
-                        b == a and is_multi_unfolding(t2, s2) for b, s2 in s_moves
-                    ):
-                        report.fail([t, s], f"unmatched {a} move", "forward matching")
-                        break
-                for a, s2 in s_moves:
-                    if not any(
-                        b == a and is_multi_unfolding(t2, s2) for b, t2 in t_moves
-                    ):
-                        report.fail([t, s], f"unmatched {a} move", "backward matching")
-                        break
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-    return report
+        for s in unfold_one(t):
+            if not equivalent(t, s):
+                report.fail([t, s], "inequivalent", "expansion preserves equivalence")
+                continue
+            t_moves = step(t)
+            s_moves = step(s)
+            for a, t2 in t_moves:
+                if not any(
+                    b == a and is_multi_unfolding(t2, s2) for b, s2 in s_moves
+                ):
+                    report.fail([t, s], f"unmatched {a} move", "forward matching")
+                    break
+            for a, s2 in s_moves:
+                if not any(
+                    b == a and is_multi_unfolding(t2, s2) for b, t2 in t_moves
+                ):
+                    report.fail([t, s], f"unmatched {a} move", "backward matching")
+                    break
+
+    return _run("unfolding", trials, trial)
 
 
 def check_coincidence(config: GenConfig, trials: int = 100) -> TheoremReport:
     """The two formulations of the refinement preorder agree."""
-    report = TheoremReport("coincidence")
-    for k in range(trials):
-        report.trials += 1
+
+    def trial(report: TheoremReport, k: int) -> None:
         p = _gen_term_trial(config, 2 * k)
         q = _gen_term_trial(config, 2 * k + 1)
-        try:
-            direct = refines(p, q).holds
-            alternative = alt_refines(p, q)
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-            continue
+        direct = refines(p, q).holds
+        alternative = alt_refines(p, q)
         if direct != alternative:
             report.fail([p, q], f"direct={direct}", f"alternative={alternative}")
-    return report
+
+    return _run("coincidence", trials, trial)
 
 
 def _true_pairs(config: GenConfig, trial: int) -> list[tuple[Term, Term]]:
@@ -594,104 +581,87 @@ def _true_pairs(config: GenConfig, trial: int) -> list[tuple[Term, Term]]:
 
 def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
     """Verified refinement pairs stay related inside every generated context."""
-    report = TheoremReport("precongruence")
-    for k in range(trials):
-        report.trials += 1
-        try:
-            pair = None
-            for p, q in _true_pairs(config, k):
-                if refines(p, q).holds:
-                    pair = (p, q)
-                    break
-            if pair is None:
-                report.fail(
-                    [t for pq in _true_pairs(config, k) for t in pq][:2],
-                    "no seed law verified",
-                    "algebraic seed laws hold",
-                )
-                continue
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-            continue
+
+    def trial(report: TheoremReport, k: int) -> None:
+        pair = next(((p, q) for p, q in _true_pairs(config, k) if refines(p, q).holds), None)
+        if pair is None:
+            report.fail(
+                [t for pq in _true_pairs(config, k) for t in pq][:2],
+                "no seed law verified",
+                "algebraic seed laws hold",
+            )
+            return
         p, q = pair
-        verdict = None
         for attempt in range(5):
             context = gen_context(config, 7_000_000 + 5 * k + attempt)
-            cp = substitute(context, {HOLE: p})
-            cq = substitute(context, {HOLE: q})
             try:
-                verdict = refines(cp, cq)
+                verdict = refines(substitute(context, {HOLE: p}), substitute(context, {HOLE: q}))
                 break
             except StateBoundExceeded:
                 continue  # resample a tamer context for this trial
-        if verdict is None:
+        else:
             report.skip(k, "state-bound")
-        elif not verdict.holds:
+            return
+        if not verdict.holds:
             report.fail(
                 [context, p, q],
                 verdict.counterexample.reason,
                 "context preserves refinement",
             )
-    return report
+
+    return _run("precongruence", trials, trial)
 
 
 def check_operator_closure(config: GenConfig, trials: int = 60) -> TheoremReport:
     """Refinement is preserved operator-wise by choice, parallel, disjunction
     and conjunction."""
-    report = TheoremReport("operator-closure")
-    for k in range(trials):
-        report.trials += 1
-        try:
-            verified = [
-                (p, q) for p, q in _true_pairs(config, k) if refines(p, q).holds
-            ]
-            if len(verified) < 2:
-                report.skip(k, "no verified pairs")
-                continue
-            (p, q), (s, r) = verified[0], verified[1]
-            rng = _trial_rng(config, 9_000_000 + k)
-            sync = frozenset(a for a in ALPHABET if rng.random() < 0.4)
-            combos = [
-                (ExtChoice(p, s), ExtChoice(q, r), "choice"),
-                (Parallel(sync, p, s), Parallel(sync, q, r), "parallel"),
-                (Disj(p, s), Disj(q, r), "disjunction"),
-                (Conj(p, s), Conj(q, r), "conjunction"),
-            ]
-            for lhs, rhs, name in combos:
-                if not refines(lhs, rhs).holds:
-                    report.fail([lhs, rhs], f"{name} not preserved", "closure holds")
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-    return report
+
+    def trial(report: TheoremReport, k: int) -> None:
+        verified = [(p, q) for p, q in _true_pairs(config, k) if refines(p, q).holds]
+        if len(verified) < 2:
+            report.skip(k, "no verified pairs")
+            return
+        (p, q), (s, r) = verified[0], verified[1]
+        rng = _trial_rng(config, 9_000_000 + k)
+        sync = frozenset(a for a in ALPHABET if rng.random() < 0.4)
+        combos = [
+            (ExtChoice(p, s), ExtChoice(q, r), "choice"),
+            (Parallel(sync, p, s), Parallel(sync, q, r), "parallel"),
+            (Disj(p, s), Disj(q, r), "disjunction"),
+            (Conj(p, s), Conj(q, r), "conjunction"),
+        ]
+        for lhs, rhs, name in combos:
+            if not refines(lhs, rhs).holds:
+                report.fail([lhs, rhs], f"{name} not preserved", "closure holds")
+
+    return _run("operator-closure", trials, trial)
 
 
 def check_conjunction_laws(config: GenConfig, trials: int = 80) -> TheoremReport:
     """A stable consistent process simulated by two others is simulated by
     their conjunction, which is itself consistent."""
-    report = TheoremReport("conjunction")
     applied = 0
-    for k in range(trials):
-        report.trials += 1
+
+    def trial(report: TheoremReport, k: int) -> None:
+        nonlocal applied
         p = _gen_term_trial(config, 3 * k, depth=max(2, config.max_depth - 1))
         q = Disj(p, _gen_term_trial(config, 3 * k + 1, depth=2))
-        candidates = [(p, p, q), (p, q, q), (p, p, p)]
-        try:
-            for base, left, right in candidates:
-                conj = Conj(left, right)
-                lts = build_combined([base, left, right, conj])
-                ib = lts.index[base]
-                il, ir, ic = lts.index[left], lts.index[right], lts.index[conj]
-                if not lts.stable[ib] or lts.inconsistent[ib]:
-                    continue
-                rel = largest_stable_sim(lts).pairs
-                if (ib, il) in rel and (ib, ir) in rel:
-                    applied += 1
-                    if lts.inconsistent[ic]:
-                        report.fail([base, conj], "conjunction inconsistent", "consistent")
-                    if not lts.stable[ic] or (ib, ic) not in rel:
-                        report.fail([base, conj], "not simulated", "conjunction simulates")
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
+        for base, left, right in [(p, p, q), (p, q, q), (p, p, p)]:
+            conj = Conj(left, right)
+            lts = build_combined([base, left, right, conj])
+            ib = lts.index[base]
+            il, ir, ic = lts.index[left], lts.index[right], lts.index[conj]
+            if not lts.stable[ib] or lts.inconsistent[ib]:
+                continue
+            rel = largest_stable_sim(lts).pairs
+            if (ib, il) in rel and (ib, ir) in rel:
+                applied += 1
+                if lts.inconsistent[ic]:
+                    report.fail([base, conj], "conjunction inconsistent", "consistent")
+                if not lts.stable[ic] or (ib, ic) not in rel:
+                    report.fail([base, conj], "not simulated", "conjunction simulates")
+
+    report = _run("conjunction", trials, trial)
     report.notes.append(f"non-vacuous instances: {applied}")
     return report
 
@@ -708,28 +678,26 @@ def check_unique_solution(
 
     Unmet placement preconditions downgrade the outcomes to notes.
     """
-    report = TheoremReport("unique-solution")
-    report.trials = 1
-    status = variable_status(t_body, x)
-    preconditions: list[str] = []
-    if not status.strongly_guarded:
-        preconditions.append("variable-not-strongly-guarded")
-    if status.in_conjunction_scope:
-        preconditions.append("variable-in-conjunction-scope")
-    informational = bool(preconditions)
-    for p in preconditions:
-        report.notes.append(f"precondition unmet: {p}")
 
-    def record(inputs, observed, expected):
-        if informational:
-            report.notes.append(
-                f"informational: {[str(i) for i in inputs]} observed={observed} expected={expected}"
-            )
-        else:
-            report.fail(inputs, observed, expected)
+    def trial(report: TheoremReport, k: int) -> None:
+        status = variable_status(t_body, x)
+        preconditions: list[str] = []
+        if not status.strongly_guarded:
+            preconditions.append("variable-not-strongly-guarded")
+        if status.in_conjunction_scope:
+            preconditions.append("variable-in-conjunction-scope")
+        for p in preconditions:
+            report.notes.append(f"precondition unmet: {p}")
 
-    rec = normalize(Rec(x, RecSpec({x: t_body})))
-    try:
+        def record(inputs, observed, expected):
+            if preconditions:
+                report.notes.append(
+                    f"informational: {[str(i) for i in inputs]} observed={observed} expected={expected}"
+                )
+            else:
+                report.fail(inputs, observed, expected)
+
+        rec = normalize(Rec(x, RecSpec({x: t_body})))
         fixed_point = equivalent(rec, substitute(t_body, {x: rec}))
         if not fixed_point:
             record([rec], "not a fixed point", "recursion solves its equation")
@@ -746,7 +714,7 @@ def check_unique_solution(
             try:
                 cl = build_lts(cand)
             except StateBoundExceeded:
-                report.skip(0, "state-bound")
+                report.skip(k, "state-bound")
                 continue
             if cl.inconsistent[cl.roots[0]]:
                 continue  # inconsistent candidates are outside the hypothesis
@@ -763,22 +731,21 @@ def check_unique_solution(
             )
         if rec_consistent and not fixed_point:
             record([rec], "no solution found", "recursion itself solves the equation")
-    except StateBoundExceeded:
-        report.skip(0, "state-bound")
-    return report
+
+    return _run("unique-solution", 1, trial)
 
 
 def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport:
     """Driver over generated equation bodies, plus informational trials with
     the variable inside a conjunction."""
-    report = TheoremReport("unique-solution")
     var = "RX"
-    for k in range(trials):
-        report.trials += 1
-        body = gen_equation_body(config, k, var)
-        sub = check_unique_solution(body, var)
+
+    def trial(report: TheoremReport, k: int) -> None:
+        sub = check_unique_solution(gen_equation_body(config, k, var), var)
         report.failures.extend(sub.failures)
         report.skipped.extend((k, reason) for _, reason in sub.skipped)
+
+    report = _run("unique-solution", trials, trial)
     for k in range(max(1, trials // 8)):
         body = gen_equation_body(config, 50_000 + k, var, conj_scope=True)
         sub = check_unique_solution(body, var)
@@ -788,32 +755,31 @@ def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport
 
 def check_preorder(config: GenConfig, trials: int = 80) -> TheoremReport:
     """Reflexivity and transitivity of the refinement preorder."""
-    report = TheoremReport("preorder")
     transitive_hits = 0
-    for k in range(trials):
-        report.trials += 1
+
+    def trial(report: TheoremReport, k: int) -> None:
+        nonlocal transitive_hits
         p = _gen_term_trial(config, 4 * k, depth=max(2, config.max_depth - 1))
-        try:
-            if not refines(p, p).holds:
-                report.fail([p], "irreflexive", "refines(p, p)")
-                continue
-            extra = _gen_term_trial(config, 4 * k + 1, depth=2)
-            extra2 = _gen_term_trial(config, 4 * k + 2, depth=2)
-            rng = _trial_rng(config, 4 * k + 3)
-            chains = [
-                (p, Disj(p, extra), Disj(Disj(p, extra), extra2)),
-                (p, Prefix(TAU, p), Disj(Prefix(TAU, p), extra)),
-                (p, extra, extra2),
-            ]
-            q, r, s = chains[rng.randrange(len(chains))]
-            pq = refines(q, r).holds
-            qr = refines(r, s).holds
-            if pq and qr:
-                transitive_hits += 1
-                if not refines(q, s).holds:
-                    report.fail([q, r, s], "not transitive", "transitivity")
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
+        if not refines(p, p).holds:
+            report.fail([p], "irreflexive", "refines(p, p)")
+            return
+        extra = _gen_term_trial(config, 4 * k + 1, depth=2)
+        extra2 = _gen_term_trial(config, 4 * k + 2, depth=2)
+        rng = _trial_rng(config, 4 * k + 3)
+        chains = [
+            (p, Disj(p, extra), Disj(Disj(p, extra), extra2)),
+            (p, Prefix(TAU, p), Disj(Prefix(TAU, p), extra)),
+            (p, extra, extra2),
+        ]
+        q, r, s = chains[rng.randrange(len(chains))]
+        pq = refines(q, r).holds
+        qr = refines(r, s).holds
+        if pq and qr:
+            transitive_hits += 1
+            if not refines(q, s).holds:
+                report.fail([q, r, s], "not transitive", "transitivity")
+
+    report = _run("preorder", trials, trial)
     report.notes.append(f"non-vacuous transitivity instances: {transitive_hits}")
     return report
 
@@ -866,22 +832,18 @@ def check_stratification(config: GenConfig, trials: int = 100) -> TheoremReport:
     The recursion-expansion rule is checked for its negated premises only:
     its positive premise can rank above the conclusion whenever an equation
     body contains further unguarded recursions, so the published pair rank is
-    not a true stratification there (see the decisions ledger).
+    not a true stratification there (see
+    ``tests/test_semantics.py::TestStratification::test_published_rank_fails_at_nested_recursion``).
     """
-    report = TheoremReport("stratification")
-    for k in range(trials):
-        report.trials += 1
+
+    def trial(report: TheoremReport, k: int) -> None:
         t = _gen_term_trial(config, k)
-        try:
-            lts = build_lts(t)
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-            continue
-        bad = stratification_violations(lts, skip_rules=("rec-unfold",))
+        bad = stratification_violations(build_lts(t), skip_rules=("rec-unfold",))
         if bad:
-            inst, prem, kind = bad[0]
+            inst, _, kind = bad[0]
             report.fail([t], f"{inst.rule}: {kind}", "rank discipline holds")
-    return report
+
+    return _run("stratification", trials, trial)
 
 
 ALL_CHECKS = {

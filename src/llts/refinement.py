@@ -279,7 +279,7 @@ def largest_stable_sim(lts: Lts) -> SimRelation:
     return SimRelation(lts, frozenset(pairs))
 
 
-def _diagnose(lts, relation, deleted, weak, p0: int, candidates):
+def _diagnose(lts, deleted, weak, p0: int, candidates):
     """Greedy diagnostic trace: follow the candidate partner that survived
     longest and report why it ultimately fails.  Refutations are tree-shaped
     in general; this path explains one failing branch."""
@@ -348,7 +348,8 @@ class RefinementVerdict:
         if self.holds:
             return None
         csd = self.lts.consistent_stable_descendants()
-        return _diagnose(self.lts, *self._explanation, self._unmatched, csd[self.lts.roots[1]])
+        _, deleted, weak = self._explanation
+        return _diagnose(self.lts, deleted, weak, self._unmatched, csd[self.lts.roots[1]])
 
 
 def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVerdict:

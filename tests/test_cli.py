@@ -170,6 +170,22 @@ class TestParse:
         text = "let A = a.0\nlet B = A [] b.0\nB /\\ A\n"
         assert expand_source(text) == "((a.0) [] b.0) /\\ (a.0)"
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("let a.b = c.0\na.b.0\n", "not an identifier: 'a.b'"),
+            ("let tau = a.0\ntau.0\n", "reserved word: 'tau'"),
+            ("let A = a.0\nlet A = b.0\nA\n", "defined twice: 'A'"),
+        ],
+        ids=["not-identifier", "reserved-word", "defined-twice"],
+    )
+    def test_bad_let_exit_2(self, capsys, tmp_path, text, cause):
+        src = tmp_path / "bad_let.llts"
+        src.write_text(text)
+        code, out, err = run(capsys, "parse", str(src))
+        assert code == 2 and not out
+        assert err.startswith("error: let name") and cause in err
+
 
 class TestProps:
     def test_single_check_passes(self, capsys):

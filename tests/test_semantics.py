@@ -488,7 +488,8 @@ class TestStratification:
     def test_published_rank_fails_at_nested_recursion(self):
         # The pair rank is not a stratification at the recursion-expansion
         # rule once an equation body holds another unguarded recursion; the
-        # negated-premise conditions still hold (see decisions ledger).
+        # negated-premise conditions still hold, so
+        # properties.check_stratification checks that rule for them only.
         lts = build_lts(parse("<X | X = <Y | Y = a.Y> [] b.0>"))
         bad = stratification_violations(lts)
         assert bad and all(inst.rule == "rec-unfold" for inst, _, _ in bad)
