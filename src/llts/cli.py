@@ -39,33 +39,33 @@ def _add_limit_args(sub: argparse.ArgumentParser) -> None:
 def expand_source(text: str) -> str:
     """Strip ``#`` comments and expand ``let NAME = TERM`` definitions in the
     remaining term, textually and in order.  NAME is an identifier, not a
-    reserved word, defined once."""
+    reserved word, defined once; an error spans the bad line's text."""
     lets: dict[str, str] = {}
     term_lines: list[str] = []
-    for line in text.splitlines():
+    offset = 0
+    for line in text.splitlines(keepends=True):
+        start, offset = offset, offset + len(line)
         line = line.split("#", 1)[0]
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("let "):
+            start += len(line) - len(line.lstrip())
+            span = syntax.SourceSpan(start, start + len(stripped))
             head, _, rhs = stripped[4:].partition("=")
             name = head.strip()
             if not name or not rhs.strip():
-                raise _let_error(f"malformed let definition: {stripped!r}")
+                raise ParseError(span, f"malformed let definition: {stripped!r}")
             if _word_end(name, 0) != len(name):
-                raise _let_error(f"let name is not an identifier: {name!r}")
+                raise ParseError(span, f"let name is not an identifier: {name!r}")
             if name in syntax._RESERVED:
-                raise _let_error(f"let name is a reserved word: {name!r}")
+                raise ParseError(span, f"let name is a reserved word: {name!r}")
             if name in lets:
-                raise _let_error(f"let name defined twice: {name!r}")
+                raise ParseError(span, f"let name defined twice: {name!r}")
             lets[name] = _expand(rhs.strip(), lets)
         else:
             term_lines.append(stripped)
     return _expand(" ".join(term_lines), lets)
-
-
-def _let_error(message: str) -> ParseError:
-    return ParseError(syntax.SourceSpan(0, 0), message)
 
 
 def _word_end(text: str, i: int) -> int:

@@ -5,8 +5,8 @@ processes.  It folds the stable states reachable by weak moves from the roots'
 stable consistent descendants into blocks of weakly bisimilar states, computes
 the largest stable ready simulation over the block pairs reachable from those
 descendants' blocks, then matches the descendants.  The witness and the
-counterexample come from the same simulation engine run on states, and only
-when one of them is read.  ``check_verdict`` checks such an explanation
+counterexample are read off that block relation and its deletion records,
+and only when one of them is read.  ``check_verdict`` checks such an explanation
 against the graph.  ``alt_refines`` decides the same preorder through an
 independent characterisation over all state pairs and serves as a
 cross-check oracle.
@@ -15,10 +15,9 @@ cross-check oracle.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import product
 
 from .semantics import (
@@ -73,23 +72,40 @@ def _weak_moves(lts: Lts, i: int) -> dict[str, frozenset[int]]:
     return out
 
 
+def _closure(seeds, moves, matchable):
+    """The pairs reachable from ``seeds`` through matching weak moves, where
+    ``moves(i)`` gives node ``i``'s by action; a pair's moves are followed
+    only when ``matchable``, which is called first, holds for it."""
+    pairs = set(seeds)
+    todo = list(pairs)
+    while todo:
+        pair = todo.pop()
+        if matchable(pair):
+            q_moves = moves(pair[1])
+            fresh = {
+                read
+                for a, targets in moves(pair[0]).items()
+                for read in product(targets, q_moves.get(a, ()))
+            }
+            fresh -= pairs
+            pairs |= fresh
+            todo.extend(fresh)
+    return pairs
+
+
 def _simulate(view, seeds):
-    """Largest stable ready simulation over the pairs of nodes reachable from
-    ``seeds`` through matching weak moves, plus a deletion record per rejected
-    pair (used to assemble counterexamples) and the weak moves of every node
-    it touched.  ``view(i)`` gives node ``i``'s inconsistency flag, ready set
-    and weak moves, as sorted targets per action; nodes are the stable states
-    of a graph, or blocks of them.
+    """Largest stable ready simulation over the pairs of blocks reachable
+    from ``seeds`` through matching weak moves, plus a deletion record per
+    rejected pair (used to assemble counterexamples) and the weak moves of
+    every block it touched.  ``view(b)`` gives block ``b``'s inconsistency
+    flag, ready set and weak moves, as sorted targets per action.
 
     On a set of pairs closed under those moves, the largest simulation is the
-    graph's largest one restricted to the set.  Deletions are numbered in the
-    order of the fixpoint that checks every pair in sorted order, sweep after
-    sweep, until a sweep deletes nothing: first the pairs that fail on
-    consistency or ready sets, in sorted order, then failed checks in (sweep,
-    pair) order.  A pair is checked again only when a deletion leaves one of
-    its moves unmatched: in the same sweep if it sorts after the deleted pair,
-    else in the next.  So the numbering restricted to the reachable pairs is
-    the same for any seeds, and ``_diagnose`` follows the same partners.
+    graph's largest one restricted to the set.  Deletions are numbered in
+    order: the pairs that fail on consistency or ready sets, sorted, then
+    those with an unmatched move, first in first out from the sorted ones
+    that fail at the start.  With ``_partition``'s block numbering, this
+    fixes the partner ``_diagnose`` follows: the one deleted last.
     """
     F: dict[int, bool] = {}
     ready: dict[int, frozenset[str]] = {}
@@ -107,24 +123,9 @@ def _simulate(view, seeds):
         p, q = pair
         return not (F[p] or F[q]) and ready[p] == ready[q]
 
-    pairs = set(seeds)
-    todo = list(pairs)
-    while todo:
-        pair = todo.pop()
-        if matchable(pair):
-            q_moves = weak[pair[1]]
-            fresh = {
-                read
-                for a, targets in weak[pair[0]].items()
-                for read in product(targets, q_moves.get(a, ()))
-            }
-            fresh -= pairs
-            pairs |= fresh
-            todo.extend(fresh)
-
     relation: set[tuple[int, int]] = set()
     deleted: dict[tuple[int, int], _Deletion] = {}
-    for pair in sorted(pairs):
+    for pair in sorted(_closure(seeds, weak.__getitem__, matchable)):
         p, q = pair
         if F[p]:
             relation.add(pair)
@@ -153,11 +154,10 @@ def _simulate(view, seeds):
                     return a, p2
         return None
 
-    queue = [(0, pair) for pair in sorted(relation) if not F[pair[0]] and unmatched_move(pair)]
-    queued = {pair for _, pair in queue}
+    queue = deque(pair for pair in sorted(relation) if not F[pair[0]] and unmatched_move(pair))
+    queued = set(queue)
     while queue:
-        sweep, pair = heappop(queue)
-        queued.discard(pair)
+        pair = queue.popleft()
         deleted[pair] = _Deletion(len(deleted), REASON_NO_MOVE, *unmatched_move(pair))
         relation.discard(pair)
         p2, q2 = pair
@@ -173,29 +173,22 @@ def _simulate(view, seeds):
                     reader = (p, q)
                     if reader in relation and reader not in queued:
                         queued.add(reader)
-                        heappush(queue, (sweep if reader > pair else sweep + 1, reader))
+                        queue.append(reader)
     return relation, deleted, weak
-
-
-def _stable_sim(lts: Lts, seeds):
-    """``_simulate`` on the graph's stable states: the relation over the
-    state pairs reachable from ``seeds``, the deletion records and the weak
-    moves, from which ``_diagnose`` explains a refutation."""
-
-    def view(i):
-        moves = _weak_moves(lts, i)
-        return lts.inconsistent[i], lts.ready(i), {a: tuple(sorted(t)) for a, t in moves.items()}
-
-    return _simulate(view, seeds)
 
 
 @dataclass(frozen=True)
 class _Quotient:
     """A stable ready simulation as a relation over blocks of weakly
-    bisimilar states: (p, q) is related when (block[p], block[q]) is."""
+    bisimilar states: (p, q) is related when (block[p], block[q]) is, with
+    the labels, moves and deletion records that explain it."""
 
     block: dict[int, int]
+    label: dict[int, tuple[bool, frozenset[str]]]
+    weak: dict[int, dict[str, frozenset[int]]]
     pairs: set[tuple[int, int]]
+    deleted: dict[tuple[int, int], _Deletion]
+    moves: dict[int, dict[str, tuple[int, ...]]]
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         p, q = pair
@@ -206,12 +199,14 @@ def _partition(lts: Lts, starts):
     """Fold the stable states reachable by weak moves from ``starts`` into
     blocks of weakly bisimilar states: the coarsest partition whose blocks
     agree on (inconsistent, ready set, set of blocks per weak action).
-    Returns every state's block and a view of the blocks for ``_simulate``.
+    Returns every state's block, label and weak moves.
 
     A state is signed again only when one of its weak-move successors
     changes block.  When a block splits, the part whose signature is
     unchanged keeps the block's id, or the largest part when every member was
-    signed again; the other parts' members move."""
+    signed again; the other parts' members move.  At the end blocks are
+    numbered in the order of their least member, so the numbering does not
+    depend on the order of the splits."""
     weak = {s: _weak_moves(lts, s) for s in starts}
     order = list(weak)
     preds: dict[int, set[int]] = defaultdict(set)
@@ -248,24 +243,27 @@ def _partition(lts: Lts, starts):
             for r in preds[s]:
                 dirty.setdefault(block[r], set()).add(r)
 
-    rep = {block[s]: s for s in order}
+    number: dict[int, int] = {}
+    for s in sorted(order):
+        block[s] = number.setdefault(block[s], len(number))
+    return block, label, weak
+
+
+def _quotient_sim(lts: Lts, left, right) -> _Quotient:
+    """The largest stable ready simulation over the block pairs reachable
+    from the blocks of ``left`` × ``right`` and of ``right`` × ``left``."""
+    block, label, weak = _partition(lts, {*left, *right})
+    rep = {block[s]: s for s in label}
 
     def view(b):
         s = rep[b]
         moves = {a: tuple(sorted({block[t] for t in ts})) for a, ts in weak[s].items()}
         return (*label[s], moves)
 
-    return block, view
-
-
-def _quotient_sim(lts: Lts, left, right) -> _Quotient:
-    """The largest stable ready simulation over the block pairs reachable
-    from the blocks of ``left`` × ``right`` and of ``right`` × ``left``."""
-    block, view = _partition(lts, {*left, *right})
     left_blocks = {block[s] for s in left}
     right_blocks = {block[s] for s in right}
     seeds = {*product(left_blocks, right_blocks), *product(right_blocks, left_blocks)}
-    return _Quotient(block, _simulate(view, seeds)[0])
+    return _Quotient(block, label, weak, *_simulate(view, seeds))
 
 
 def largest_stable_sim(lts: Lts) -> SimRelation:
@@ -279,30 +277,43 @@ def largest_stable_sim(lts: Lts) -> SimRelation:
     return SimRelation(lts, frozenset(pairs))
 
 
-def _diagnose(lts, deleted, weak, p0: int, candidates):
-    """Greedy diagnostic trace: follow the candidate partner that survived
-    longest and report why it ultimately fails.  Refutations are tree-shaped
-    in general; this path explains one failing branch."""
+def _witness_pairs(lts: Lts, quotient: _Quotient) -> frozenset[tuple[int, int]]:
+    """The largest simulation over the state pairs reachable from the roots'
+    stable consistent descendants, csd(p) × csd(q): the pairs reached through
+    matching weak moves that the block relation relates.  A pair's moves are
+    followed when ``_simulate`` follows its block pair's: both states
+    consistent, with equal ready sets."""
+    label = quotient.label
+
+    def matchable(pair) -> bool:
+        p, q = pair
+        return not label[p][0] and label[p] == label[q]
+
+    csd = lts.consistent_stable_descendants()
+    reached = _closure(product(*(csd[r] for r in lts.roots)), quotient.weak.__getitem__, matchable)
+    return frozenset(pair for pair in reached if pair in quotient)
+
+
+def _diagnose(lts, quotient: _Quotient, p0: int, candidates):
+    """Greedy diagnostic trace over the block pairs' deletion records: follow
+    the candidate partner block deleted last and report why it fails, moving
+    to the least weak a-target in the record's successor block.  Refutations
+    are tree-shaped in general; this path explains one failing branch."""
+    block, deleted = quotient.block, quotient.deleted
     path = [("eps", str(lts.terms[p0]))]
-    first = True
-    p, quorum = p0, list(candidates)
-    while True:
-        if not quorum:
-            reason = REASON_NO_DESCENDANT if first else REASON_NO_MOVE
-            return Counterexample(tuple(path), reason)
-        records = sorted(
-            (deleted[(p, q)].seq, q) for q in quorum if (p, q) in deleted
-        )
-        if not records:  # every candidate matches after all; stop here
-            return Counterexample(tuple(path), REASON_NO_MOVE)
-        best = deleted[(p, records[-1][1])]
-        if best.reason in (REASON_CONSISTENCY, REASON_READY):
-            return Counterexample(tuple(path), best.reason)
-        a, p2 = best.action, best.successor
-        path.append((a, str(lts.terms[p2])))
-        quorum = sorted(weak[records[-1][1]].get(a, frozenset()))
-        p = p2
-        first = False
+    p, quorum = p0, {block[q] for q in candidates}
+    while quorum:
+        # every candidate's pair was deleted, since p has no partner left
+        partner = max(quorum, key=lambda c: deleted[block[p], c].seq)
+        record = deleted[block[p], partner]
+        if record.reason in (REASON_CONSISTENCY, REASON_READY):
+            return Counterexample(tuple(path), record.reason)
+        a = record.action
+        p = min(t for t in quotient.weak[p][a] if block[t] == record.successor)
+        path.append((a, str(lts.terms[p])))
+        quorum = quotient.moves[partner].get(a, ())
+    reason = REASON_NO_MOVE if len(path) > 1 else REASON_NO_DESCENDANT
+    return Counterexample(tuple(path), reason)
 
 
 def _unmatched_start(lts: Lts, relation, ip: int, iq: int) -> int | None:
@@ -319,9 +330,8 @@ def _unmatched_start(lts: Lts, relation, ip: int, iq: int) -> int | None:
 
 class RefinementVerdict:
     """Whether the second root of ``lts`` refines the first.  ``holds`` is
-    read off the block relation.  The witness and the counterexample come
-    from ``_stable_sim`` seeded with the roots' stable consistent
-    descendants, csd(p) × csd(q), run when either is first read."""
+    read off the block relation, and so are the witness and the
+    counterexample, each assembled when first read."""
 
     def __init__(self, lts: Lts, relation: _Quotient):
         self.lts = lts
@@ -330,26 +340,15 @@ class RefinementVerdict:
         self.holds = self._unmatched is None
 
     @cached_property
-    def _explanation(self):
-        lts = self.lts
-        ip, iq = lts.roots
-        csd = lts.consistent_stable_descendants()
-        relation, deleted, weak = _stable_sim(lts, product(csd[ip], csd[iq]))
-        if _unmatched_start(lts, relation, ip, iq) != self._unmatched:
-            raise RuntimeError("the state simulation disagrees with the quotient")
-        return relation, deleted, weak
-
-    @cached_property
     def witness(self) -> SimRelation | None:
-        return SimRelation(self.lts, frozenset(self._explanation[0])) if self.holds else None
+        return SimRelation(self.lts, _witness_pairs(self.lts, self._relation)) if self.holds else None
 
     @cached_property
     def counterexample(self) -> Counterexample | None:
         if self.holds:
             return None
         csd = self.lts.consistent_stable_descendants()
-        _, deleted, weak = self._explanation
-        return _diagnose(self.lts, deleted, weak, self._unmatched, csd[self.lts.roots[1]])
+        return _diagnose(self.lts, self._relation, self._unmatched, csd[self.lts.roots[1]])
 
 
 def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVerdict:
@@ -383,10 +382,8 @@ def equivalent(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
     stable consistent descendants in both directions.
     """
     verdict = refines(p, q, limits)
-    if not verdict.holds:
-        return False
     lts = verdict.lts
-    return _unmatched_start(lts, verdict._relation, lts.roots[1], lts.roots[0]) is None
+    return verdict.holds and _unmatched_start(lts, verdict._relation, *lts.roots[::-1]) is None
 
 
 def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str | None:

@@ -186,6 +186,13 @@ class TestParse:
         assert code == 2 and not out
         assert err.startswith("error: let name") and cause in err
 
+    def test_bad_let_spans_its_line(self, capsys, tmp_path):
+        src = tmp_path / "bad_let.llts"
+        src.write_text("a.0\n# x\nlet 1x = b.0  # c\n")
+        code, _, err = run(capsys, "parse", str(src))
+        assert code == 2
+        assert err == "error: let name is not an identifier: '1x' at 8..20\n"
+
 
 class TestProps:
     def test_single_check_passes(self, capsys):
