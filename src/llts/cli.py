@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Sequence
+from dataclasses import replace
 
 from . import properties, refinement, semantics, syntax
 from .semantics import BuildLimits, StateBoundExceeded, UnfoldDepthExceeded
@@ -36,12 +38,16 @@ def _add_limit_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def expand_source(text: str) -> str:
+def expand_source(text: str) -> tuple[str, list[int]]:
     """Strip ``#`` comments and expand ``let NAME = TERM`` definitions in the
     remaining term, textually and in order.  NAME is an identifier, not a
-    reserved word, defined once; an error spans the bad line's text."""
-    lets: dict[str, str] = {}
-    term_lines: list[str] = []
+    reserved word, defined once; an error spans the bad line's text.
+
+    Returns the expanded text and, for each of its characters and for its
+    end, the offset in ``text`` it comes from: an expanded body's characters
+    come from its ``let`` line, the parentheses around it from the name."""
+    lets: dict[str, tuple[str, list[int]]] = {}
+    term_lines: list[tuple[str, int]] = []
     offset = 0
     for line in text.splitlines(keepends=True):
         start, offset = offset, offset + len(line)
@@ -49,8 +55,8 @@ def expand_source(text: str) -> str:
         stripped = line.strip()
         if not stripped:
             continue
+        start += len(line) - len(line.lstrip())
         if stripped.startswith("let "):
-            start += len(line) - len(line.lstrip())
             span = syntax.SourceSpan(start, start + len(stripped))
             head, _, rhs = stripped[4:].partition("=")
             name = head.strip()
@@ -62,32 +68,50 @@ def expand_source(text: str) -> str:
                 raise ParseError(span, f"let name is a reserved word: {name!r}")
             if name in lets:
                 raise ParseError(span, f"let name defined twice: {name!r}")
-            lets[name] = _expand(rhs.strip(), lets)
+            body_start = start + len(stripped) - len(rhs.lstrip())
+            body = rhs.strip()
+            lets[name] = _expand(body, range(body_start, body_start + len(body)), lets)
         else:
-            term_lines.append(stripped)
-    return _expand(" ".join(term_lines), lets)
+            term_lines.append((stripped, start))
+    origins: list[int] = []
+    for stripped, start in term_lines:  # each line's end is the joining space
+        origins += range(start, start + len(stripped) + 1)
+    expanded, where = _expand(" ".join(s for s, _ in term_lines), origins, lets)
+    return expanded, where + (origins[-1:] or [0])
 
 
 def _word_end(text: str, i: int) -> int:
     """The end of the identifier starting at ``text[i]`` (``i`` itself if
     none does), by the tokenizer's rules."""
-    if not syntax._is_ident_start(text[i]):
-        return i
-    i += 1
-    while i < len(text) and syntax._is_ident_char(text[i]):
-        i += 1
-    return i
+    m = syntax._IDENT.match(text, i)
+    return m.end() if m else i
 
 
-def _expand(text: str, lets: dict[str, str]) -> str:
-    out = []
+def _expand(
+    text: str, origins: Sequence[int], lets: dict[str, tuple[str, list[int]]]
+) -> tuple[str, list[int]]:
+    out: list[str] = []
+    where: list[int] = []
     i = 0
     while i < len(text):
         j = max(_word_end(text, i), i + 1)  # a character starting no word goes alone
         word = text[i:j]
-        out.append(f"({lets[word]})" if word in lets else word)
+        if word in lets:
+            body, body_origins = lets[word]
+            out.append(f"({body})")
+            where += (origins[i], *body_origins, origins[j - 1])
+        else:
+            out.append(word)
+            where += origins[i:j]
         i = j
-    return "".join(out)
+    return "".join(out), where
+
+
+def _file_span(span: syntax.SourceSpan, origins: list[int]) -> syntax.SourceSpan:
+    """A span of the expanded text as a span of the file it came from."""
+    start = origins[span.start]
+    end = origins[span.end - 1] + 1 if span.end > span.start else start
+    return syntax.SourceSpan(start, end)
 
 
 def _read_source(path: str) -> str:
@@ -157,8 +181,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "parse":
-        text = expand_source(_read_source(args.file))
-        term = syntax.parse(text)
+        text, origins = expand_source(_read_source(args.file))
+        try:
+            term = syntax.parse(text)
+        except ParseError as err:
+            raise replace(err, span=_file_span(err.span, origins)) from None
         print(syntax.print_term(term))
         return 0
 

@@ -42,9 +42,10 @@ class SimRelation:
     pairs: frozenset[tuple[int, int]]
 
     def term_pairs(self) -> list[tuple[str, str]]:
-        return sorted(
-            (str(self.lts.terms[p]), str(self.lts.terms[q])) for p, q in self.pairs
-        )
+        """The pairs as term texts, sorted; each state is rendered once."""
+        states = {i for pair in self.pairs for i in pair}
+        text = {i: str(self.lts.terms[i]) for i in states}
+        return sorted((text[p], text[q]) for p, q in self.pairs)
 
 
 @dataclass(frozen=True)

@@ -354,16 +354,29 @@ def _closed_step(
     return _walk(t, None, enter, leave)
 
 
+class _Unstored(tuple):
+    __slots__ = ()
+
+
+# The ``transitions`` entry of a support-only term, whose moves no rule reads.
+# It is empty like a deadlock's ``()``, and told apart from it by identity.
+UNSTORED = _Unstored()
+
+
 class Lts:
     """A finite transition graph over structurally distinct closed terms.
 
-    ``terms`` is the support universe: the states reachable from the roots
-    plus every operand subterm and recursion expansion needed to evaluate the
-    inconsistency predicate.  Indices into ``terms`` identify states.
+    ``terms`` is the support universe, and indices into it identify terms.
+    It holds the states, whose moves are stored, and the support-only terms,
+    whose ``transitions`` entry is ``UNSTORED``.  The states are closed under
+    moves; ``build_combined`` says which terms it makes states.  Every term's
+    operands and recursion expansion are in the universe, since the
+    inconsistency predicate reads their flags.
 
     ``stable`` reads every move of a state, not its first: the validators
     take hand-made graphs that break the purity lemma, and a state with both
-    kinds of move must not count as stable there.
+    kinds of move must not count as stable there.  A support-only term is not
+    stable.
     """
 
     __slots__ = (
@@ -387,7 +400,8 @@ class Lts:
         self.transitions: list[tuple[tuple[str, int], ...]] = transitions
         self.limits: BuildLimits = limits
         self.stable: list[bool] = [
-            all(a != TAU for a, _ in succ) for succ in transitions
+            succ is not UNSTORED and all(a != TAU for a, _ in succ)
+            for succ in transitions
         ]
         self.inconsistent: list[bool] = [False] * len(terms)
         self.reachable: list[bool] = self._compute_reachable()
@@ -444,9 +458,13 @@ class Lts:
 
     def consistent_stable_descendants(self):
         """For every state, the stable consistent states reachable via
-        internal moves through consistent states only."""
+        internal moves through consistent states only; the empty set for a
+        support-only term."""
         if self._csd is None:
-            csd = [frozenset() if f else None for f in self.inconsistent]
+            csd = [
+                frozenset() if f or succ is UNSTORED else None
+                for f, succ in zip(self.inconsistent, self.transitions)
+            ]
             _fill_descendants(self, range(len(csd)), csd)
             self._csd = csd
         return self._csd
@@ -534,42 +552,56 @@ class _MovePairs(dict):
 def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     """Explore the given closed terms into one shared graph.
 
-    The universe is closed under operand subterms, recursion expansion and
-    one-step transitions, so the predicate rules can be evaluated on it.
+    The universe is closed under operand subterms and recursion expansion,
+    so the predicate rules can be evaluated on it.  Moves are stored for the
+    states only: the closure under moves of the roots, of every conjunction
+    and recursion and of each conjunction's operands, whose moves the
+    conjunction and recursion rules read.  Every other term is support-only:
+    the rules read its flag alone.  Terms are numbered breadth first, each
+    one's operands or expansion before its move targets.
     """
     limits = limits or BuildLimits()
     index: dict[Term, int] = {}
     terms: list[Term] = []
-    transitions: list = []
+    transitions: list = []  # None until the term is explored
+    is_state: list[bool] = []
     todo: deque[int] = deque()
 
-    def add(t: Term) -> int:
+    def add(t: Term, state: bool) -> int:
         i = index.get(t)
-        if i is not None:
-            return i
-        if len(terms) >= limits.max_states:
-            raise StateBoundExceeded(len(terms) + 1)
-        i = len(terms)
-        index[t] = i
-        terms.append(t)
-        transitions.append(None)
-        todo.append(i)
+        if i is None:
+            if len(terms) >= limits.max_states:
+                raise StateBoundExceeded(len(terms) + 1)
+            i = len(terms)
+            index[t] = i
+            terms.append(t)
+            transitions.append(None)
+            is_state.append(state or type(t) in (Conj, Rec))
+            todo.append(i)
+        elif state and not is_state[i]:
+            is_state[i] = True
+            if transitions[i] is UNSTORED:  # explored as support-only: again
+                transitions[i] = None
+                todo.append(i)
         return i
 
     # Every term the exploration reaches from closed roots is closed, so
     # the roots alone are checked.
     for t in roots:
         _check_closed(t)
-    root_ids = [add(t) for t in roots]
+    root_ids = [add(t, True) for t in roots]
     step_memo: dict = {}
-    pairs = _MovePairs(add)
+    pairs = _MovePairs(lambda t: add(t, True))
     while todo:
         i = todo.popleft()
         t = terms[i]
         for c in support_children(t):
-            add(c)
-        moves = _closed_step(t, limits.max_unfold_depth, step_memo)
-        transitions[i] = tuple(map(pairs.__getitem__, moves))
+            add(c, type(t) is Conj)
+        if is_state[i]:
+            moves = _closed_step(t, limits.max_unfold_depth, step_memo)
+            transitions[i] = tuple(map(pairs.__getitem__, moves))
+        else:
+            transitions[i] = UNSTORED
 
     lts = Lts(terms, index, root_ids, transitions, limits)
     compute_inconsistent(lts)
@@ -652,14 +684,16 @@ class ValidationReport:
 
 
 def validate_llts(lts: Lts) -> ValidationReport:
-    """Check every universe state for: internal/visible exclusivity; backward
+    """Check every state for: internal/visible exclusivity; backward
     inconsistency propagation over fully inconsistent derivative sets; the
     existence of a consistent path to a stable consistent state; and forward
-    inconsistency propagation along internal moves."""
+    inconsistency propagation along internal moves.  Support-only terms have
+    no stored moves to check."""
     report = ValidationReport(True, True, True, True)
     csd = lts.consistent_stable_descendants()
-    for i in range(len(lts.terms)):
-        succ = lts.transitions[i]
+    for i, succ in enumerate(lts.transitions):
+        if succ is UNSTORED:
+            continue
         has_tau = any(a == TAU for a, _ in succ)
         has_vis = any(a != TAU for a, _ in succ)
         if has_tau and has_vis:
@@ -688,7 +722,8 @@ def validate_llts(lts: Lts) -> ValidationReport:
 
 def consistency_law_violations(lts: Lts) -> list[tuple[str, str]]:
     """Check the compositional laws of the inconsistency predicate on every
-    universe state; returns (state, law) pairs that fail."""
+    universe term, and the doomed-descendants law on every state; returns
+    (term, law) pairs that fail."""
     out: list[tuple[str, str]] = []
     shapes = lts.shapes()
     F = lts.inconsistent
@@ -710,6 +745,8 @@ def consistency_law_violations(lts: Lts) -> list[tuple[str, str]]:
         elif kind == "rec":
             if F[i] != F[shape[1]]:
                 out.append((str(lts.terms[i]), "recursion-matches-expansion"))
+        if lts.transitions[i] is UNSTORED:
+            continue
         sd = lts.stable_tau_descendants(i)
         if all(F[j] for j in sd) and not F[i]:
             out.append((str(lts.terms[i]), "doomed-descendants"))
@@ -736,13 +773,21 @@ class RuleInstance:
 
 
 def used_rule_instances(lts: Lts) -> list[RuleInstance]:
-    """The ground rule applications justifying every transition and every
-    inconsistency flag of the built graph."""
-    terms, index, transitions = lts.terms, lts.index, lts.transitions
-    shapes, F = lts.shapes(), lts.inconsistent
+    """The ground rule applications justifying the moves of every universe
+    term, support-only ones included, and every inconsistency flag of the
+    built graph."""
+    terms, shapes, F = lts.terms, lts.shapes(), lts.inconsistent
+    # Every recursion in the universe is a state.  Seeded with the states'
+    # stored moves, the memo unfolds no recursion again, so the operands of a
+    # support-only term cost no unfold budget.
+    memo = {
+        terms[i]: tuple((a, terms[j]) for a, j in succ)
+        for i, succ in enumerate(lts.transitions)
+        if succ is not UNSTORED
+    }
 
-    def moves_of(u: Term) -> list[tuple[str, Term]]:
-        return [(a, terms[j]) for a, j in transitions[index[u]]]
+    def moves_of(u: Term) -> tuple[tuple[str, Term], ...]:
+        return _closed_step(u, lts.limits.max_unfold_depth, memo)
 
     out: list[RuleInstance] = []
     for i, t in enumerate(terms):

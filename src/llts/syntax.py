@@ -15,7 +15,9 @@ on the explicit-stack walk ``terms._walk``.  Neither recurses on input depth.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import (
     TAU,
@@ -61,11 +63,15 @@ class ParseError(Exception):
         return f"{self.message} at {self.span}{hint}"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
 
 
 # The binary operators, loosest first and all left-associative: token, binding
@@ -99,51 +105,42 @@ _SIMPLE = {
 }
 
 _RESERVED = {"tau": "TAU", "bot": "BOT"}
+_KIND_OF = {**_PAIRS, **_SIMPLE, **_RESERVED}
 
+# An identifier: an action, a variable or a reserved word.
+_IDENT = re.compile("[A-Za-z_][A-Za-z0-9_]*")
 
-def _is_ident_start(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return _is_ident_start(c) or "0" <= c <= "9"
+# One token, or whitespace (no group), or a character that starts none.  The
+# two-character tokens come first, so a stray character is the first one of a
+# pair left alone.  Whitespace is ASCII only, so offsets are byte offsets.
+_TOKEN = re.compile(
+    r"[ \t\r\n\f\v]+"
+    f"|(?P<pair>{'|'.join(map(re.escape, _PAIRS))})"
+    f"|(?P<simple>[{re.escape(''.join(_SIMPLE))}])"
+    r"|(?P<stray>[\[\]/\\])"
+    f"|(?P<word>{_IDENT.pattern})"
+    "|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        # ASCII whitespace only, so reported offsets are byte offsets
-        if c in " \t\r\n\f\v":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group is None:
             continue
-        pair = text[i : i + 2]
-        if pair in _PAIRS:
-            out.append(_Token(_PAIRS[pair], pair, SourceSpan(i, i + 2)))
-            i += 2
-        elif c in _SIMPLE:
-            out.append(_Token(_SIMPLE[c], c, SourceSpan(i, i + 1)))
-            i += 1
-        elif c in "[]/\\":
-            expected = next(p for p in _PAIRS if p[0] == c)
-            raise ParseError(SourceSpan(i, i + 1), f"stray '{c}'", (expected,))
-        elif _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            span = SourceSpan(i, j)
-            if word in _RESERVED:
-                out.append(_Token(_RESERVED[word], word, span))
-            elif word[0].isupper():
-                out.append(_Token("VAR", word, span))
-            else:
-                out.append(_Token("ACT", word, span))
-            i = j
-        else:
-            raise ParseError(SourceSpan(i, i + 1), f"unexpected character {c!r}")
-    out.append(_Token("EOF", "", SourceSpan(n, n)))
+        word = m.group()
+        kind = _KIND_OF.get(word)
+        if kind is None:
+            if group == "stray":
+                expected = next(p for p in _PAIRS if p[0] == word)
+                raise ParseError(SourceSpan(*m.span()), f"stray '{word}'", (expected,))
+            if group == "bad":
+                raise ParseError(SourceSpan(*m.span()), f"unexpected character {word!r}")
+            kind = "VAR" if word[0].isupper() else "ACT"
+        out.append(_Token(kind, word, *m.span()))
+    out.append(_Token("EOF", "", len(text), len(text)))
     return out
 
 

@@ -168,7 +168,33 @@ class TestParse:
 
     def test_expand_source_chained_lets(self):
         text = "let A = a.0\nlet B = A [] b.0\nB /\\ A\n"
-        assert expand_source(text) == "((a.0) [] b.0) /\\ (a.0)"
+        expanded, origins = expand_source(text)
+        assert expanded == "((a.0) [] b.0) /\\ (a.0)"
+        # each character comes from its let body or the term line; the
+        # parentheses around an expansion come from the name
+        assert len(origins) == len(expanded) + 1
+        assert "".join(text[i] for i in origins[:-1]) == "BAa.0A [] b.0B /\\ Aa.0A"
+        assert origins[-1] == len(text) - 1
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # the term line is the third; the expanded text ends at 17
+            (
+                "let A = a.0\n# note\nA [] b.0 [] (\n",
+                "unexpected end of input at 32..32",
+            ),
+            # the bad token is in A's body, expanded on the term line
+            ("let A = a.b\n0 [] A\n", "action 'b' must be followed by '.' at 10..11"),
+        ],
+        ids=["term-line", "let-body"],
+    )
+    def test_parse_error_spans_the_file(self, capsys, tmp_path, text, error):
+        src = tmp_path / "bad.llts"
+        src.write_text(text)
+        code, _, err = run(capsys, "parse", str(src))
+        assert code == 2
+        assert err.startswith(f"error: {error}")
 
     @pytest.mark.parametrize(
         "text, cause",

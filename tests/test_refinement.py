@@ -30,7 +30,7 @@ from llts.refinement import (
 )
 from llts.semantics import BuildLimits, StateBoundExceeded, build_combined
 from llts.syntax import parse
-from llts.terms import Disj
+from llts.terms import Disj, Term
 
 CFG = GenConfig(seed=37, max_depth=3)
 
@@ -215,6 +215,16 @@ class TestSerialization:
         doc = json.loads(verdict_to_json(refines(parse("a.0"), parse("a.0"))))
         assert doc["holds"] is True
         assert "witness_pairs" in doc and doc["witness_pairs"]
+
+    def test_witness_renders_each_state_once(self, monkeypatch):
+        p = parse(_interleaving())
+        witness = refines(p, p).witness
+        plain, terms = Term.__str__, witness.lts.terms
+        expected = sorted((plain(terms[i]), plain(terms[j])) for i, j in witness.pairs)
+        rendered = []
+        monkeypatch.setattr(Term, "__str__", lambda t: rendered.append(t) or plain(t))
+        assert witness.term_pairs() == expected
+        assert len(rendered) == len({i for pair in witness.pairs for i in pair}) < len(witness.pairs)
 
     def test_refuted_schema(self):
         doc = json.loads(verdict_to_json(refines(parse("a.0"), parse("b.0"))))

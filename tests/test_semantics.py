@@ -10,6 +10,7 @@ from llts.properties import (
 )
 from llts.semantics import (
     BuildLimits,
+    UNSTORED,
     Lts,
     StateBoundExceeded,
     UnfoldDepthExceeded,
@@ -25,6 +26,7 @@ from llts.semantics import (
     validate_llts,
     weak_visible_step,
 )
+from llts.refinement import largest_stable_sim
 from llts.syntax import parse, print_term
 from llts.terms import (
     TAU,
@@ -41,6 +43,26 @@ from llts.terms import (
 )
 
 CFG = GenConfig(seed=23, max_depth=4)
+
+
+def _states(lts):
+    """The ids of the states, found with ``step`` from their definition: the
+    closure under moves of the roots, of every conjunction and recursion in
+    the universe and of each conjunction's operands.  Checks that exactly
+    these store moves, and every other term's entry is ``UNSTORED``."""
+    todo = [lts.terms[r] for r in lts.roots]
+    for u in lts.terms:
+        if isinstance(u, (Conj, Rec)):
+            todo += [u, *operands(u)] if isinstance(u, Conj) else [u]
+    seen = set()
+    while todo:
+        u = todo.pop()
+        if u not in seen:
+            seen.add(u)
+            todo += [s for _, s in step(u)]
+    ids = sorted(lts.index[u] for u in seen)
+    assert [i for i, succ in enumerate(lts.transitions) if succ is not UNSTORED] == ids
+    return ids
 
 
 def oracle_step(root):
@@ -175,9 +197,9 @@ class TestStep:
                 lts = build_lts(t)
             except StateBoundExceeded:
                 continue
-            for i, u in enumerate(lts.terms):
+            for i in _states(lts):
                 stored = [(a, lts.terms[j]) for a, j in lts.transitions[i]]
-                assert stored == step(u)
+                assert stored == step(lts.terms[i])
 
     def test_unguarded_input_raises(self):
         bad = Rec("X", {"X": ExtChoice(Var("X"), Prefix("a", Nil()))})
@@ -376,7 +398,7 @@ class TestDescendants:
                         queue.append(k)
             return frozenset(out)
 
-        states = range(len(lts.terms))
+        states = _states(lts)
         for i in states:
             assert lts.consistent_stable_descendants()[i] == naive(i, True)
             assert lts.stable_tau_descendants(i) == naive(i, False)
@@ -525,9 +547,12 @@ class TestRuleTable:
                 moves[src].add((a, dst))
             else:
                 flagged.add(inst.conclusion[1])
+        # instances justify the moves of support-only terms too
         for i, u in enumerate(lts.terms):
-            assert moves[u] == {(a, lts.terms[j]) for a, j in lts.transitions[i]}
+            assert moves[u] == set(step(u))
             assert (u in flagged) == lts.inconsistent[i]
+        for i in _states(lts):
+            assert moves[lts.terms[i]] == {(a, lts.terms[j]) for a, j in lts.transitions[i]}
 
 
 # Operands that move internally, leaves first: a prefix, a disjunction and a
@@ -590,7 +615,8 @@ class TestOperandRules:
             if inst.conclusion[0] == "t":
                 _, src, a, dst = inst.conclusion
                 instance_moves[src].append((a, dst))
-        for i, u in enumerate(lts.terms):
+        for i in _states(lts):
+            u = lts.terms[i]
             stored = [(a, lts.terms[j]) for a, j in lts.transitions[i]]
             assert stored == step(u)
             _assert_pure(stored)
@@ -638,3 +664,57 @@ class TestExport:
         a = lts_to_json(build_lts(parse("a.0 \\/ b.0")))
         b = lts_to_json(build_lts(parse("a.0 \\/ b.0")))
         assert a == b
+
+
+def _interleaving(n):
+    return " |[]| ".join(["<X | X = a.(b.X \\/ c.X)>"] * n)
+
+
+class TestLazyUniverse:
+    """Moves are stored for the states only; support-only terms keep their
+    universe id and flag."""
+
+    def test_wide_choice_storage_linear(self):
+        # the 999 nested choices are support-only: only the root stores moves
+        lts = build_lts(parse(" [] ".join(f"x{i}.0" for i in range(1000))))
+        assert sum(map(len, lts.transitions)) <= 2000
+        assert len(_states(lts)) == 2
+        assert len(lts.terms) == 2000
+
+    @pytest.mark.parametrize(
+        "seed, depth", [(23, 4), (37, 3), (7, 5), (3, 5)], ids=["23-4", "37-3", "7-5", "3-5"]
+    )
+    def test_generated_states_and_flags(self, seed, depth):
+        config = GenConfig(seed=seed, max_depth=depth)
+        for trial in range(300):
+            try:
+                lts = build_lts(_gen_term_trial(config, trial))
+            except StateBoundExceeded:
+                continue
+            for i in _states(lts):
+                assert [(a, lts.terms[j]) for a, j in lts.transitions[i]] == step(lts.terms[i])
+            for u in lts.terms:
+                assert all(c in lts.index for c in operands(u))
+                assert not isinstance(u, Rec) or unfold_rec(u) in lts.index
+            flagged = frozenset(i for i, f in enumerate(lts.inconsistent) if f)
+            assert flagged == inconsistent_fixpoint_naive(lts)
+            assert validate_llts(lts).ok
+            assert consistency_law_violations(lts) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [" [] ".join(f"x{i}.0" for i in range(300)), _interleaving(3)],
+        ids=["wide-choice", "interleaving"],
+    )
+    def test_traced_benchmark_reads(self, text):
+        # the reads the traced benchmark makes of every graph an op builds:
+        # the length of every stored entry, and a copy from the five fields
+        # on which the fixpoint, the descendants and the simulation run cold
+        lts = build_combined([parse(text), parse(text)])
+        stored = sum(len(succ) for succ in lts.transitions)
+        assert stored == sum(len(lts.transitions[i]) for i in _states(lts))
+        fresh = Lts(lts.terms, lts.index, lts.roots, lts.transitions, lts.limits)
+        compute_inconsistent(fresh)
+        assert fresh.inconsistent == lts.inconsistent
+        assert fresh.consistent_stable_descendants() == lts.consistent_stable_descendants()
+        assert largest_stable_sim(fresh).pairs == largest_stable_sim(lts).pairs
