@@ -198,6 +198,7 @@ def _dispatch(args) -> int:
             print(semantics.lts_to_dot(lts))
         else:
             ids = lts.state_ids()
+            text = {i: str(lts.terms[i]) for i in ids}  # targets of reachable states are reachable
             print(f"states: {len(ids)} (universe {len(lts.terms)})")
             for i in ids:
                 flags = []
@@ -207,9 +208,9 @@ def _dispatch(args) -> int:
                     flags.append("stable")
                 if lts.inconsistent[i]:
                     flags.append("inconsistent")
-                print(f"  [{i}] {lts.terms[i]} ({', '.join(flags) or '-'})")
+                print(f"  [{i}] {text[i]} ({', '.join(flags) or '-'})")
                 for a, j in lts.transitions[i]:
-                    print(f"      --{a}--> [{j}] {lts.terms[j]}")
+                    print(f"      --{a}--> [{j}] {text[j]}")
         return 0
 
     if args.command == "check":

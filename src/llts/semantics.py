@@ -23,6 +23,16 @@ has its expansion's moves.  So the rules for ``[]``, ``/\\`` and ``|[..]|``
 read whether an operand moves internally off its first move (``_internal``),
 and pass a stable operand's move tuple on whole.  Only the rules rely on the
 lemma: ``Lts`` also holds hand-made graphs, which need not satisfy it.
+
+Choice chains: ``step`` walks a maximal chain of ``[]`` nodes not stepped
+before as one node whose children are the chain's leaves.  By the lemma, a
+node of the chain moves internally exactly when one of its leaves does.  When
+none does, the chain's moves are its leaves' moves joined left to right,
+first occurrences kept, and no nested node gets a move tuple: at each node
+``choice-vis-left`` and ``choice-vis-right`` join the two operands' moves in
+that order, and keeping first occurrences at every level keeps them of the
+whole.  When one does, the table's ``[]`` rule is applied to each node of the
+chain bottom-up, so the internal rules stay written once.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .terms import (
@@ -329,29 +340,69 @@ def _closed_step(
     budget = max_unfold_depth
 
     # A known term is a leaf.  A recursion is charged to the budget and
-    # reads its expansion's moves; a prefix or disjunction reads none.
+    # reads its expansion's moves; a prefix or disjunction reads none.  A
+    # choice is walked as its whole chain, whose head is the chain's nodes.
     def enter(t: Term, _):
         nonlocal budget
         cached = memo.get(t)
         if cached is not None:
             return cached, None, None
+        if type(t) is ExtChoice:
+            return _choice_chain(t, memo)
         if type(t) is Rec:
             if budget <= 0:
                 raise UnfoldDepthExceeded(max_unfold_depth)
             budget -= 1
         return t, (() if type(t) in (Prefix, Disj) else support_children(t)), None
 
-    def leave(t: Term, _) -> tuple[tuple[str, Term], ...]:
-        rules = RULES.get(type(t))
-        if rules is None:
-            raise TypeError(f"not a term: {t!r}")
-        moves: list[tuple[str, Term]] = []
-        for _, _, batch in rules.moves(t, memo.__getitem__):
-            moves += batch
-        out = memo[t] = tuple(dict.fromkeys(moves))  # first occurrences, in order
+    def leave(head, values) -> tuple[tuple[str, Term], ...]:
+        if type(head) is not list:
+            return _apply_rules(head, memo)
+        # a choice chain: ``head`` its nodes, ``values`` its leaves' moves
+        if any(map(_internal, values)):
+            for u in head:
+                _apply_rules(u, memo)
+            return memo[head[-1]]
+        out = memo[head[-1]] = tuple(dict.fromkeys(chain.from_iterable(values)))
         return out
 
     return _walk(t, None, enter, leave)
+
+
+def _apply_rules(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
+    """``t``'s moves by the rule table, its premise sources' moves in
+    ``memo``; stored there."""
+    rules = RULES.get(type(t))
+    if rules is None:
+        raise TypeError(f"not a term: {t!r}")
+    moves: list[tuple[str, Term]] = []
+    for _, _, batch in rules.moves(t, memo.__getitem__):
+        moves += batch
+    out = memo[t] = tuple(dict.fromkeys(moves))  # first occurrences, in order
+    return out
+
+
+def _choice_chain(t: ExtChoice, memo: dict):
+    """The maximal chain of choices below ``t`` not in ``memo``, as a walk
+    step: its distinct nodes bottom-up, then its distinct leaves left to
+    right.  A node or leaf met again adds no move, so it is skipped."""
+    nodes: list[ExtChoice] = []
+    leaves: dict[Term, None] = {}
+    seen = {t}
+    path = [(t, iter((t.left, t.right)))]
+    while path:
+        u, todo = path[-1]
+        for c in todo:
+            if type(c) is not ExtChoice or c in memo:
+                leaves[c] = None
+            elif c not in seen:
+                seen.add(c)
+                path.append((c, iter((c.left, c.right))))
+                break
+        else:
+            path.pop()
+            nodes.append(u)
+    return nodes, list(leaves), None
 
 
 class _Unstored(tuple):

@@ -4,6 +4,7 @@ import pytest
 
 from llts import refinement
 from llts.cli import expand_source, main
+from llts.terms import Term
 
 
 def run(capsys, *argv):
@@ -112,6 +113,14 @@ class TestLts:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "lts", "a.0")
         assert code == 0 and "states: 2" in out
+
+    def test_text_renders_each_state_once(self, capsys, monkeypatch):
+        plain, rendered = Term.__str__, []
+        monkeypatch.setattr(Term, "__str__", lambda t: rendered.append(t) or plain(t))
+        code, out, _ = run(capsys, "lts", " |[]| ".join(["<X | X = a.(b.X \\/ c.X)>"] * 3))
+        states = out.count("\n  [")
+        assert code == 0 and out.count("-->") > states
+        assert len(rendered) == len(set(rendered)) == states
 
     def test_max_states_flag(self, capsys):
         code, _, err = run(

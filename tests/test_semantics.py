@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -9,11 +10,14 @@ from llts.properties import (
     inconsistent_fixpoint_naive,
 )
 from llts.semantics import (
+    DEFAULT_MAX_UNFOLD_DEPTH,
+    RULES,
     BuildLimits,
     UNSTORED,
     Lts,
     StateBoundExceeded,
     UnfoldDepthExceeded,
+    _closed_step,
     build_combined,
     build_lts,
     compute_inconsistent,
@@ -63,6 +67,18 @@ def _states(lts):
     ids = sorted(lts.index[u] for u in seen)
     assert [i for i, succ in enumerate(lts.transitions) if succ is not UNSTORED] == ids
     return ids
+
+
+def _level_by_level(t, memo):
+    """``t``'s moves by the rule table applied to every operator node on its
+    own, its first occurrences kept in rule order: the reference for the
+    order of ``step``'s moves."""
+    if t not in memo:
+        moves = []
+        for _, _, batch in RULES[type(t)].moves(t, lambda u: _level_by_level(u, memo)):
+            moves += batch
+        memo[t] = tuple(dict.fromkeys(moves))
+    return memo[t]
 
 
 def oracle_step(root):
@@ -225,6 +241,48 @@ class TestStep:
     def test_oracle_on_blocking_cases(self, text):
         t = parse(text)
         assert set(step(t)) == oracle_step(t)
+
+    @pytest.mark.parametrize(
+        "seed, depth", [(23, 4), (37, 3), (7, 5), (3, 5)], ids=["23-4", "37-3", "7-5", "3-5"]
+    )
+    def test_order_matches_rules_level_by_level(self, seed, depth):
+        config, memo = GenConfig(seed=seed, max_depth=depth), {}
+        for trial in range(300):
+            todo = [_gen_term_trial(config, trial)]
+            while todo:
+                u = todo.pop()
+                assert step(u) == list(_level_by_level(u, memo))
+                todo += operands(u)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a.0 [] a.0 [] b.0",
+            "tau.a.0 [] b.0 [] tau.c.0",
+            "a.0 [] (b.0 [] (c.0 [] a.0))",
+            "(a.0 [] tau.b.0) [] (c.0 [] (b.0 [] tau.d.0))",
+            "(a.0 [] b.0) [] (c.0 [] (b.0 [] d.0))",
+            "0 [] bot [] a.0 [] 0",
+            "<X | X = a.X [] b.0> [] c.0 [] <Y | Y = tau.(a.Y \\/ d.0)>",
+            "(a.0 [] b.0 [] c.0) /\\ (a.0 [] b.0)",
+            "(a.0 [] b.0) /\\ (a.0 [] b.0 [] c.0)",
+            "(a.0 [] b.0) [] ((a.0 [] b.0) /\\ tau.c.0)",
+            "(a.0 [] b.0) [] ((a.0 [] b.0) /\\ c.0)",
+        ],
+    )
+    def test_order_on_choice_chains(self, text):
+        t = parse(text)
+        assert step(t) == list(_level_by_level(t, {}))
+
+    @pytest.mark.parametrize("first, levels", [("a.0", 40), ("tau.a.0", 8)])
+    def test_order_on_shared_chain_nodes(self, first, levels):
+        # each level is the one below twice over: 2**levels leaves, but
+        # levels + 1 distinct choices (with 2**levels internal moves on top)
+        t = ExtChoice(parse(first), parse("b.0"))
+        for _ in range(levels):
+            t = ExtChoice(t, t)
+        got, expected = step(t), list(_level_by_level(t, {}))  # t's text is 2**levels long
+        assert got == expected
 
     def test_open_term_rejected(self):
         with pytest.raises(ValueError):
@@ -681,6 +739,14 @@ class TestLazyUniverse:
         assert len(_states(lts)) == 2
         assert len(lts.terms) == 2000
 
+    def test_wide_choice_step_memo_linear(self):
+        # a chain without internal moves is stepped as one node: its nested
+        # choices get no memo entry
+        k, memo = 3000, {}
+        t = parse(" [] ".join(f"x{i}.0" for i in range(k)))
+        _closed_step(t, DEFAULT_MAX_UNFOLD_DEPTH, memo)
+        assert sum(map(len, memo.values())) <= 2 * k
+
     @pytest.mark.parametrize(
         "seed, depth", [(23, 4), (37, 3), (7, 5), (3, 5)], ids=["23-4", "37-3", "7-5", "3-5"]
     )
@@ -718,3 +784,26 @@ class TestLazyUniverse:
         assert fresh.inconsistent == lts.inconsistent
         assert fresh.consistent_stable_descendants() == lts.consistent_stable_descendants()
         assert largest_stable_sim(fresh).pairs == largest_stable_sim(lts).pairs
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " [] ".join(f"x{i}.0" for i in range(300)),
+        "(a.b.0 [] c.0 [] tau.d.0) /\\ (a.0 [] c.0)",
+        _interleaving(3),
+    ],
+    ids=["wide-choice", "conjunction", "interleaving"],
+)
+def test_no_cyclic_garbage(text):
+    # reference cycles left by every call are the collector's to find, in
+    # passes whose cost grows with the heap
+    t = parse(text)
+    gc.collect()
+    gc.disable()
+    try:
+        step(t)
+        build_lts(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
