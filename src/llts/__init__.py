@@ -23,6 +23,7 @@ from .semantics import (
     compute_inconsistent,
     lts_to_dot,
     lts_to_json,
+    lts_to_text,
     step,
     validate_llts,
     weak_visible_step,

@@ -192,25 +192,12 @@ def _dispatch(args) -> int:
     if args.command == "lts":
         term = syntax.parse(args.term)
         lts = semantics.build_lts(term, _limits(args))
-        if args.format == "json":
-            print(semantics.lts_to_json(lts))
-        elif args.format == "dot":
-            print(semantics.lts_to_dot(lts))
-        else:
-            ids = lts.state_ids()
-            text = {i: str(lts.terms[i]) for i in ids}  # targets of reachable states are reachable
-            print(f"states: {len(ids)} (universe {len(lts.terms)})")
-            for i in ids:
-                flags = []
-                if i == lts.root:
-                    flags.append("root")
-                if lts.stable[i]:
-                    flags.append("stable")
-                if lts.inconsistent[i]:
-                    flags.append("inconsistent")
-                print(f"  [{i}] {text[i]} ({', '.join(flags) or '-'})")
-                for a, j in lts.transitions[i]:
-                    print(f"      --{a}--> [{j}] {text[j]}")
+        export = {
+            "text": semantics.lts_to_text,
+            "json": semantics.lts_to_json,
+            "dot": semantics.lts_to_dot,
+        }
+        print(export[args.format](lts))
         return 0
 
     if args.command == "check":

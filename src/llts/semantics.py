@@ -862,16 +862,12 @@ def _literal_rank(lit: tuple):
     return rank_transition(lit[1])
 
 
-def stratification_violations(
-    lts: Lts, skip_rules: tuple[str, ...] = ()
-) -> list[tuple[RuleInstance, tuple, str]]:
+def stratification_violations(lts: Lts) -> list[tuple[RuleInstance, tuple, str]]:
     """Rank-discipline violations over the used rule instances: positive
     premises must not rank above their conclusion, and the sources of negated
     transition premises must rank strictly below it."""
     out = []
     for inst in used_rule_instances(lts):
-        if inst.rule in skip_rules:
-            continue
         bound = _literal_rank(inst.conclusion)
         for prem in inst.positive:
             if not _literal_rank(prem) <= bound:
@@ -886,10 +882,31 @@ def stratification_violations(
 # exports
 
 
+def _numbering(lts: Lts) -> tuple[list[int], dict[int, int]]:
+    """The reachable states' universe ids, and the map from each to its
+    place among them: the state numbers every export prints."""
+    ids = lts.state_ids()
+    return ids, {old: new for new, old in enumerate(ids)}
+
+
+def lts_to_text(lts: Lts) -> str:
+    """Reachable fragment as text: each state with its flags, then its moves.
+    Each state's term is rendered once."""
+    ids, remap = _numbering(lts)
+    text = {i: str(lts.terms[i]) for i in ids}  # targets of reachable states are reachable
+    lines = [f"states: {len(ids)} (universe {len(lts.terms)})"]
+    for i in ids:
+        marks = (("root", i == lts.root), ("stable", lts.stable[i]),
+                 ("inconsistent", lts.inconsistent[i]))
+        flags = ", ".join(flag for flag, on in marks if on) or "-"
+        lines.append(f"  [{remap[i]}] {text[i]} ({flags})")
+        lines += (f"      --{a}--> [{remap[j]}] {text[j]}" for a, j in lts.transitions[i])
+    return "\n".join(lines)
+
+
 def lts_to_json(lts: Lts) -> str:
     """Reachable fragment as JSON; the internal action is labelled "tau"."""
-    ids = lts.state_ids()
-    remap = {old: new for new, old in enumerate(ids)}
+    ids, remap = _numbering(lts)
     states = [
         {
             "id": remap[i],
@@ -913,8 +930,7 @@ def lts_to_json(lts: Lts) -> str:
 def lts_to_dot(lts: Lts) -> str:
     """Reachable fragment in DOT: inconsistent states are double-circled and
     internal moves dashed."""
-    ids = lts.state_ids()
-    remap = {old: new for new, old in enumerate(ids)}
+    ids, remap = _numbering(lts)
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=circle];"]
     for i in ids:
         shape = "doublecircle" if lts.inconsistent[i] else "circle"

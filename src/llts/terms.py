@@ -520,35 +520,35 @@ def _plus_rec(t: Term, counts: list[int]) -> int:
 def _unguarded_operands(t: Term, _):
     if isinstance(t, (Prefix, Disj)):
         return 0, None, None
+    if isinstance(t, Rec):
+        return t, (t.spec.body(t.var),), None
     return t, operands(t), None
 
 
 def unguarded_rec_count(t: Term) -> int:
-    """Number of recursion operators not protected by a prefix or disjunction."""
+    """Number of recursion operators not protected by a prefix or disjunction,
+    counting through each recursion's body: u(<X | E>) = 1 + u(E_X), and a
+    variable counts 0.  Bodies are finite and not plugged, so the walk ends."""
     return _walk(t, None, _unguarded_operands, _plus_rec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class StratRank:
     """Rank of a derivation literal.
 
     Transition literals rank as the pair (unguarded recursion count, degree)
     of their source term, compared lexicographically; inconsistency literals
-    rank above every pair.
+    rank above every pair.  This stratifies every rule.  Guardedness puts each
+    bound variable under a prefix or a disjunction, so at ``rec-unfold``
+    u(unfold_rec(t)) = u(E_X) < u(t); every other rule's premise sources are
+    operands, where u is monotone and the degree strictly smaller.  The
+    published count, which stops at a recursion, fails at ``rec-unfold`` once
+    an equation body holds an unguarded recursion.
     """
 
     top: bool
     guard_count: int = 0
     size: int = 0
-
-    def _key(self) -> tuple[int, int, int]:
-        return (1, 0, 0) if self.top else (0, self.guard_count, self.size)
-
-    def __lt__(self, other: "StratRank") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "StratRank") -> bool:
-        return self._key() <= other._key()
 
 
 def rank_transition(source: Term) -> StratRank:

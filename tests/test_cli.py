@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -121,6 +122,16 @@ class TestLts:
         states = out.count("\n  [")
         assert code == 0 and out.count("-->") > states
         assert len(rendered) == len(set(rendered)) == states
+
+    def test_text_numbers_states_as_json(self, capsys):
+        # the universe holds terms no state reaches, so raw ids would differ
+        term = "<X | X = <Y | Y = a.Y> [] b.0>"
+        _, out, _ = run(capsys, "lts", term)
+        _, doc, _ = run(capsys, "lts", term, "--format", "json")
+        numbered = re.findall(r"^  \[(\d+)\] (.*) \(", out, re.M)
+        states = json.loads(doc)["states"]
+        assert numbered == [(str(s["id"]), s["term"]) for s in states]
+        assert "(universe 6)" in out
 
     def test_max_states_flag(self, capsys):
         code, _, err = run(

@@ -216,6 +216,18 @@ class TestChecks:
         assert [r.theorem for r in reports] == ["f-laws", "coincidence"]
         assert all(r.passed and not r.skipped for r in reports)
 
+    def test_committed_regression_baseline(self):
+        from pathlib import Path
+
+        from llts.properties import load_baseline, run_baseline
+
+        path = Path(__file__).parents[1] / "baselines" / "regression.json"
+        entries = load_baseline(str(path))
+        reports = run_baseline(entries)
+        assert [r.theorem for r in reports] == [theorem for theorem, _, _ in entries]
+        for report in reports:
+            assert not report.failures and not report.skipped, report.summary()
+
     def test_baseline_rejects_unknown_theorem(self, tmp_path):
         import json
 

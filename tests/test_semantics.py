@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from llts import terms
 from llts.properties import (
     GenConfig,
     _gen_term_trial,
@@ -559,32 +560,54 @@ class TestCompositionalLaws:
         assert consistency_law_violations(lts) == []
 
 
+def _published_unguarded_rec_count(t):
+    """The published count: recursions not under a prefix or a disjunction,
+    each counting 1 without a look into its body."""
+    if isinstance(t, (Prefix, Disj)):
+        return 0
+    return isinstance(t, Rec) + sum(map(_published_unguarded_rec_count, operands(t)))
+
+
 class TestStratification:
     def test_clean_everywhere_without_nested_recursion(self):
         for text in ["a.0", "<X | X = a.X>", "tau.a.0 [] b.0", "a.0 /\\ b.0", "<X | X = tau.X>"]:
             lts = build_lts(parse(text))
             assert stratification_violations(lts) == []
 
-    def test_published_rank_fails_at_nested_recursion(self):
-        # The pair rank is not a stratification at the recursion-expansion
-        # rule once an equation body holds another unguarded recursion; the
-        # negated-premise conditions still hold, so
-        # properties.check_stratification checks that rule for them only.
+    def test_published_rank_fails_at_nested_recursion(self, monkeypatch):
+        # The published pair rank is not a stratification at the
+        # recursion-expansion rule once an equation body holds another
+        # unguarded recursion; the count through bodies is.
         lts = build_lts(parse("<X | X = <Y | Y = a.Y> [] b.0>"))
-        bad = stratification_violations(lts)
+        with monkeypatch.context() as m:
+            m.setattr(terms, "unguarded_rec_count", _published_unguarded_rec_count)
+            bad = stratification_violations(lts)
         assert bad and all(inst.rule == "rec-unfold" for inst, _, _ in bad)
         assert all(kind == "positive-premise-above-conclusion" for _, _, kind in bad)
-        assert stratification_violations(lts, skip_rules=("rec-unfold",)) == []
+        assert stratification_violations(lts) == []
 
     @pytest.mark.parametrize("seed", range(30))
     def test_negated_premises_always_below(self, seed):
+        # and positive premises never above, at every rule
         t = _gen_term_trial(CFG, seed)
         try:
             lts = build_lts(t)
         except StateBoundExceeded:
             return
-        bad = stratification_violations(lts, skip_rules=("rec-unfold",))
-        assert bad == []
+        assert stratification_violations(lts) == []
+
+    @pytest.mark.parametrize("seed, depth", [(23, 4), (7, 5), (3, 5)])
+    def test_sweep_stratified_where_published_rank_fails(self, seed, depth, monkeypatch):
+        # the first 300 trials of each generator hold graphs (2, 4 and 7)
+        # where the published count breaks the rank discipline
+        config, published_bad = GenConfig(seed=seed, max_depth=depth), 0
+        for k in range(300):
+            lts = build_lts(_gen_term_trial(config, k))
+            assert stratification_violations(lts) == [], k
+            with monkeypatch.context() as m:
+                m.setattr(terms, "unguarded_rec_count", _published_unguarded_rec_count)
+                published_bad += bool(stratification_violations(lts))
+        assert published_bad
 
 
 class TestRuleTable:

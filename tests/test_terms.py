@@ -262,6 +262,16 @@ class TestMeasures:
         rec2 = Rec("Y", {"Y": Prefix("b", Var("Y"))})
         assert unguarded_rec_count(ExtChoice(rec1, rec2)) == 2
 
+    def test_rec_count_through_bodies(self):
+        # u(<X | E>) = 1 + u(E_X): the body's unguarded recursions count,
+        # its guarded ones and its variables do not
+        inner = Rec("Y", {"Y": Prefix("a", Var("Y"))})
+        assert unguarded_rec_count(Rec("X", {"X": ExtChoice(inner, Prefix("b", Nil()))})) == 2
+        assert unguarded_rec_count(Rec("X", {"X": Prefix("a", inner)})) == 1
+        both = Rec("X", {"X": Conj(Prefix("b", Var("Z")), inner), "Z": ExtChoice(inner, inner)})
+        assert unguarded_rec_count(both) == 2
+        assert unguarded_rec_count(Rec("Z", both.spec)) == 3
+
     def test_rank_examples(self):
         assert rank_transition(Prefix("a", Nil())) == StratRank(False, 0, 2)
         rec = Rec("X", {"X": Prefix("a", Var("X"))})
@@ -731,7 +741,8 @@ DEEP_CHECKS = {
     "variable_status": _variable_status,
     # per five levels: choice 2, conjunction 3, parallel 2, prefix 1, disjunction 2
     "degree": lambda: degree(_deep(Nil())) == 2 * DEEP + 1,
-    "unguarded_rec_count": lambda: unguarded_rec_count(_deep(LOOP, guarded=False)) == 1,
+    "unguarded_rec_count": lambda: unguarded_rec_count(_deep(LOOP, guarded=False)) == 1
+    and unguarded_rec_count(Rec("Y", {"Y": _deep(LOOP, guarded=False)})) == 2,
     "folding_number": _folding_number,
     "repr": _repr,
     "parse_parentheses": lambda: parse("(" * DEEP + "0" + ")" * DEEP) is Nil(),
