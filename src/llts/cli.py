@@ -265,9 +265,9 @@ def _dispatch(args) -> int:
                 print(properties.report_to_json(report))
             else:
                 print(report.summary())
-                for inputs, observed, expected in report.failures[:5]:
-                    print(f"  failure: inputs={list(inputs)}")
-                    print(f"           observed={observed} expected={expected}")
+                for f in report.failures[:5]:
+                    print(f"  failure: seed={f.seed} trial={f.trial} inputs={list(f.inputs)}")
+                    print(f"           observed={f.observed} expected={f.expected}")
                 for note in report.notes:
                     print(f"  note: {note}")
             failed = failed or not report.passed

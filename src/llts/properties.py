@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import product
+from typing import NamedTuple
 
 from .refinement import alt_refines, equivalent, largest_stable_sim, refines
 from .semantics import (
     BuildLimits,
     Lts,
     StateBoundExceeded,
+    UnfoldDepthExceeded,
+    _closed_step,
     build_combined,
     build_lts,
     consistency_law_violations,
@@ -44,6 +48,7 @@ from .terms import (
     free_vars,
     is_multi_unfolding,
     normalize,
+    operands,
     rec_specs,
     substitute,
     unfold_one,
@@ -63,11 +68,22 @@ class GenConfig:
     rec_probability: float = 0.2
 
 
+class Failure(NamedTuple):
+    """A failed trial: its inputs, printed, what was observed and what was
+    expected, and the seed and trial index it was found at."""
+
+    inputs: tuple[str, ...]
+    observed: object
+    expected: object
+    seed: int | None
+    trial: int | None
+
+
 @dataclass
 class TheoremReport:
     theorem: str
     trials: int = 0
-    failures: list = field(default_factory=list)  # (inputs, observed, expected)
+    failures: list[Failure] = field(default_factory=list)
     skipped: list = field(default_factory=list)  # (trial, reason)
     notes: list = field(default_factory=list)
 
@@ -76,7 +92,7 @@ class TheoremReport:
         return not self.failures
 
     def fail(self, inputs, observed, expected) -> None:
-        self.failures.append((tuple(str(t) for t in inputs), observed, expected))
+        self.failures.append(Failure(tuple(str(t) for t in inputs), observed, expected, None, None))
 
     def skip(self, trial: int, reason: str) -> None:
         self.skipped.append((trial, reason))
@@ -95,8 +111,14 @@ def report_to_json(report: TheoremReport) -> str:
             "theorem": report.theorem,
             "trials": report.trials,
             "failures": [
-                {"inputs": list(i), "observed": str(o), "expected": str(e)}
-                for i, o, e in report.failures
+                {
+                    "inputs": list(f.inputs),
+                    "observed": str(f.observed),
+                    "expected": str(f.expected),
+                    "seed": f.seed,
+                    "trial": f.trial,
+                }
+                for f in report.failures
             ],
             "skipped": [{"trial": t, "reason": r} for t, r in report.skipped],
             "notes": [str(n) for n in report.notes],
@@ -226,30 +248,190 @@ class _Gen:
 
 
 _PROBE_LIMITS = BuildLimits(max_states=800, max_unfold_depth=200)
+_GROWTH_STATES = 20  # the states the growth check explores at most
+_STATIC = (ExtChoice, Conj, Parallel)  # the operators an internal move lifts through
 
 
-def _fits(t: Term) -> bool:
-    """Whether the graph of ``t`` builds within the small probe bound."""
-    try:
-        build_lts(t, _PROBE_LIMITS)
-    except StateBoundExceeded:
+def _grows_unboundedly(t: Term) -> bool:
+    """Whether the first ``_GROWTH_STATES`` states of ``t``'s graph, explored
+    breadth first, prove the graph infinite: a pumping argument in the style
+    of Karp and Miller ("Parallel program schemata", JCSS 1969) and of
+    Finkel and Schnoebelen ("Well-structured transition systems
+    everywhere!", TCS 2001).  False means no answer, never "finite".
+
+    The pattern.  A new state ``u``, larger than its parent, has an ancestor
+    ``v`` on its parent chain, and ``w`` is the actions from ``v`` to ``u``.
+    The common context E descends from ``(v, u)`` through ``[]``, ``/\\``
+    and ``|[S]|`` nodes while the operator and the sync set agree and exactly
+    one operand differs; it ends at ``s0`` in ``v`` and ``s1 != s0`` in
+    ``u``.  Growth: (i) ``s1 = C[s0]`` for a proper context C whose hole sits
+    under operands of ``[]``, ``/\\`` and ``|[S]|`` only, or (ii) ``s1`` is
+    a tree of ``/\\`` whose leaves are all ``s0``.  Lifting: ``w`` is all
+    ``tau``, or every node on E's path (and on C's, in case (i)) is a
+    ``|[S]|`` whose S holds no action of ``w`` and whose other operand has no
+    internal move.
+
+    Why it is sound.  Internal moves lift through any operand of ``[]``,
+    ``/\\`` or ``|[S]|``: the ``*-int-*`` rules have positive premises only.
+    Under the lifting condition, each move of the path from ``E[s0]`` to
+    ``E[s1]`` moves one operand of each E node (``par-sync`` needs an action
+    of S), so the moves of the hole's side form a path ``s0 --w'--> s1``
+    with ``w'`` a subsequence of ``w``.  A visible move lifts through
+    ``|[S]|`` when S lacks its action and the other operand has no internal
+    move (``par-vis-*``), so in case (i) ``C^n[s0] --w'--> C^(n+1)[s0]``.
+    In case (ii) copies of one term under ``/\\`` replay ``w'`` in lockstep:
+    each copy's internal moves one at a time (``conj-int-*``), and each
+    visible move at once (``conj-sync``), every conjunct then having visible
+    moves only by the purity lemma.  Lifting ``w'`` back through E, every
+    ``E[C^n[s0]]``, or in case (ii) E over the n-fold nesting of the tree,
+    is reachable from ``v``; sizes grow strictly, so these are distinct.  The
+    bounded build therefore cannot finish: it exceeds the probe bound, or
+    exceeds its unfold budget first, as the unbounded candidate it is.
+
+    An ``UnfoldDepthExceeded`` while stepping means no answer.  Sizes count
+    every node of the tree (a recursion as one) but are computed over the
+    distinct nodes, and so are the searches, so doubling terms such as
+    ``R /\\ R`` cost linear time.
+    """
+    memo: dict = {}
+    sizes: dict[Term, int] = {}
+
+    def moves(u: Term):
+        return _closed_step(u, _PROBE_LIMITS.max_unfold_depth, memo)
+
+    def size_enter(u: Term, _):
+        known = sizes.get(u)
+        if known is not None:
+            return known, None, None
+        return u, operands(u), None
+
+    def size_leave(u: Term, parts: list[int]) -> int:
+        sizes[u] = n = 1 + sum(parts)
+        return n
+
+    def size(u: Term) -> int:
+        return _walk(u, None, size_enter, size_leave)
+
+    def lifts(node: Term, other: Term, visible: set[str]) -> bool:
+        """A path with these visible actions lifts through ``node``'s operand
+        beside ``other``."""
+        if not visible:
+            return type(node) in _STATIC
+        return (
+            type(node) is Parallel
+            and not node.sync & visible
+            and not any(a == TAU for a, _ in moves(other))
+        )
+
+    def contains(s1: Term, s0: Term, visible: set[str]) -> bool:
+        """Case (i): ``s0`` sits in ``s1`` under liftable operands only."""
+        floor, seen, todo = size(s0), {s1}, [s1]
+        while todo:
+            n = todo.pop()
+            if type(n) not in _STATIC:
+                continue
+            for c, other in ((n.left, n.right), (n.right, n.left)):
+                if not lifts(n, other, visible):
+                    continue
+                if c is s0:
+                    return True
+                if c not in seen and size(c) > floor:
+                    seen.add(c)
+                    todo.append(c)
         return False
-    return True
+
+    def conj_tree(s1: Term, s0: Term) -> bool:
+        """Case (ii): ``s1`` is a tree of conjunctions over copies of ``s0``."""
+        seen, todo = set(), [s1]
+        while todo:
+            n = todo.pop()
+            if n is s0 or n in seen:
+                continue
+            if type(n) is not Conj:
+                return False
+            seen.add(n)
+            todo += (n.left, n.right)
+        return True
+
+    def pumps(v: Term, u: Term, visible: set[str]) -> bool:
+        """The pattern, for the path from ``v`` to ``u`` with these visible
+        actions."""
+        x, y, path = v, u, []
+        while type(x) is type(y) and type(x) in _STATIC and (
+            type(x) is not Parallel or x.sync == y.sync
+        ):
+            if x.left is y.left and x.right is not y.right:
+                path.append((x, x.left))
+                x, y = x.right, y.right
+            elif x.right is y.right and x.left is not y.left:
+                path.append((x, x.right))
+                x, y = x.left, y.left
+            else:
+                break
+        if size(y) <= size(x) or not all(lifts(n, o, visible) for n, o in path):
+            return False
+        return contains(y, x, visible) or conj_tree(y, x)
+
+    parent: dict[Term, tuple[Term, str] | None] = {t: None}
+    todo = deque([t])
+    try:
+        while todo:
+            p = todo.popleft()
+            for a, u in moves(p):
+                if u in parent:
+                    continue
+                parent[u] = (p, a)
+                if size(u) > size(p):
+                    v, visible = u, set()
+                    while parent[v] is not None:
+                        v, b = parent[v]
+                        if b != TAU:
+                            visible.add(b)
+                        if pumps(v, u, visible):
+                            return True
+                if len(parent) >= _GROWTH_STATES:
+                    return False
+                todo.append(u)
+    except UnfoldDepthExceeded:
+        pass
+    return False
 
 
-def _probed(gen: _Gen, depth: int) -> Term:
-    """Emit the first candidate whose graph fits the probe bound; unbounded
-    state spaces are resampled deterministically."""
+def _fits(t: Term) -> Lts | None:
+    """The graph of ``t`` if it builds within the small probe bound, else
+    None.  The growth check rejects first what it proves unbounded; the
+    bounded build decides the rest.  A build the bounds did not cut short is
+    the default build, so the graph is handed on with the default limits and
+    answers every question as ``build_lts(t)`` would."""
+    if _grows_unboundedly(t):
+        return None
+    try:
+        lts = build_lts(t, _PROBE_LIMITS)
+    except StateBoundExceeded:
+        return None
+    lts.limits = BuildLimits()
+    return lts
+
+
+def _probed(gen: _Gen, depth: int) -> tuple[Term, Lts]:
+    """The first candidate whose graph fits the probe bound, with that graph;
+    unbounded state spaces are resampled deterministically."""
     for _ in range(20):
         candidate = normalize(gen.term(depth, {}, _Path()))
-        if _fits(candidate):
-            return candidate
-    return Prefix(ALPHABET[0], Nil())
+        lts = _fits(candidate)
+        if lts is not None:
+            return candidate, lts
+    fallback = Prefix(ALPHABET[0], Nil())
+    return fallback, _fits(fallback)
+
+
+def _probed_trial(config: GenConfig, trial: int, depth: int) -> tuple[Term, Lts]:
+    """The trial's generated term, with its graph as ``build_lts`` builds it."""
+    return _probed(_Gen(_trial_rng(config, trial), config), depth)
 
 
 def _gen_term_trial(config: GenConfig, trial: int, depth: int | None = None) -> Term:
-    gen = _Gen(_trial_rng(config, trial), config)
-    return _probed(gen, depth or config.max_depth)
+    return _probed_trial(config, trial, depth or config.max_depth)[0]
 
 
 def gen_context(config: GenConfig, trial: int) -> Term:
@@ -267,6 +449,14 @@ def gen_equation_body(
     """A body for a single-variable equation; occurrences of ``var`` sit under
     a visible prefix and (unless ``conj_scope``) outside every conjunction.
     The resulting recursion is probed to build within a small bound."""
+    return _probed_equation(config, trial, var, conj_scope)[0]
+
+
+def _probed_equation(
+    config: GenConfig, trial: int, var: str, conj_scope: bool
+) -> tuple[Term, Lts]:
+    """``gen_equation_body``'s body, with its recursion's graph as
+    ``build_lts`` builds it."""
     gen = _Gen(_trial_rng(config, trial), config)
     req = "guarded" if conj_scope else "strong-no-conj"
     for _ in range(20):
@@ -274,9 +464,11 @@ def gen_equation_body(
         if var not in free_vars(body):
             graft = Prefix(gen.rng.choice(ALPHABET), Var(var))
             body = Conj(body, graft) if conj_scope else ExtChoice(body, graft)
-        if _fits(normalize(Rec(var, RecSpec({var: body})))):
-            return body
-    return Prefix(ALPHABET[0], Var(var))
+        lts = _fits(normalize(Rec(var, RecSpec({var: body}))))
+        if lts is not None:
+            return body, lts
+    body = Prefix(ALPHABET[0], Var(var))
+    return body, _fits(normalize(Rec(var, RecSpec({var: body}))))
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +626,23 @@ def enumerate_stable_sim_pairs(lts: Lts, max_subsets: int = 4096):
 # theorem checks
 
 
-def _run(theorem: str, trials: int, trial) -> TheoremReport:
+def _run(theorem: str, seed: int | None, trials: int, trial) -> TheoremReport:
     """Run ``trial(report, k)`` for each trial index ``k``.  A trial whose
     graph exceeds the state bound is skipped as ``(k, "state-bound")``,
-    keeping any failure it recorded before the build that raised."""
+    keeping any failure it recorded before the build that raised.  Each
+    failure a trial records is marked with ``seed`` and ``k``: the check run
+    at that seed with the same trial count records it again at trial ``k``."""
     report = TheoremReport(theorem)
     for k in range(trials):
         report.trials += 1
+        first = len(report.failures)
         try:
             trial(report, k)
         except StateBoundExceeded:
             report.skip(k, "state-bound")
+        report.failures[first:] = [
+            f._replace(seed=seed, trial=k) for f in report.failures[first:]
+        ]
     return report
 
 
@@ -455,8 +653,7 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
     inconsistency laws.  Failures carry the term greedily shrunk."""
 
     def trial(report: TheoremReport, k: int) -> None:
-        t = _gen_term_trial(config, k)
-        lts = build_lts(t)
+        t, lts = _probed_trial(config, k, config.max_depth)
         v = validate_llts(lts)
         if not v.ok:
             report.fail([t], v.counterexamples[:3], "all model validators hold")
@@ -474,7 +671,7 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
             small = shrink_term(t, still_fails)
             report.fail([small], bad[:3], "compositional inconsistency laws hold")
 
-    return _run("model-laws", trials, trial)
+    return _run("model-laws", config.seed, trials, trial)
 
 
 def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
@@ -506,16 +703,13 @@ def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
         ) and not lts.inconsistent[lts.roots[0]]:
             report.fail([Conj(p, q)], False, True)
         # a recursion and its expansion agree
-        var = "RF"
-        body = gen_equation_body(config, 3 * trials + k, var)
-        rec = normalize(Rec(var, RecSpec({var: body})))
-        lts = build_lts(rec)
+        lts = _probed_equation(config, 3 * trials + k, "RF", False)[1]
         shapes = lts.shapes()
         i = lts.roots[0]
         if lts.inconsistent[i] != lts.inconsistent[shapes[i][1]]:
-            report.fail([rec], lts.inconsistent[i], lts.inconsistent[shapes[i][1]])
+            report.fail([lts.terms[i]], lts.inconsistent[i], lts.inconsistent[shapes[i][1]])
 
-    return _run("f-laws", trials, trial)
+    return _run("f-laws", config.seed, trials, trial)
 
 
 def check_unfolding_equiv(config: GenConfig, trials: int = 150) -> TheoremReport:
@@ -544,7 +738,7 @@ def check_unfolding_equiv(config: GenConfig, trials: int = 150) -> TheoremReport
                     report.fail([t, s], f"unmatched {a} move", "backward matching")
                     break
 
-    return _run("unfolding", trials, trial)
+    return _run("unfolding", config.seed, trials, trial)
 
 
 def check_coincidence(config: GenConfig, trials: int = 100) -> TheoremReport:
@@ -558,7 +752,7 @@ def check_coincidence(config: GenConfig, trials: int = 100) -> TheoremReport:
         if direct != alternative:
             report.fail([p, q], f"direct={direct}", f"alternative={alternative}")
 
-    return _run("coincidence", trials, trial)
+    return _run("coincidence", config.seed, trials, trial)
 
 
 def _true_pairs(config: GenConfig, trial: int) -> list[tuple[Term, Term]]:
@@ -609,7 +803,7 @@ def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
                 "context preserves refinement",
             )
 
-    return _run("precongruence", trials, trial)
+    return _run("precongruence", config.seed, trials, trial)
 
 
 def check_operator_closure(config: GenConfig, trials: int = 60) -> TheoremReport:
@@ -634,7 +828,7 @@ def check_operator_closure(config: GenConfig, trials: int = 60) -> TheoremReport
             if not refines(lhs, rhs).holds:
                 report.fail([lhs, rhs], f"{name} not preserved", "closure holds")
 
-    return _run("operator-closure", trials, trial)
+    return _run("operator-closure", config.seed, trials, trial)
 
 
 def check_conjunction_laws(config: GenConfig, trials: int = 80) -> TheoremReport:
@@ -661,7 +855,7 @@ def check_conjunction_laws(config: GenConfig, trials: int = 80) -> TheoremReport
                 if not lts.stable[ic] or (ib, ic) not in rel:
                     report.fail([base, conj], "not simulated", "conjunction simulates")
 
-    report = _run("conjunction", trials, trial)
+    report = _run("conjunction", config.seed, trials, trial)
     report.notes.append(f"non-vacuous instances: {applied}")
     return report
 
@@ -732,7 +926,7 @@ def check_unique_solution(
         if rec_consistent and not fixed_point:
             record([rec], "no solution found", "recursion itself solves the equation")
 
-    return _run("unique-solution", 1, trial)
+    return _run("unique-solution", None, 1, trial)
 
 
 def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport:
@@ -745,7 +939,7 @@ def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport
         report.failures.extend(sub.failures)
         report.skipped.extend((k, reason) for _, reason in sub.skipped)
 
-    report = _run("unique-solution", trials, trial)
+    report = _run("unique-solution", config.seed, trials, trial)
     for k in range(max(1, trials // 8)):
         body = gen_equation_body(config, 50_000 + k, var, conj_scope=True)
         sub = check_unique_solution(body, var)
@@ -779,7 +973,7 @@ def check_preorder(config: GenConfig, trials: int = 80) -> TheoremReport:
             if not refines(q, s).holds:
                 report.fail([q, r, s], "not transitive", "transitivity")
 
-    report = _run("preorder", trials, trial)
+    report = _run("preorder", config.seed, trials, trial)
     report.notes.append(f"non-vacuous transitivity instances: {transitive_hits}")
     return report
 
@@ -810,7 +1004,9 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
                 i for i, f in enumerate(lts.inconsistent) if f
             )
             if naive != worklist:
-                report.fail([p, q], sorted(naive), sorted(worklist))
+                report.failures.append(
+                    Failure((str(p), str(q)), sorted(naive), sorted(worklist), config.seed, k)
+                )
         n_stable = sum(lts.stable)
         if sims < trials and n_stable <= 4:
             enumerated = enumerate_stable_sim_pairs(lts)
@@ -820,7 +1016,9 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
             report.trials += 1
             iterative = largest_stable_sim(lts).pairs
             if enumerated != iterative:
-                report.fail([p, q], sorted(enumerated), sorted(iterative))
+                report.failures.append(
+                    Failure((str(p), str(q)), sorted(enumerated), sorted(iterative), config.seed, k)
+                )
     if sims < trials or kleenes < trials:
         report.skip(k, f"instances found: sims={sims} kleene={kleenes}")
     return report
@@ -830,13 +1028,13 @@ def check_stratification(config: GenConfig, trials: int = 100) -> TheoremReport:
     """The rank discipline holds on every rule instance of generated graphs."""
 
     def trial(report: TheoremReport, k: int) -> None:
-        t = _gen_term_trial(config, k)
-        bad = stratification_violations(build_lts(t))
+        t, lts = _probed_trial(config, k, config.max_depth)
+        bad = stratification_violations(lts)
         if bad:
             inst, _, kind = bad[0]
             report.fail([t], f"{inst.rule}: {kind}", "rank discipline holds")
 
-    return _run("stratification", trials, trial)
+    return _run("stratification", config.seed, trials, trial)
 
 
 ALL_CHECKS = {

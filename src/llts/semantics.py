@@ -856,24 +856,30 @@ def used_rule_instances(lts: Lts) -> list[RuleInstance]:
     return out
 
 
-def _literal_rank(lit: tuple):
-    if lit[0] == "f":
-        return rank_inconsistent()
-    return rank_transition(lit[1])
-
-
 def stratification_violations(lts: Lts) -> list[tuple[RuleInstance, tuple, str]]:
     """Rank-discipline violations over the used rule instances: positive
     premises must not rank above their conclusion, and the sources of negated
-    transition premises must rank strictly below it."""
+    transition premises must rank strictly below it.  Each source term is
+    ranked once."""
+    ranks: dict = {}  # source term -> its rank_transition
+
+    def rank(lit: tuple):
+        if lit[0] == "f":
+            return rank_inconsistent()
+        source = lit[1]
+        r = ranks.get(source)
+        if r is None:
+            r = ranks[source] = rank_transition(source)
+        return r
+
     out = []
     for inst in used_rule_instances(lts):
-        bound = _literal_rank(inst.conclusion)
+        bound = rank(inst.conclusion)
         for prem in inst.positive:
-            if not _literal_rank(prem) <= bound:
+            if not rank(prem) <= bound:
                 out.append((inst, prem, "positive-premise-above-conclusion"))
         for prem in inst.negative:
-            if not rank_transition(prem[1]) < bound:
+            if not rank(prem) < bound:
                 out.append((inst, prem, "negated-premise-not-below-conclusion"))
     return out
 

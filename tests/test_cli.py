@@ -281,6 +281,15 @@ class TestProps:
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(["coincidence", 1, trials]) in err
 
+    def test_failure_line_names_seed_and_trial(self, capsys, monkeypatch):
+        from llts import properties
+
+        real = properties.alt_refines
+        monkeypatch.setattr(properties, "alt_refines", lambda p, q: not real(p, q))
+        code, out, _ = run(capsys, "props", "--seed", "11", "--trials", "2", "--only", "coincidence")
+        assert code == 1
+        assert "  failure: seed=11 trial=0 inputs=[" in out
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys,

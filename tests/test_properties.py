@@ -25,7 +25,7 @@ from llts.properties import (
     report_to_json,
     shrink_term,
 )
-from llts.semantics import StateBoundExceeded, build_lts
+from llts.semantics import BuildLimits, StateBoundExceeded, build_lts
 from llts.syntax import parse, print_term
 from llts.terms import (
     Conj,
@@ -35,6 +35,7 @@ from llts.terms import (
     degree,
     first_guard_violation,
     free_vars,
+    normalize,
     rec_specs,
     unfold_one,
     variable_status,
@@ -107,6 +108,66 @@ class TestGenerator:
                     texts.append(repr(gen_equation_body(cfg, k, "RX", conj_scope=True)))
         digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
         assert digest == "9c5a036aa24885c4f0321cd5eda22f0b7e68425992a61a375bf3ece64f3eb776"
+
+
+class TestGrowthCheck:
+    """The probe's growth check flags only candidates the bounded build
+    rejects, and most of them."""
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "<X | X = tau.(X [] 0)>",
+            "<X | X = a.(X /\\ X)>",
+            "0 [] <X | X = X /\\ X \\/ X>",  # growth below a common context
+            "<X | X = a.(X |[]| b.0)>",
+        ],
+    )
+    def test_flagged(self, src):
+        t = parse(src)
+        assert properties._grows_unboundedly(t)
+        with pytest.raises(StateBoundExceeded):
+            build_lts(t, properties._PROBE_LIMITS)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "<X | X = a.(X [] b.0)>",  # a visible move under [] drops the context
+            "<X | X = b.(X \\/ X)>",
+            "<X | X = a.(X |[a]| a.0)>",  # an action in the sync set
+        ],
+    )
+    def test_not_flagged(self, src):
+        t = parse(src)
+        assert not properties._grows_unboundedly(t)
+        build_lts(t)
+
+    def test_sweep_flags_only_unbounded_candidates(self):
+        rejected = flagged = 0
+        for seed in range(30):
+            for depth in (3, 4, 5):
+                config = GenConfig(seed=seed, max_depth=depth)
+                gen = properties._Gen(properties._trial_rng(config, 0), config)
+                for _ in range(20):
+                    t = normalize(gen.term(depth, {}, properties._Path()))
+                    grows = properties._grows_unboundedly(t)
+                    try:
+                        build_lts(t, properties._PROBE_LIMITS)
+                    except StateBoundExceeded:
+                        rejected += 1
+                        flagged += grows
+                        continue
+                    assert not grows, print_term(t)
+        assert rejected and flagged >= 0.8 * rejected, (flagged, rejected)
+
+    def test_probe_graph_is_the_default_build(self):
+        for k in range(60):
+            t, lts = properties._probed_trial(CFG, k, CFG.max_depth)
+            ref = build_lts(t)
+            assert lts.limits == ref.limits == BuildLimits()
+            assert lts.terms == ref.terms and lts.roots == ref.roots
+            assert lts.transitions == ref.transitions
+            assert lts.inconsistent == ref.inconsistent
 
 
 class TestShrink:
@@ -227,6 +288,29 @@ class TestChecks:
         assert [r.theorem for r in reports] == [theorem for theorem, _, _ in entries]
         for report in reports:
             assert not report.failures and not report.skipped, report.summary()
+        # every probe decision and the generator stream, pinned byte for byte
+        text = "\n".join(map(report_to_json, reports))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "63f55c3d5bf5ca2d18f96a9257c839f73507178972624f6db50ade0b44e6b3d8"
+
+    def test_failures_name_their_seed_and_trial(self, monkeypatch):
+        import json
+
+        from llts.properties import run_checks
+
+        real = properties.alt_refines
+        monkeypatch.setattr(properties, "alt_refines", lambda p, q: not real(p, q))
+        seed = 11
+        report = run_checks(seed, trials=6, only="coincidence")[0]
+        assert report.failures
+        assert all(f.seed == seed and 0 <= f.trial < 6 for f in report.failures)
+        doc = json.loads(report_to_json(report))
+        assert [(f["seed"], f["trial"]) for f in doc["failures"]] == [
+            (f.seed, f.trial) for f in report.failures
+        ]
+        last = report.failures[-1]
+        again = run_checks(seed, trials=last.trial + 1, only="coincidence")[0]
+        assert again.failures[-1] == last
 
     def test_baseline_rejects_unknown_theorem(self, tmp_path):
         import json
@@ -241,7 +325,8 @@ class TestChecks:
 
 class TestSkipPolicy:
     """Every build at the default limits exceeds the state bound; the
-    generator's probe builds, at their own limits, are left alone."""
+    generator's probe builds, at their own limits, are left alone, so the
+    checks that read a probe's graph skip no trial."""
 
     TRIALS = 6
 
@@ -266,6 +351,8 @@ class TestSkipPolicy:
         if name == "unfolding":  # only a trial with a recursion builds a graph
             building = [k for k in building if unfold_one(_gen_term_trial(CFG, k))]
             assert 0 < len(building) < self.TRIALS
+        if name in ("model-laws", "stratification"):  # they read the probe's graph
+            building = []
         assert report.trials == self.TRIALS
         assert not report.failures
         assert report.skipped == [(k, "state-bound") for k in building]
