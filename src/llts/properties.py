@@ -285,8 +285,9 @@ def _grows_unboundedly(t: Term) -> bool:
     moves only by the purity lemma.  Lifting ``w'`` back through E, every
     ``E[C^n[s0]]``, or in case (ii) E over the n-fold nesting of the tree,
     is reachable from ``v``; sizes grow strictly, so these are distinct.  The
-    bounded build therefore cannot finish: it exceeds the probe bound, or
-    exceeds its unfold budget first, as the unbounded candidate it is.
+    graph is therefore infinite, and a build under any finite state bound,
+    the probe's or the default one, cannot finish: it exceeds that bound, or
+    exceeds its unfold budget first.
 
     An ``UnfoldDepthExceeded`` while stepping means no answer.  Sizes count
     every node of the tree (a recursion as one) but are computed over the
@@ -774,7 +775,15 @@ def _true_pairs(config: GenConfig, trial: int) -> list[tuple[Term, Term]]:
 
 
 def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
-    """Verified refinement pairs stay related inside every generated context."""
+    """Verified refinement pairs stay related inside every generated context.
+
+    Each trial takes the first of its seed law pairs (p, q) that ``refines``
+    verifies, then tries up to five generated contexts C, in order, and
+    checks that C[p] refines C[q] in the first whose graph builds within the
+    default bounds; a trial with none is skipped.  An instance the growth
+    check proves infinite is passed over before anything is built: its
+    build could only exceed the state bound, so every trial decides on the
+    same context as with the build."""
 
     def trial(report: TheoremReport, k: int) -> None:
         pair = next(((p, q) for p, q in _true_pairs(config, k) if refines(p, q).holds), None)
@@ -788,8 +797,11 @@ def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
         p, q = pair
         for attempt in range(5):
             context = gen_context(config, 7_000_000 + 5 * k + attempt)
+            lhs, rhs = substitute(context, {HOLE: p}), substitute(context, {HOLE: q})
+            if _grows_unboundedly(lhs) or _grows_unboundedly(rhs):
+                continue
             try:
-                verdict = refines(substitute(context, {HOLE: p}), substitute(context, {HOLE: q}))
+                verdict = refines(lhs, rhs)
                 break
             except StateBoundExceeded:
                 continue  # resample a tamer context for this trial
@@ -872,6 +884,14 @@ def check_unique_solution(
 
     Unmet placement preconditions downgrade the outcomes to notes.
     """
+    return _unique_solution(t_body, x, candidates, None)
+
+
+def _unique_solution(
+    t_body: Term, x: str, candidates: list[Term] | None, rec_lts: Lts | None
+) -> TheoremReport:
+    """``check_unique_solution``, reading the recursion's graph from
+    ``rec_lts`` when given, else building it."""
 
     def trial(report: TheoremReport, k: int) -> None:
         status = variable_status(t_body, x)
@@ -895,7 +915,7 @@ def check_unique_solution(
         fixed_point = equivalent(rec, substitute(t_body, {x: rec}))
         if not fixed_point:
             record([rec], "not a fixed point", "recursion solves its equation")
-        lts = build_lts(rec)
+        lts = build_lts(rec) if rec_lts is None else rec_lts
         rec_consistent = not lts.inconsistent[lts.roots[0]]
         pool = list(candidates or [])
         expansions = unfold_one(rec)
@@ -935,14 +955,15 @@ def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport
     var = "RX"
 
     def trial(report: TheoremReport, k: int) -> None:
-        sub = check_unique_solution(gen_equation_body(config, k, var), var)
+        body, lts = _probed_equation(config, k, var, False)
+        sub = _unique_solution(body, var, None, lts)
         report.failures.extend(sub.failures)
         report.skipped.extend((k, reason) for _, reason in sub.skipped)
 
     report = _run("unique-solution", config.seed, trials, trial)
     for k in range(max(1, trials // 8)):
-        body = gen_equation_body(config, 50_000 + k, var, conj_scope=True)
-        sub = check_unique_solution(body, var)
+        body, lts = _probed_equation(config, 50_000 + k, var, True)
+        sub = _unique_solution(body, var, None, lts)
         report.notes.extend(sub.notes)
     return report
 

@@ -654,30 +654,50 @@ def unfold_one(t: Term) -> list[Term]:
     return list(dict.fromkeys(_walk(t, None, enter, _variants)))
 
 
-_UNFOLD_STEPS = 8
-_UNFOLD_FRONTIER = 2000
+def _operator(t: Term) -> tuple:
+    """``t``'s constructor with its fields other than operands; a leaf's
+    fields are left out, as a leaf relates to itself alone."""
+    return type(t), getattr(t, "action", None), getattr(t, "sync", None)
 
 
 def is_multi_unfolding(t: Term, s: Term) -> bool:
-    """Bounded search for a chain of single-step unfoldings from ``t`` to ``s``:
-    at most ``_UNFOLD_STEPS`` steps over at most ``_UNFOLD_FRONTIER`` terms."""
-    frontier = [t]
-    seen = {t}
-    for _ in range(_UNFOLD_STEPS):
-        if s in seen:
-            return True
-        nxt = []
-        for u in frontier:
-            for v in unfold_one(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-                    if len(seen) > _UNFOLD_FRONTIER:
-                        return s in seen
-        if not nxt:
-            break
-        frontier = nxt
-    return s in seen
+    """Whether a chain of ``unfold_one`` steps leads from ``t`` to ``s``.
+
+    Decided exactly by a co-walk over pairs (t, s), with an explicit stack
+    and one memo of the pairs entered.  The pair holds when ``t is s``.  A
+    recursion ``t`` has one step, its own expansion, so the pair stands or
+    falls with (``unfold_rec(t)``, s).  Any other ``t`` steps inside one
+    operand at a time, so ``s`` needs ``t``'s operator and fields, and each
+    operand pair must hold.  No case branches, so the first pair that fails
+    answers no.
+
+    Operand pairs shrink ``s``, so only a chain of expansions can go on at
+    one ``s``.  In a guarded equation system each expansion lowers the
+    unguarded recursion count (``StratRank``), so the chain ends.  In any
+    other, each term on the chain is a subterm of the input closed over the
+    equation systems around it, of which there are finitely many, so a chain
+    that does not end comes back to a term already on it, as the hand-built
+    ``<X | X = X>``'s does.  Such a chain reaches no other term: no.
+    """
+    todo, seen = [(t, s)], {(t, s)}
+    while todo:
+        t, s = todo.pop()
+        chain = set()
+        while type(t) is Rec and t is not s:
+            chain.add(t)
+            t = unfold_rec(t)
+            if t in chain:
+                return False
+        if t is s:
+            continue
+        parts = operands(t)
+        if not parts or _operator(t) != _operator(s):
+            return False
+        for pair in zip(parts, operands(s)):
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,72 @@ class TestGrowthCheck:
             assert lts.inconsistent == ref.inconsistent
 
 
+def _precongruence_instances(monkeypatch, seed, trials):
+    """Run the precongruence check at ``seed``; return its report and, per
+    trial, the instances (C[p], C[q]) it tried in order, the last being the
+    one it decided on."""
+    real_context, real_substitute = properties.gen_context, properties.substitute
+    tried: dict[int, list[list]] = {}
+    instance: list = []
+
+    def context(config, index):
+        nonlocal instance
+        instance = []
+        # trial k draws its contexts at 7 000 000 + 5k + attempt
+        tried.setdefault((index - 7_000_000) // 5, []).append(instance)
+        return real_context(config, index)
+
+    def substitute(t, bindings):
+        instance.append(real_substitute(t, bindings))
+        return instance[-1]
+
+    monkeypatch.setattr(properties, "gen_context", context)
+    monkeypatch.setattr(properties, "substitute", substitute)
+    report = check_precongruence(GenConfig(seed=seed), trials)
+    return report, tried
+
+
+def _flagged(tried):
+    """The instances the growth check proves infinite, by (trial, attempt)."""
+    return {
+        (k, attempt): instance
+        for k, instances in tried.items()
+        for attempt, instance in enumerate(instances)
+        if any(map(properties._grows_unboundedly, instance))
+    }
+
+
+class TestPrecongruenceContexts:
+    """The precongruence check passes over the context instances the growth
+    check proves infinite without building them, and decides every trial on
+    the context it decided on when it built them to the default bound."""
+
+    def test_baseline_row_decisions(self, monkeypatch):
+        report, tried = _precongruence_instances(monkeypatch, 2030, 100)
+        assert report.passed and not report.skipped
+        decided = {k: len(instances) - 1 for k, instances in tried.items()}
+        assert len(decided) == 100
+        assert {k: a for k, a in decided.items() if a} == {1: 1, 19: 1, 36: 1, 56: 1}
+        flagged = _flagged(tried)
+        assert sorted(flagged) == [(1, 0), (19, 0), (36, 0)]
+        for instance in flagged.values():
+            with pytest.raises(StateBoundExceeded):
+                refinement.refines(*instance)
+        # trial 56's first instance exceeds the default bound, but its graph
+        # is finite, so the check must not flag it
+        lhs, _ = tried[56][0]
+        assert len(build_lts(lhs, BuildLimits(max_states=30_000)).terms) == 22_428
+
+    def test_flagged_instances_exceed_the_default_bound(self, monkeypatch):
+        report, tried = _precongruence_instances(monkeypatch, 14, 7)
+        assert report.passed and not report.skipped
+        flagged = _flagged(tried)
+        assert sorted(flagged) == [(5, 0), (5, 1), (6, 0)]
+        for instance in flagged.values():
+            with pytest.raises(StateBoundExceeded):
+                refinement.refines(*instance)
+
+
 class TestShrink:
     def test_shrinks_to_minimal_conjunction(self):
         t = parse("c.c.(a.a.0 /\\ b.0) [] tau.0")

@@ -487,6 +487,42 @@ class TestUnfoldingEdgeCases:
         assert free_vars(s) == frozenset()
 
 
+def _bounded_unfoldings(t, steps=8):
+    """The reference for ``is_multi_unfolding``, a bounded breadth-first
+    search: the terms reached from ``t`` by chains of at most ``steps``
+    ``unfold_one`` steps, stopping once more than 2 000 terms are seen.  It
+    answers ``s in _bounded_unfoldings(t)``, which can be a false no beyond
+    its bounds; the co-walk must agree with it wherever it is checked."""
+    frontier, seen = [t], {t}
+    for _ in range(steps):
+        nxt = []
+        for u in frontier:
+            for v in unfold_one(u):
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+                    if len(seen) > 2000:
+                        return seen
+        frontier = nxt
+    return seen
+
+
+def _small_terms(leaves, size):
+    """Every term up to ``size`` nodes over ``leaves``, with prefixes
+    ``a`` and ``tau`` and the binary operators over the sync sets of
+    ``{a}``."""
+    by_size = {1: list(leaves)}
+    for n in range(2, size + 1):
+        out = [Prefix(a, t) for a in ("a", TAU) for t in by_size[n - 1]]
+        for i in range(1, n - 1):
+            for left in by_size[i]:
+                for right in by_size[n - 1 - i]:
+                    out += [ExtChoice(left, right), Conj(left, right), Disj(left, right)]
+                    out += [Parallel(sync, left, right) for sync in ((), ("a",))]
+        by_size[n] = out
+    return [t for n in sorted(by_size) for t in by_size[n]]
+
+
 class TestMultiUnfolding:
     def test_reflexive(self):
         t = gen(0)
@@ -497,6 +533,65 @@ class TestMultiUnfolding:
         assert is_multi_unfolding(rec, Prefix("a", rec))
         assert is_multi_unfolding(rec, Prefix("a", Prefix("a", rec)))
         assert not is_multi_unfolding(Prefix("a", rec), rec)
+
+    @pytest.mark.parametrize(
+        "t",
+        [Rec("X", {"X": Var("X")}), Rec("X", {"X": Var("Y"), "Y": Var("X")})],
+        ids=repr,
+    )
+    def test_a_chain_that_comes_back_reaches_nothing_else(self, t):
+        assert _bounded_unfoldings(t) == _bounded_unfoldings(t, 2)
+        for s in _bounded_unfoldings(t):
+            assert is_multi_unfolding(t, s)
+        assert not is_multi_unfolding(t, Nil())
+        assert not is_multi_unfolding(t, Prefix("a", t))
+
+    def test_agrees_with_the_bounded_search_on_the_unfolding_row(self, monkeypatch):
+        from llts import properties
+
+        path = os.path.join(os.path.dirname(__file__), "..", "baselines", "regression.json")
+        [(seed, trials)] = [
+            (seed, trials)
+            for theorem, seed, trials in properties.load_baseline(path)
+            if theorem == "unfolding"
+        ]
+        calls = []
+
+        def recording(t, s):
+            calls.append((t, s))
+            return is_multi_unfolding(t, s)
+
+        monkeypatch.setattr(properties, "is_multi_unfolding", recording)
+        report = properties.check_unfolding_equiv(GenConfig(seed=seed), trials)
+        assert report.passed and not report.skipped
+        reach = {}
+        answers = []
+        for t, s in calls:
+            if t not in reach:
+                reach[t] = _bounded_unfoldings(t)
+            answers.append(is_multi_unfolding(t, s))
+            assert answers[-1] == (s in reach[t]), (t, s)
+        assert len(calls) == 484 and sum(answers) == 318
+
+    def test_agrees_with_the_bounded_search_exhaustively(self):
+        # every closed term of up to 4 nodes over a loop and a recursion
+        # whose body is a recursion, paired with the terms up to 3 steps
+        # away and with every term of the family
+        loop = parse("<X | X = a.X>")
+        nested = parse("<X | X = <Y | Y = a.X [] tau.0>>")
+        family = _small_terms([Nil(), Bottom(), loop, nested], 4)
+        assert len(family) == len(set(family)) == 620
+        near = yes = 0
+        for t in family:
+            reach = _bounded_unfoldings(t)
+            for s in _bounded_unfoldings(t, 3):
+                near += 1
+                assert s in reach and is_multi_unfolding(t, s), (t, s)
+            for s in family:
+                answer = is_multi_unfolding(t, s)
+                assert answer == (s in reach), (t, s)
+                yes += answer
+        assert (near, yes) == (2810, 671)
 
 
 class TestNormalize:
@@ -731,6 +826,8 @@ DEEP_CHECKS = {
     "substitute": lambda: substitute(_deep(Var("X")), {"X": Bottom()}) is _deep(Bottom()),
     "plug": lambda: plug(_deep(Var("X")), LOOP.spec) is _deep(LOOP),
     "unfold_one": lambda: unfold_one(_deep(LOOP)) == [_deep(unfold_rec(LOOP))],
+    "is_multi_unfolding": lambda: is_multi_unfolding(_deep(LOOP), _deep(unfold_rec(LOOP)))
+    and not is_multi_unfolding(_deep(unfold_rec(LOOP)), _deep(LOOP)),
     "free_vars": lambda: free_vars(_deep(Var("X"))) == {"X"},
     "all_names": lambda: all_names(_deep(LOOP)) == {"X"},
     "rec_specs": lambda: rec_specs(_deep(LOOP)) == [(LOOP, LOOP.spec)],
