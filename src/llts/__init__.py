@@ -16,7 +16,6 @@ from .semantics import (
     BuildLimits,
     Lts,
     StateBoundExceeded,
-    UnfoldDepthExceeded,
     ValidationReport,
     build_combined,
     build_lts,

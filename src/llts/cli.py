@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 holds/pass, 1 refuted/fail/inconsistent, 2 input or limit
-errors, 3 an internal error (a fault of the program, not of its input).
+Exit codes: 0 holds/pass, 1 refuted/fail/inconsistent, 2 a bad input (file,
+option, syntax, binding, guardedness) or the state bound exceeded, 3 an
+internal error (a fault of the program, not of its input).
 ``LLTS_MAX_STATES`` overrides the default state bound.
 """
 
@@ -14,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import replace
 
 from . import properties, refinement, semantics, syntax
-from .semantics import BuildLimits, StateBoundExceeded, UnfoldDepthExceeded
+from .semantics import BuildLimits, StateBoundExceeded
 from .syntax import ParseError
 
 
@@ -28,14 +29,11 @@ def _limits(args) -> BuildLimits:
             max_states = int(env)
         except ValueError:
             raise ValueError(f"LLTS_MAX_STATES is not an integer: {env!r}") from None
-    return BuildLimits(max_states=max_states, max_unfold_depth=args.max_unfold_depth)
+    return BuildLimits(max_states=max_states)
 
 
 def _add_limit_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-states", type=int, default=None)
-    sub.add_argument(
-        "--max-unfold-depth", type=int, default=semantics.DEFAULT_MAX_UNFOLD_DEPTH
-    )
 
 
 def expand_source(text: str) -> tuple[str, list[int]]:
@@ -170,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, OSError, ValueError, StateBoundExceeded, UnfoldDepthExceeded) as err:
+    except (ParseError, OSError, ValueError, StateBoundExceeded) as err:
         # ValueError also covers the guardedness and binding errors
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ from .semantics import (
     BuildLimits,
     Lts,
     StateBoundExceeded,
-    UnfoldDepthExceeded,
     _closed_step,
     build_combined,
     build_lts,
@@ -42,13 +41,13 @@ from .terms import (
     RecSpec,
     Term,
     Var,
+    _degree,
     _into_subterms,
     _variants,
     _walk,
     free_vars,
     is_multi_unfolding,
     normalize,
-    operands,
     rec_specs,
     substitute,
     unfold_one,
@@ -247,7 +246,7 @@ class _Gen:
         return Rec(names[0], RecSpec(equations))
 
 
-_PROBE_LIMITS = BuildLimits(max_states=800, max_unfold_depth=200)
+_PROBE_LIMITS = BuildLimits(max_states=800)
 _GROWTH_STATES = 20  # the states the growth check explores at most
 _STATIC = (ExtChoice, Conj, Parallel)  # the operators an internal move lifts through
 
@@ -286,32 +285,20 @@ def _grows_unboundedly(t: Term) -> bool:
     ``E[C^n[s0]]``, or in case (ii) E over the n-fold nesting of the tree,
     is reachable from ``v``; sizes grow strictly, so these are distinct.  The
     graph is therefore infinite, and a build under any finite state bound,
-    the probe's or the default one, cannot finish: it exceeds that bound, or
-    exceeds its unfold budget first.
+    the probe's or the default one, cannot finish: it exceeds that bound.
 
-    An ``UnfoldDepthExceeded`` while stepping means no answer.  Sizes count
-    every node of the tree (a recursion as one) but are computed over the
-    distinct nodes, and so are the searches, so doubling terms such as
-    ``R /\\ R`` cost linear time.
+    Each step ends by the guard check and ``terms.StratRank``.  Sizes are
+    degrees, computed over the distinct nodes, and so are the searches, so
+    doubling terms such as ``R /\\ R`` cost linear time.
     """
     memo: dict = {}
     sizes: dict[Term, int] = {}
 
     def moves(u: Term):
-        return _closed_step(u, _PROBE_LIMITS.max_unfold_depth, memo)
-
-    def size_enter(u: Term, _):
-        known = sizes.get(u)
-        if known is not None:
-            return known, None, None
-        return u, operands(u), None
-
-    def size_leave(u: Term, parts: list[int]) -> int:
-        sizes[u] = n = 1 + sum(parts)
-        return n
+        return _closed_step(u, memo)
 
     def size(u: Term) -> int:
-        return _walk(u, None, size_enter, size_leave)
+        return _degree(u, sizes)
 
     def lifts(node: Term, other: Term, visible: set[str]) -> bool:
         """A path with these visible actions lifts through ``node``'s operand
@@ -375,26 +362,23 @@ def _grows_unboundedly(t: Term) -> bool:
 
     parent: dict[Term, tuple[Term, str] | None] = {t: None}
     todo = deque([t])
-    try:
-        while todo:
-            p = todo.popleft()
-            for a, u in moves(p):
-                if u in parent:
-                    continue
-                parent[u] = (p, a)
-                if size(u) > size(p):
-                    v, visible = u, set()
-                    while parent[v] is not None:
-                        v, b = parent[v]
-                        if b != TAU:
-                            visible.add(b)
-                        if pumps(v, u, visible):
-                            return True
-                if len(parent) >= _GROWTH_STATES:
-                    return False
-                todo.append(u)
-    except UnfoldDepthExceeded:
-        pass
+    while todo:
+        p = todo.popleft()
+        for a, u in moves(p):
+            if u in parent:
+                continue
+            parent[u] = (p, a)
+            if size(u) > size(p):
+                v, visible = u, set()
+                while parent[v] is not None:
+                    v, b = parent[v]
+                    if b != TAU:
+                        visible.add(b)
+                    if pumps(v, u, visible):
+                        return True
+            if len(parent) >= _GROWTH_STATES:
+                return False
+            todo.append(u)
     return False
 
 
@@ -414,16 +398,23 @@ def _fits(t: Term) -> Lts | None:
     return lts
 
 
-def _probed(gen: _Gen, depth: int) -> tuple[Term, Lts]:
-    """The first candidate whose graph fits the probe bound, with that graph;
+def _resampled(draw, close, fallback: Term) -> tuple[Term, Lts]:
+    """The first of up to 20 ``draw()`` candidates whose term ``close(c)``
+    fits the probe bound, with that graph, else ``fallback`` with its own:
     unbounded state spaces are resampled deterministically."""
     for _ in range(20):
-        candidate = normalize(gen.term(depth, {}, _Path()))
-        lts = _fits(candidate)
+        candidate = draw()
+        lts = _fits(close(candidate))
         if lts is not None:
             return candidate, lts
-    fallback = Prefix(ALPHABET[0], Nil())
-    return fallback, _fits(fallback)
+    return fallback, _fits(close(fallback))
+
+
+def _probed(gen: _Gen, depth: int) -> tuple[Term, Lts]:
+    """A generated term whose graph fits the probe bound, with that graph."""
+    return _resampled(
+        lambda: normalize(gen.term(depth, {}, _Path())), lambda t: t, Prefix(ALPHABET[0], Nil())
+    )
 
 
 def _probed_trial(config: GenConfig, trial: int, depth: int) -> tuple[Term, Lts]:
@@ -460,16 +451,17 @@ def _probed_equation(
     ``build_lts`` builds it."""
     gen = _Gen(_trial_rng(config, trial), config)
     req = "guarded" if conj_scope else "strong-no-conj"
-    for _ in range(20):
+
+    def draw() -> Term:
         body = gen.term(config.max_depth, {var: req}, _Path(), in_rec=True)
         if var not in free_vars(body):
             graft = Prefix(gen.rng.choice(ALPHABET), Var(var))
             body = Conj(body, graft) if conj_scope else ExtChoice(body, graft)
-        lts = _fits(normalize(Rec(var, RecSpec({var: body}))))
-        if lts is not None:
-            return body, lts
-    body = Prefix(ALPHABET[0], Var(var))
-    return body, _fits(normalize(Rec(var, RecSpec({var: body}))))
+        return body
+
+    return _resampled(
+        draw, lambda body: normalize(Rec(var, RecSpec({var: body}))), Prefix(ALPHABET[0], Var(var))
+    )
 
 
 # ---------------------------------------------------------------------------

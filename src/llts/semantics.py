@@ -7,7 +7,8 @@ one entry per operator.  ``step`` reads its transition rules,
 ``compute_inconsistent`` its inconsistency rules as Horn clauses, and
 ``used_rule_instances`` both, with their premises.  ``step`` applies the rules
 bottom-up on the explicit-stack walk ``terms._walk``, so the depth of a term
-is no limit; only the unfold budget bounds a chain of recursion expansions.
+is no limit; it checks each recursion it meets guarded, so by
+``terms.StratRank`` every chain of recursion expansions ends.
 
 Internal moves take precedence over visible ones: a composition offers a
 visible action only while the blocking operand has no internal move.  Since
@@ -49,12 +50,14 @@ from .terms import (
     Conj,
     Disj,
     ExtChoice,
+    GuardednessError,
     Nil,
     Parallel,
     Prefix,
     Rec,
     Term,
     _walk,
+    first_guard_violation,
     free_vars,
     is_visible,
     operands,
@@ -64,16 +67,14 @@ from .terms import (
 )
 
 DEFAULT_MAX_STATES = 10_000
-DEFAULT_MAX_UNFOLD_DEPTH = 1_000
 
 
 @dataclass(frozen=True)
 class BuildLimits:
     max_states: int = DEFAULT_MAX_STATES
-    max_unfold_depth: int = DEFAULT_MAX_UNFOLD_DEPTH
 
     def __post_init__(self):
-        if self.max_states <= 0 or self.max_unfold_depth <= 0:
+        if self.max_states <= 0:
             raise ValueError("limits must be positive")
 
 
@@ -83,15 +84,6 @@ class StateBoundExceeded(RuntimeError):
     def __init__(self, count: int):
         super().__init__(f"state bound exceeded at {count} terms")
         self.count = count
-
-
-class UnfoldDepthExceeded(RuntimeError):
-    """Recursion unfolding failed to reach a guard within the bound; the
-    input is effectively unguarded."""
-
-    def __init__(self, depth: int):
-        super().__init__(f"recursion unfolded {depth} times without reaching a guard")
-        self.depth = depth
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +310,11 @@ RULES: dict[type, OperatorRules] = {
 }
 
 
-def step(
-    t: Term, max_unfold_depth: int = DEFAULT_MAX_UNFOLD_DEPTH
-) -> list[tuple[str, Term]]:
-    """All one-step transitions of a closed term, internal moves first."""
+def step(t: Term) -> list[tuple[str, Term]]:
+    """All one-step transitions of a closed term, internal moves first;
+    ``GuardednessError`` on a recursion met whose equations are unguarded."""
     _check_closed(t)
-    return list(_closed_step(t, max_unfold_depth, {}))
+    return list(_closed_step(t, {}))
 
 
 def _check_closed(t: Term) -> None:
@@ -331,28 +322,26 @@ def _check_closed(t: Term) -> None:
         raise ValueError(f"only closed terms have a transition graph: {t}")
 
 
-def _closed_step(
-    t: Term, max_unfold_depth: int, memo: dict
-) -> tuple[tuple[str, Term], ...]:
+def _closed_step(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
     """``step`` on a term known to be closed.  ``memo`` may be shared across
-    calls (completed results stay valid); the unfold budget is charged per
-    call."""
-    budget = max_unfold_depth
+    calls: it keeps completed results and the equation systems that passed
+    the guard check.  The walk ends by the argument of ``terms.StratRank``."""
 
-    # A known term is a leaf.  A recursion is charged to the budget and
-    # reads its expansion's moves; a prefix or disjunction reads none.  A
-    # choice is walked as its whole chain, whose head is the chain's nodes.
+    # A known term is a leaf.  A recursion's equation system is checked
+    # guarded, and it reads its expansion's moves; a prefix or disjunction
+    # reads none.  A choice is walked as its whole chain, whose head is the
+    # chain's nodes.
     def enter(t: Term, _):
-        nonlocal budget
         cached = memo.get(t)
         if cached is not None:
             return cached, None, None
         if type(t) is ExtChoice:
             return _choice_chain(t, memo)
-        if type(t) is Rec:
-            if budget <= 0:
-                raise UnfoldDepthExceeded(max_unfold_depth)
-            budget -= 1
+        if type(t) is Rec and t.spec not in memo:
+            violation = first_guard_violation(t.spec)
+            if violation is not None:
+                raise GuardednessError(*violation)
+            memo[t.spec] = ()
         return t, (() if type(t) in (Prefix, Disj) else support_children(t)), None
 
     def leave(head, values) -> tuple[tuple[str, Term], ...]:
@@ -649,7 +638,7 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         for c in support_children(t):
             add(c, type(t) is Conj)
         if is_state[i]:
-            moves = _closed_step(t, limits.max_unfold_depth, step_memo)
+            moves = _closed_step(t, step_memo)
             transitions[i] = tuple(map(pairs.__getitem__, moves))
         else:
             transitions[i] = UNSTORED
@@ -829,8 +818,8 @@ def used_rule_instances(lts: Lts) -> list[RuleInstance]:
     built graph."""
     terms, shapes, F = lts.terms, lts.shapes(), lts.inconsistent
     # Every recursion in the universe is a state.  Seeded with the states'
-    # stored moves, the memo unfolds no recursion again, so the operands of a
-    # support-only term cost no unfold budget.
+    # stored moves, the memo unfolds no recursion again and checks none
+    # guarded again: each passed the guard check when the graph was built.
     memo = {
         terms[i]: tuple((a, terms[j]) for a, j in succ)
         for i, succ in enumerate(lts.transitions)
@@ -838,7 +827,7 @@ def used_rule_instances(lts: Lts) -> list[RuleInstance]:
     }
 
     def moves_of(u: Term) -> tuple[tuple[str, Term], ...]:
-        return _closed_step(u, lts.limits.max_unfold_depth, memo)
+        return _closed_step(u, memo)
 
     out: list[RuleInstance] = []
     for i, t in enumerate(terms):

@@ -500,6 +500,21 @@ def first_guard_violation(spec: RecSpec) -> tuple[str, str] | None:
 # measures
 
 
+def _fold_distinct(t: Term, enter, leave, memo: dict):
+    """``_walk(t, None, enter, leave)`` for a value that depends on the node
+    alone: a node not in ``memo`` is walked once and its value kept there, so
+    a hash-consed term costs its distinct nodes, not its tree."""
+
+    def enter_once(u: Term, ctx):
+        known = memo.get(u)
+        return (known, None, None) if known is not None else enter(u, ctx)
+
+    def leave_once(u: Term, values: list):
+        return memo.setdefault(u, leave(u, values))
+
+    return _walk(t, None, enter_once, leave_once)
+
+
 def _into_operands(t: Term, _):
     return t, operands(t), None
 
@@ -508,9 +523,14 @@ def _size(_, sizes: list[int]) -> int:
     return 1 + sum(sizes)
 
 
+def _degree(t: Term, memo: dict[Term, int]) -> int:
+    """``degree``, with the value of every node met kept in ``memo``."""
+    return _fold_distinct(t, _into_operands, _size, memo)
+
+
 def degree(t: Term) -> int:
     """Structural size where recursions and leaves count 1."""
-    return _walk(t, None, _into_operands, _size)
+    return _degree(t, {})
 
 
 def _plus_rec(t: Term, counts: list[int]) -> int:
@@ -529,7 +549,7 @@ def unguarded_rec_count(t: Term) -> int:
     """Number of recursion operators not protected by a prefix or disjunction,
     counting through each recursion's body: u(<X | E>) = 1 + u(E_X), and a
     variable counts 0.  Bodies are finite and not plugged, so the walk ends."""
-    return _walk(t, None, _unguarded_operands, _plus_rec)
+    return _fold_distinct(t, _unguarded_operands, _plus_rec, {})
 
 
 @dataclass(frozen=True, order=True)
@@ -541,9 +561,10 @@ class StratRank:
     rank above every pair.  This stratifies every rule.  Guardedness puts each
     bound variable under a prefix or a disjunction, so at ``rec-unfold``
     u(unfold_rec(t)) = u(E_X) < u(t); every other rule's premise sources are
-    operands, where u is monotone and the degree strictly smaller.  The
-    published count, which stops at a recursion, fails at ``rec-unfold`` once
-    an equation body holds an unguarded recursion.
+    operands, where u is monotone and the degree strictly smaller.  So every
+    ``semantics.step`` ends, as it checks each recursion it expands guarded.
+    The published count, which stops at a recursion, fails at ``rec-unfold``
+    once an equation body holds an unguarded recursion.
     """
 
     top: bool

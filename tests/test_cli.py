@@ -1,11 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import llts
 from llts import refinement
 from llts.cli import expand_source, main
 from llts.terms import Term
+
+from test_semantics import MANY_RECURSIONS
 
 
 def run(capsys, *argv):
@@ -46,6 +52,24 @@ class TestCheck:
     def test_wide_choice_graph(self, capsys):
         code, out, _ = run(capsys, "lts", self.WIDE, "--max-states", "100000", "--format", "json")
         assert code == 0 and len(json.loads(out)["states"]) == 2
+
+    @pytest.mark.parametrize("name", sorted(MANY_RECURSIONS))
+    def test_many_recursions_in_one_step(self, capsys, name):
+        code, out, _ = run(capsys, "check", MANY_RECURSIONS[name])
+        assert code == 0 and out.strip() == "consistent"
+
+    def test_max_unfold_depth_is_gone(self):
+        # guardedness bounds every step, so there is no unfold bound to set
+        src = os.path.dirname(os.path.dirname(llts.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "llts.cli", "check", "a.0", "--max-unfold-depth", "5"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and not done.stdout
+        assert "unrecognized arguments: --max-unfold-depth" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestRefine:

@@ -10,14 +10,13 @@ from llts.properties import (
     _gen_term_trial,
     inconsistent_fixpoint_naive,
 )
+from llts.refinement import refines
 from llts.semantics import (
-    DEFAULT_MAX_UNFOLD_DEPTH,
     RULES,
     BuildLimits,
     UNSTORED,
     Lts,
     StateBoundExceeded,
-    UnfoldDepthExceeded,
     _closed_step,
     build_combined,
     build_lts,
@@ -38,6 +37,7 @@ from llts.terms import (
     Conj,
     Disj,
     ExtChoice,
+    GuardednessError,
     Nil,
     Parallel,
     Prefix,
@@ -218,11 +218,6 @@ class TestStep:
                 stored = [(a, lts.terms[j]) for a, j in lts.transitions[i]]
                 assert stored == step(lts.terms[i])
 
-    def test_unguarded_input_raises(self):
-        bad = Rec("X", {"X": ExtChoice(Var("X"), Prefix("a", Nil()))})
-        with pytest.raises(UnfoldDepthExceeded):
-            step(bad, max_unfold_depth=50)
-
     @pytest.mark.parametrize("seed", range(120))
     def test_matches_independent_oracle(self, seed):
         t = _gen_term_trial(CFG, seed)
@@ -322,6 +317,56 @@ class TestStep:
             build_lts(parse("<X | X = a.X |[]| a.b.X>"), BuildLimits(max_states=500))
         moves = step(parse("<X | X = a.X |[]| a.b.X>"))
         assert {a for a, _ in moves} == {"a"}
+
+
+def wide_recursions(op: str, n: int = 1001) -> str:
+    """``n`` one-state loops, each its own recursion, joined by ``op``."""
+    return f" {op} ".join(f"<X{i} | X{i} = a{i}.X{i}>" for i in range(n))
+
+
+def nested_recursions(n: int = 1500) -> str:
+    """``n`` recursions, each the whole body of the one around it."""
+    return "".join(f"<X{i} | X{i} = " for i in range(n)) + f"a.X{n - 1}" + ">" * n
+
+
+# guarded inputs one step of which expands more than a thousand recursions
+MANY_RECURSIONS = {
+    "choice": wide_recursions("[]"),
+    "interleaving": wide_recursions("|[]|"),
+    "nesting": nested_recursions(),
+}
+
+# API-built unguarded systems, each with the violation ``parse`` reports
+UNGUARDED = {
+    "loop": (Rec("X", {"X": Var("X")}), ("X", "X")),
+    "choice": (Rec("X", {"X": ExtChoice(Var("X"), Prefix("a", Nil()))}), ("X", "X")),
+    # the head never reaches the bad equation, which is rejected all the same
+    "unreached": (Rec("X", {"X": Prefix("a", Var("X")), "Y": Var("Y")}), ("Y", "Y")),
+}
+
+
+class TestGuardedRecursion:
+    """Guardedness bounds every step: each recursion a step meets is checked
+    guarded, so a step expands any number of recursions, and an unguarded
+    system is rejected with the error ``parse`` raises."""
+
+    @pytest.mark.parametrize("name", sorted(MANY_RECURSIONS))
+    def test_many_recursions_in_one_step(self, name):
+        lts = build_lts(parse(MANY_RECURSIONS[name]))
+        assert not lts.inconsistent[lts.root]
+        assert validate_llts(lts).ok
+
+    @pytest.mark.parametrize("name", sorted(UNGUARDED))
+    def test_same_violation_as_parse(self, name):
+        t, violation = UNGUARDED[name]
+        with pytest.raises(GuardednessError) as parsed:
+            parse(print_term(t))
+        assert (parsed.value.var, parsed.value.equation) == violation
+        for run in (step, build_lts, lambda u: refines(Prefix("a", Nil()), u)):
+            with pytest.raises(GuardednessError) as err:
+                run(t)
+            assert (err.value.var, err.value.equation) == violation
+            assert str(err.value) == str(parsed.value)
 
 
 class TestBuild:
@@ -767,7 +812,7 @@ class TestLazyUniverse:
         # choices get no memo entry
         k, memo = 3000, {}
         t = parse(" [] ".join(f"x{i}.0" for i in range(k)))
-        _closed_step(t, DEFAULT_MAX_UNFOLD_DEPTH, memo)
+        _closed_step(t, memo)
         assert sum(map(len, memo.values())) <= 2 * k
 
     @pytest.mark.parametrize(

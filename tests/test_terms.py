@@ -8,7 +8,7 @@ import pytest
 
 import llts
 from llts.properties import GenConfig, _gen_term_trial, gen_context, gen_equation_body
-from llts.semantics import BuildLimits, UnfoldDepthExceeded, build_lts, step
+from llts.semantics import BuildLimits, build_lts, step
 from llts.syntax import parse, print_term
 from llts.terms import (
     TAU,
@@ -248,6 +248,18 @@ class TestMeasures:
 
     def test_degree_choice(self):
         assert degree(ExtChoice(Prefix("a", Nil()), Prefix("b", Nil()))) == 5
+
+    def test_measures_walk_distinct_nodes(self):
+        # 42 distinct nodes standing for a tree of 3 * 2**40 - 1
+        t = Prefix("a", Nil())
+        for i in range(40):
+            t = (ExtChoice, Conj)[i % 2](t, t)
+        assert degree(t) == 3 * 2**40 - 1
+        assert unguarded_rec_count(t) == 0
+        rec = Rec("X", {"X": Prefix("a", Var("X"))})
+        for _ in range(40):
+            rec = Conj(rec, rec)
+        assert unguarded_rec_count(rec) == 2**40
 
     def test_rec_count_rec(self):
         rec = Rec("X", {"X": Prefix("a", Var("X"))})
@@ -809,9 +821,9 @@ def _nested_recursions():
     return len(rec_specs(parse(text))) == n
 
 
-def _unfold_bound():
-    with pytest.raises(UnfoldDepthExceeded):
-        build_lts(Rec("X", {"X": Var("X")}), BuildLimits(max_unfold_depth=100_000))
+def _build_lts_unguarded():
+    with pytest.raises(GuardednessError):
+        build_lts(Rec("X", {"X": _deep(Var("X"), guarded=False)}))
     return True
 
 
@@ -847,7 +859,7 @@ DEEP_CHECKS = {
     "print_term": lambda: parse(print_term(_deep(LOOP))) is _deep(LOOP),
     "step": lambda: step(_deep(LOOP, guarded=False)) == [],
     "build_lts": _build_lts,
-    "unfold_bound": _unfold_bound,
+    "build_lts_unguarded": _build_lts_unguarded,
 }
 
 
