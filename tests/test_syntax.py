@@ -129,6 +129,18 @@ class TestParseErrors:
          (5, 7), ("0", "bot", "variable", "prefix", "(", "<")),
         ("", "unexpected end of input at 0..0 (expected 0, bot, variable, prefix, (, <)",
          (0, 0), ("0", "bot", "variable", "prefix", "(", "<")),
+        # the tokenizer's errors, which come before any parser error
+        ("a.0 [ b.0", "stray '[' at 4..5 (expected [])", (4, 5), ("[]",)),
+        ("a.0 ] b.0", "stray ']' at 4..5 (expected ]|)", (4, 5), ("]|",)),
+        ("a.0 / b.0", "stray '/' at 4..5 (expected /\\)", (4, 5), ("/\\",)),
+        ("a.0 \\ b.0", "stray '\\' at 4..5 (expected \\/)", (4, 5), ("\\/",)),
+        ("a 0 ? b.0", "unexpected character '?' at 4..5", (4, 5), ()),
+        ("a.0\xa0[] 0", "unexpected character '\\xa0' at 3..4", (3, 4), ()),
+        ("\t\n a.0 ]", "stray ']' at 7..8 (expected ]|)", (7, 8), ("]|",)),
+        ("a. ", "unexpected end of input at 3..3 (expected 0, bot, variable, prefix, (, <)",
+         (3, 3), ("0", "bot", "variable", "prefix", "(", "<")),
+        pytest.param("a." * 20_000 + "0)", "unexpected ')' after term at 40001..40002",
+                     (40_001, 40_002), (), id="last-token-of-20000-prefixes"),
     ]
 
     @pytest.mark.parametrize("text, message, span, expected", EXACT)
