@@ -11,13 +11,22 @@ The binary operators and their precedence are written once, in ``_BINARY``.
 The parser is one operator-precedence loop over that table, with a stack of
 the parentheses and recursions still open; the printer reads the same table
 on the explicit-stack walk ``terms._walk``.  Neither recurses on input depth.
+
+Tokens come from one ``findall`` of ``_SCAN``, whose pattern absorbs the
+whitespace before each token, as two lists read by index: the token texts,
+and their kinds, read from ``_KIND_OF`` by the whole text or, for an
+identifier, its first character.  Offsets are not kept: a ``ParseError``
+finds its span by scanning the text again up to the token's index
+(``_span``).  ``parse`` then calls ``normalize``, which returns the parsed
+term itself when no bound name is free in it and distinct equation systems
+bind disjoint names, and the guard check.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
 
 from .terms import (
     TAU,
@@ -63,17 +72,6 @@ class ParseError(Exception):
         return f"{self.message} at {self.span}{hint}"
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
-
-
 # The binary operators, loosest first and all left-associative: token, binding
 # level and constructor.  Tokenizer, parser and printer all read this table.
 # Prefixes and atoms bind tighter than any of them, at ``_TIGHT``.
@@ -103,58 +101,70 @@ _SIMPLE = {
     "|": "BAR",
     "0": "ZERO",
 }
+_STRAY = {pair[0]: pair for pair in _PAIRS if pair[0] not in _SIMPLE}
 
 _RESERVED = {"tau": "TAU", "bot": "BOT"}
-_KIND_OF = {**_PAIRS, **_SIMPLE, **_RESERVED}
 
 # An identifier: an action, a variable or a reserved word.
 _IDENT = re.compile("[A-Za-z_][A-Za-z0-9_]*")
 
-# One token, or whitespace (no group), or a character that starts none.  The
-# two-character tokens come first, so a stray character is the first one of a
-# pair left alone.  Whitespace is ASCII only, so offsets are byte offsets.
-_TOKEN = re.compile(
-    r"[ \t\r\n\f\v]+"
-    f"|(?P<pair>{'|'.join(map(re.escape, _PAIRS))})"
-    f"|(?P<simple>[{re.escape(''.join(_SIMPLE))}])"
-    r"|(?P<stray>[\[\]/\\])"
-    f"|(?P<word>{_IDENT.pattern})"
-    "|(?P<bad>.)",
-    re.DOTALL,
+# The kind of every token with a fixed text, of a stray character, and of each
+# character an identifier starts with, which is also the kind of that one
+# letter alone.  A token found nowhere here is a bad character.
+_KIND_OF = {
+    **{c: "VAR" if c.isupper() else "ACT" for c in map(chr, range(128)) if _IDENT.match(c)},
+    **_PAIRS,
+    **_SIMPLE,
+    **_RESERVED,
+    **dict.fromkeys(_STRAY, "BAD"),
+}
+
+# One token after any whitespace: a two-character token first, so that a stray
+# character is the first one of a pair left alone, then a one-character token,
+# an identifier, or any other character but whitespace.  Whitespace is ASCII
+# only, so offsets are byte offsets.
+_SCAN = re.compile(
+    r"[ \t\r\n\f\v]*("
+    f"{'|'.join(map(re.escape, _PAIRS))}"
+    f"|[{re.escape(''.join(_SIMPLE))}]"
+    f"|{_IDENT.pattern}"
+    r"|[^ \t\r\n\f\v])"
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastgroup
-        if group is None:
-            continue
-        word = m.group()
-        kind = _KIND_OF.get(word)
-        if kind is None:
-            if group == "stray":
-                expected = next(p for p in _PAIRS if p[0] == word)
-                raise ParseError(SourceSpan(*m.span()), f"stray '{word}'", (expected,))
-            if group == "bad":
-                raise ParseError(SourceSpan(*m.span()), f"unexpected character {word!r}")
-            kind = "VAR" if word[0].isupper() else "ACT"
-        out.append(_Token(kind, word, *m.span()))
-    out.append(_Token("EOF", "", len(text), len(text)))
-    return out
+def _span(text: str, first: int, last: int | None = None) -> SourceSpan:
+    """From the start of token ``first`` of ``text`` to the end of token
+    ``last`` (``first`` by default), found by scanning the text again; the
+    end of input, the token after the last, is the empty span at the end."""
+    last = first if last is None else last
+    spans = [m.span(1) for m in islice(_SCAN.finditer(text), last + 1)]
+    spans += [(len(text), len(text))] * (last + 1 - len(spans))
+    return SourceSpan(spans[first][0], spans[last][1])
 
 
-def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
-    return ParseError(
-        tok.span, f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", expected
-    )
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The texts and kinds of the tokens of ``text``, ending in the end of
+    input: the empty text of kind ``EOF``."""
+    words = _SCAN.findall(text)
+    kind_of = _KIND_OF.get
+    kinds = [kind_of(word) or kind_of(word[0], "BAD") for word in words]
+    if "BAD" in kinds:
+        i = kinds.index("BAD")
+        word = words[i]
+        if word in _STRAY:
+            raise ParseError(_span(text, i), f"stray '{word}'", (_STRAY[word],))
+        raise ParseError(_span(text, i), f"unexpected character {word!r}")
+    words.append("")
+    kinds.append("EOF")
+    return words, kinds
 
 
 class _Group:
-    """The whole input, a parenthesis or a recursion, while still open: its
-    pending operators and operands, and a recursion's equations so far."""
+    """The whole input, a parenthesis or a recursion, while still open: the
+    index of the token that opened it, its pending operators and operands,
+    and a recursion's equations so far."""
 
-    def __init__(self, opener: _Token | None):
+    def __init__(self, opener: int | None):
         self.opener, self.ops, self.operands = opener, [], []
         self.var, self.name, self.equations = "", "", {}
 
@@ -168,96 +178,105 @@ class _Group:
 
 
 class _Parser:
+    """Reads the token lists by index: each step takes the index of the token
+    it starts at and returns the index after the tokens it read."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.words, self.kinds = _tokenize(text)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, i: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        return ParseError(_span(self.text, i), message, expected)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def unexpected(self, i: int, expected: tuple[str, ...]) -> ParseError:
+        word = self.words[i]
+        return self.error(i, f"unexpected {word!r}" if word else "unexpected end of input", expected)
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.peek().kind != kind:
-            raise _unexpected(self.peek(), (what,))
-        return self.advance()
+    def expect(self, i: int, kind: str, what: str) -> int:
+        if self.kinds[i] != kind:
+            raise self.unexpected(i, (what,))
+        return i + 1
 
-    def sync_set(self) -> frozenset[str]:
+    def sync_set(self, i: int) -> tuple[frozenset[str], int]:
+        words, kinds = self.words, self.kinds
         names: list[str] = []
-        if self.peek().kind == "ACT":
-            names.append(self.advance().text)
-            while self.peek().kind == "COMMA":
-                self.advance()
-                names.append(self.expect("ACT", "action name").text)
-        elif self.peek().kind != "PARR":
-            tok = self.peek()
-            raise ParseError(tok.span, f"unexpected {tok.text!r} in synchronisation set", ("action name", "]|"))
-        self.expect("PARR", "]|")
-        return frozenset(names)
+        if kinds[i] == "ACT":
+            names.append(words[i])
+            i += 1
+            while kinds[i] == "COMMA":
+                i = self.expect(i + 1, "ACT", "action name")
+                names.append(words[i - 1])
+        elif kinds[i] != "PARR":
+            raise self.error(
+                i, f"unexpected {words[i]!r} in synchronisation set", ("action name", "]|")
+            )
+        return frozenset(names), self.expect(i, "PARR", "]|")
 
-    def equation(self, group: _Group) -> None:
+    def equation(self, group: _Group, i: int) -> int:
         """Read ``Name =``, the start of an equation of ``group``."""
-        name_tok = self.expect("VAR", "equation variable")
-        if name_tok.text in group.equations:
-            raise ParseError(name_tok.span, f"duplicate equation for {name_tok.text!r}")
-        self.expect("EQ", "=")
-        group.name = name_tok.text
+        i = self.expect(i, "VAR", "equation variable")
+        name = self.words[i - 1]
+        if name in group.equations:
+            raise self.error(i - 1, f"duplicate equation for {name!r}")
+        group.name = name
+        return self.expect(i, "EQ", "=")
 
     def parse(self) -> Term:
-        group, stack = _Group(None), []
+        words, kinds = self.words, self.kinds
+        group, stack, i = _Group(None), [], 0
         while True:
             # an operand: prefixes, then an atom or the opening of a group
-            while (tok := self.advance()).kind in ("ACT", "TAU"):
-                if self.peek().kind != "DOT":
-                    raise ParseError(tok.span, f"action {tok.text!r} must be followed by '.'", (".",))
-                self.advance()
-                group.ops.append((_TIGHT, Prefix, (TAU if tok.kind == "TAU" else tok.text,)))
-            if tok.kind in ("LPAREN", "LANGLE"):
+            while (kind := kinds[i]) == "ACT" or kind == "TAU":
+                if kinds[i + 1] != "DOT":
+                    raise self.error(i, f"action {words[i]!r} must be followed by '.'", (".",))
+                group.ops.append((_TIGHT, Prefix, (words[i],)))
+                i += 2
+            if kind == "LPAREN" or kind == "LANGLE":
                 stack.append(group)
-                group = _Group(tok)
-                if tok.kind == "LANGLE":
-                    group.var = self.expect("VAR", "recursion variable").text
-                    self.expect("BAR", "|")
-                    self.equation(group)
+                group = _Group(i)
+                i += 1
+                if kind == "LANGLE":
+                    i = self.expect(i, "VAR", "recursion variable")
+                    group.var = words[i - 1]
+                    i = self.equation(group, self.expect(i, "BAR", "|"))
                 continue
-            atom = Var(tok.text) if tok.kind == "VAR" else _ATOMS.get(tok.text)
+            atom = Var(words[i]) if kind == "VAR" else _ATOMS.get(words[i])
             if atom is None:
-                raise _unexpected(tok, ("0", "bot", "variable", "prefix", "(", "<"))
+                raise self.unexpected(i, ("0", "bot", "variable", "prefix", "(", "<"))
             group.operands.append(atom)
+            i += 1
             # after an operand: a binary operator, or the end of groups
-            while (tok := self.peek()).kind != "OP":
+            while (kind := kinds[i]) != "OP":
                 group.reduce(0)
                 t = group.operands.pop()
                 if group.opener is None:
-                    if tok.kind != "EOF":
-                        raise ParseError(tok.span, f"unexpected {tok.text!r} after term")
+                    if kind != "EOF":
+                        raise self.error(i, f"unexpected {words[i]!r} after term")
                     return t
-                if group.opener.kind == "LPAREN":
-                    self.expect("RPAREN", ")")
+                if kinds[group.opener] == "LPAREN":
+                    i = self.expect(i, "RPAREN", ")")
                 else:
                     group.equations[group.name] = t
-                    if tok.kind == "COMMA":
-                        self.advance()
-                        self.equation(group)
+                    if kind == "COMMA":
+                        i = self.equation(group, i + 1)
                         break
-                    end = self.expect("RANGLE", ">")
+                    i = self.expect(i, "RANGLE", ">")
                     if group.var not in group.equations:
                         raise ParseError(
-                            SourceSpan(group.opener.span.start, end.span.end),
+                            _span(self.text, group.opener, i - 1),
                             f"recursion variable {group.var!r} has no equation",
                         )
                     t = Rec(group.var, RecSpec(group.equations))
                 group = stack.pop()
                 group.operands.append(t)
             else:
-                self.advance()
-                level, cls = _OF_TOKEN[tok.text]
+                level, cls = _OF_TOKEN[words[i]]
                 group.reduce(level)
-                group.ops.append((level, cls, (self.sync_set(),) if cls is Parallel else ()))
+                head, i = (), i + 1
+                if cls is Parallel:
+                    sync, i = self.sync_set(i)
+                    head = (sync,)
+                group.ops.append((level, cls, head))
 
 
 def parse(text: str) -> Term:

@@ -654,8 +654,10 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
 @lru_cache(maxsize=1 << 16)
 def plug(t: Term, spec: RecSpec) -> Term:
     """Close ``t`` over an equation system: each free occurrence of a bound
-    variable becomes the corresponding recursion operator."""
-    return substitute(t, {x: Rec(x, spec) for x in sorted(spec.names)})
+    variable becomes the corresponding recursion operator.  Only the names
+    free in ``t`` are bound, so an unfolding costs what its body names, not
+    the size of the system."""
+    return substitute(t, {x: Rec(x, spec) for x in sorted(free_vars(t) & spec.names)})
 
 
 def unfold_rec(t: Rec) -> Term:
@@ -728,8 +730,15 @@ def is_multi_unfolding(t: Term, s: Term) -> bool:
 def normalize(t: Term) -> Term:
     """Rename recursion variables so that binders never clash with free names,
     with enclosing binders, or with a differently-defined specification seen
-    earlier.  Renaming is deterministic in the structure of the input."""
+    earlier.  Renaming is deterministic in the structure of the input.
+
+    Those are the only clashes the two passes rename, and an equation system
+    never encloses itself, so when no bound name is free and distinct systems
+    bind disjoint names, ``t`` is returned as it is."""
     free = free_vars(t)
+    bound = [v for spec in {spec for _, spec in rec_specs(t)} for v in spec.names]
+    if free.isdisjoint(bound) and len(set(bound)) == len(bound):
+        return t
     used: set[str] = set()  # the input's names, read at the first renaming
     first: dict[str, int] = {}  # per base, the index ``fresh`` resumes at
     scope: set[str] = set()  # the binders around the node being entered

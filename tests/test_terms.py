@@ -326,6 +326,21 @@ class TestPlug:
         spec = RecSpec({"Zfresh": Prefix("a", Var("Zfresh"))})
         assert plug(t, spec) == t
 
+    def test_binds_only_the_names_free_in_the_body(self, monkeypatch):
+        # the ring Xi = ring.X(i+1 mod 50): each unfolding names one variable
+        n = 50
+        ring = Rec("X0", {f"X{i}": Prefix("ring", Var(f"X{(i + 1) % n}")) for i in range(n)})
+        calls = []
+
+        def recorded(t, bindings):
+            calls.append((free_vars(t), set(bindings)))
+            return substitute(t, bindings)
+
+        monkeypatch.setattr(llts.terms, "substitute", recorded)
+        assert sum(build_lts(ring).reachable) == n
+        assert len(calls) == n
+        assert all(names <= free for free, names in calls)
+
 
 class TestSubstitute:
     def test_simple(self):
@@ -651,6 +666,33 @@ class TestNormalize:
         for seed in range(30):
             t = gen(seed)
             assert normalize(t) == t
+
+    def test_systems_sharing_one_of_several_names(self):
+        # <X | X = a.Y, Y = b.X> [] <Y | Y = c.Y>
+        xy = Rec("X", {"X": Prefix("a", Var("Y")), "Y": Prefix("b", Var("X"))})
+        got = normalize(ExtChoice(xy, Rec("Y", {"Y": Prefix("c", Var("Y"))})))
+        assert got == ExtChoice(xy, Rec("Y1", {"Y1": Prefix("c", Var("Y1"))}))
+
+    def test_free_name_bound_by_multi_equation_system(self):
+        # Y [] <X | X = a.Y, Y = b.X>
+        rec = Rec("X", {"X": Prefix("a", Var("Y")), "Y": Prefix("b", Var("X"))})
+        got = normalize(ExtChoice(Var("Y"), rec))
+        renamed = Rec("X", {"X": Prefix("a", Var("Y1")), "Y1": Prefix("b", Var("X"))})
+        assert got == ExtChoice(Var("Y"), renamed)
+
+    def test_returns_input_when_no_binder_clashes(self, monkeypatch):
+        # <X | X = a.<Y | Y = b.Y>> [] <Y | Y = b.Y>: one system nested and beside
+        inner = Rec("Y", {"Y": Prefix("b", Var("Y"))})
+        t = ExtChoice(Rec("X", {"X": Prefix("a", inner)}), inner)
+        rebuilt = []
+
+        def counted(u, parts):
+            rebuilt.append(u)
+            return rebuild(u, parts)
+
+        monkeypatch.setattr(llts.terms, "rebuild", counted)
+        assert normalize(t) is t
+        assert rebuilt == []
 
 
 class TestNestedScopes:
