@@ -668,33 +668,27 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
 
 
 def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
-    """Compositional inconsistency laws on explicitly constructed pairs."""
+    """Compositional inconsistency laws on explicitly constructed pairs, each
+    trial's flags read off one graph: a flag does not depend on the rest."""
 
     def trial(report: TheoremReport, k: int) -> None:
         p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
         q = _gen_term_trial(config, 2 * k + 1, depth=max(2, config.max_depth - 1))
         rng = _trial_rng(config, trials + k)
         a = rng.choice(ALPHABET)
+        conj = Conj(p, q)
         composites = [
-            (Disj(p, q), "both", lambda fp, fq: fp and fq),
-            (ExtChoice(p, q), "either", lambda fp, fq: fp or fq),
-            (Parallel(frozenset(), p, q), "either", lambda fp, fq: fp or fq),
-            (Prefix(a, p), "left", lambda fp, fq: fp),
-            (Prefix(TAU, p), "left", lambda fp, fq: fp),
+            Disj(p, q), ExtChoice(p, q), Parallel(frozenset(), p, q), Prefix(a, p), Prefix(TAU, p)
         ]
-        for composite, _, expect in composites:
-            lts = build_combined([composite, p, q])
-            fp = lts.inconsistent[lts.index[p]]
-            fq = lts.inconsistent[lts.index[q]]
-            fc = lts.inconsistent[lts.roots[0]]
-            if fc != expect(fp, fq):
-                report.fail([composite], fc, expect(fp, fq))
+        lts = build_combined([p, q, conj, *composites])
+        fp, fq, fc, *flags = (lts.inconsistent[i] for i in lts.roots)
+        expected = (fp and fq, fp or fq, fp or fq, fp, fp)
+        for composite, observed, expect in zip(composites, flags, expected):
+            if observed != expect:
+                report.fail([composite], observed, expect)
         # a conjunction with an inconsistent operand is inconsistent
-        lts = build_combined([Conj(p, q), p, q])
-        if (
-            lts.inconsistent[lts.index[p]] or lts.inconsistent[lts.index[q]]
-        ) and not lts.inconsistent[lts.roots[0]]:
-            report.fail([Conj(p, q)], False, True)
+        if (fp or fq) and not fc:
+            report.fail([conj], False, True)
         # a recursion and its expansion agree
         lts = _probed_equation(config, 3 * trials + k, "RF", False)[1]
         shapes = lts.shapes()
@@ -837,27 +831,27 @@ def check_operator_closure(config: GenConfig, trials: int = 60) -> TheoremReport
 
 def check_conjunction_laws(config: GenConfig, trials: int = 80) -> TheoremReport:
     """A stable consistent process simulated by two others is simulated by
-    their conjunction, which is itself consistent."""
+    their conjunction, which is itself consistent.  Each trial decides its
+    three conjunctions on one graph with one simulation run."""
     applied = 0
 
     def trial(report: TheoremReport, k: int) -> None:
         nonlocal applied
         p = _gen_term_trial(config, 3 * k, depth=max(2, config.max_depth - 1))
         q = Disj(p, _gen_term_trial(config, 3 * k + 1, depth=2))
-        for base, left, right in [(p, p, q), (p, q, q), (p, p, p)]:
-            conj = Conj(left, right)
-            lts = build_combined([base, left, right, conj])
-            ib = lts.index[base]
-            il, ir, ic = lts.index[left], lts.index[right], lts.index[conj]
-            if not lts.stable[ib] or lts.inconsistent[ib]:
-                continue
-            rel = largest_stable_sim(lts).pairs
-            if (ib, il) in rel and (ib, ir) in rel:
+        conjs = [Conj(p, q), Conj(q, q), Conj(p, p)]
+        lts = build_combined([p, *conjs])
+        ip, *ics = lts.roots
+        if not lts.stable[ip] or lts.inconsistent[ip]:
+            return
+        rel = largest_stable_sim(lts).pairs
+        for conj, ic in zip(conjs, ics):
+            if (ip, lts.index[conj.left]) in rel and (ip, lts.index[conj.right]) in rel:
                 applied += 1
                 if lts.inconsistent[ic]:
-                    report.fail([base, conj], "conjunction inconsistent", "consistent")
-                if not lts.stable[ic] or (ib, ic) not in rel:
-                    report.fail([base, conj], "not simulated", "conjunction simulates")
+                    report.fail([p, conj], "conjunction inconsistent", "consistent")
+                if not lts.stable[ic] or (ip, ic) not in rel:
+                    report.fail([p, conj], "not simulated", "conjunction simulates")
 
     report = _run("conjunction", config.seed, trials, trial)
     report.notes.append(f"non-vacuous instances: {applied}")
@@ -942,8 +936,12 @@ def _unique_solution(
 
 
 def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport:
-    """Driver over generated equation bodies, plus informational trials with
-    the variable inside a conjunction."""
+    """Driver over generated equation bodies, plus ``trials // 8`` (at least
+    one) informational bodies drawn with the variable allowed inside a
+    conjunction.  Where it lands there, the outcomes are notes; a body that
+    leaves it strongly guarded outside every conjunction meets the
+    preconditions, and its failures are kept, each marked with the check's
+    seed and the index ``50_000 + k`` its body was drawn at."""
     var = "RX"
 
     def trial(report: TheoremReport, k: int) -> None:
@@ -956,6 +954,7 @@ def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport
     for k in range(max(1, trials // 8)):
         body, lts = _probed_equation(config, 50_000 + k, var, True)
         sub = _unique_solution(body, var, None, lts)
+        report.failures += [f._replace(seed=config.seed, trial=50_000 + k) for f in sub.failures]
         report.notes.extend(sub.notes)
     return report
 

@@ -653,8 +653,9 @@ def build_lts(p: Term, limits: BuildLimits | None = None) -> Lts:
     return build_combined([p], limits)
 
 
-def compute_inconsistent(lts: Lts) -> frozenset[int]:
-    """Least fixpoint of the inconsistency rules over the universe.
+def compute_inconsistent(lts: Lts) -> None:
+    """Write the least fixpoint of the inconsistency rules over the universe
+    into ``lts.inconsistent``, one flag per term id.
 
     Each rule of the table is a Horn clause on the state ids it needs; a
     clause counts its needs not yet inconsistent and fires at zero, so the
@@ -690,7 +691,6 @@ def compute_inconsistent(lts: Lts) -> frozenset[int]:
 
     lts.inconsistent = F
     lts._csd = None  # consistency changed; invalidate derived relation
-    return frozenset(i for i in range(n) if F[i])
 
 
 def weak_visible_step(lts: Lts, s: int, a: str) -> frozenset[int]:

@@ -9,6 +9,7 @@ finite equation system (``Rec`` / ``RecSpec``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -186,9 +187,10 @@ class RecSpec(_Interned):
         return items, frozenset(name for name, _ in items)
 
     def body(self, name: str) -> Term:
-        for n, t in self.equations:
-            if n == name:
-                return t
+        # (name,) sorts just before (name, body), so no two bodies are compared
+        i = bisect_left(self.equations, (name,))
+        if i < len(self.equations) and self.equations[i][0] == name:
+            return self.equations[i][1]
         raise KeyError(name)
 
     def __repr__(self) -> str:

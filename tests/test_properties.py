@@ -25,11 +25,15 @@ from llts.properties import (
     report_to_json,
     shrink_term,
 )
-from llts.semantics import BuildLimits, StateBoundExceeded, build_lts
+from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, build_lts
 from llts.syntax import parse, print_term
 from llts.terms import (
+    TAU,
     Conj,
+    Disj,
+    ExtChoice,
     Nil,
+    Parallel,
     Prefix,
     Var,
     degree,
@@ -424,6 +428,99 @@ class TestSkipPolicy:
         assert report.skipped == [(k, "state-bound") for k in building]
 
 
+def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremReport:
+    """``check_f_laws`` with one graph per law: six builds a trial."""
+
+    def trial(report, k):
+        p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
+        q = _gen_term_trial(config, 2 * k + 1, depth=max(2, config.max_depth - 1))
+        a = properties._trial_rng(config, trials + k).choice(properties.ALPHABET)
+        composites = [
+            (Disj(p, q), lambda fp, fq: fp and fq),
+            (ExtChoice(p, q), lambda fp, fq: fp or fq),
+            (Parallel(frozenset(), p, q), lambda fp, fq: fp or fq),
+            (Prefix(a, p), lambda fp, fq: fp),
+            (Prefix(TAU, p), lambda fp, fq: fp),
+        ]
+        for composite, expect in composites:
+            lts = build_combined([composite, p, q])
+            fp = lts.inconsistent[lts.index[p]]
+            fq = lts.inconsistent[lts.index[q]]
+            fc = lts.inconsistent[lts.roots[0]]
+            if fc != expect(fp, fq):
+                report.fail([composite], fc, expect(fp, fq))
+        lts = build_combined([Conj(p, q), p, q])
+        if (
+            lts.inconsistent[lts.index[p]] or lts.inconsistent[lts.index[q]]
+        ) and not lts.inconsistent[lts.roots[0]]:
+            report.fail([Conj(p, q)], False, True)
+        lts = properties._probed_equation(config, 3 * trials + k, "RF", False)[1]
+        shapes = lts.shapes()
+        i = lts.roots[0]
+        if lts.inconsistent[i] != lts.inconsistent[shapes[i][1]]:
+            report.fail([lts.terms[i]], lts.inconsistent[i], lts.inconsistent[shapes[i][1]])
+
+    return properties._run("f-laws", config.seed, trials, trial)
+
+
+def _reference_conjunction_laws(config: GenConfig, trials: int) -> properties.TheoremReport:
+    """``check_conjunction_laws`` with one graph and one simulation
+    run per conjunction: three of each a trial."""
+    applied = 0
+
+    def trial(report, k):
+        nonlocal applied
+        p = _gen_term_trial(config, 3 * k, depth=max(2, config.max_depth - 1))
+        q = Disj(p, _gen_term_trial(config, 3 * k + 1, depth=2))
+        for base, left, right in [(p, p, q), (p, q, q), (p, p, p)]:
+            conj = Conj(left, right)
+            lts = build_combined([base, left, right, conj])
+            ib = lts.index[base]
+            il, ir, ic = lts.index[left], lts.index[right], lts.index[conj]
+            if not lts.stable[ib] or lts.inconsistent[ib]:
+                continue
+            rel = refinement.largest_stable_sim(lts).pairs
+            if (ib, il) in rel and (ib, ir) in rel:
+                applied += 1
+                if lts.inconsistent[ic]:
+                    report.fail([base, conj], "conjunction inconsistent", "consistent")
+                if not lts.stable[ic] or (ib, ic) not in rel:
+                    report.fail([base, conj], "not simulated", "conjunction simulates")
+
+    report = properties._run("conjunction", config.seed, trials, trial)
+    report.notes.append(f"non-vacuous instances: {applied}")
+    return report
+
+
+class TestOneGraphPerTrial:
+    """f-laws and conjunction read each trial off one graph; the reports
+    equal those of one graph per law, kept above as references."""
+
+    @pytest.mark.parametrize(
+        "check, reference",
+        [(check_f_laws, _reference_f_laws), (check_conjunction_laws, _reference_conjunction_laws)],
+        ids=["f-laws", "conjunction"],
+    )
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reports_equal_the_reference(self, check, reference, seed):
+        config = GenConfig(seed=seed)
+        assert report_to_json(check(config, 40)) == report_to_json(reference(config, 40))
+
+    @pytest.mark.parametrize("check", [check_f_laws, check_conjunction_laws])
+    def test_one_build_per_trial(self, check, monkeypatch):
+        calls = []
+        build = properties.build_combined
+
+        def counting(roots, limits=None):
+            calls.append(roots)
+            return build(roots, limits)
+
+        monkeypatch.setattr(properties, "build_combined", counting)
+        report = check(CFG, 12)
+        assert report.trials == 12 and not report.skipped
+        assert len(calls) == 12
+
+
 class TestUniqueSolution:
     def test_strong_guard_fixed_point(self):
         report = check_unique_solution(Prefix("a", Var("X")), "X")
@@ -443,6 +540,15 @@ class TestUniqueSolution:
     def test_generated_bodies(self):
         report = check_unique_solutions(CFG, trials=15)
         assert report.passed, report.failures
+
+    def test_informational_bodies_keep_their_failures(self, monkeypatch):
+        # at seed 2029, informational bodies 0 and 2 leave the variable
+        # strongly guarded outside every conjunction: their failures count
+        monkeypatch.setattr(properties, "equivalent", lambda p, q: False)
+        report = check_unique_solutions(GenConfig(seed=2029), 25)
+        late = [f for f in report.failures if f.trial >= 50_000]
+        assert late and all(f.seed == 2029 for f in late)
+        assert {f.trial for f in late} == {50_000, 50_002}
 
     def test_weak_guard_admits_many_solutions(self):
         # every process solves the internally guarded equation, so solutions

@@ -761,6 +761,16 @@ class TestConstruction:
         s2 = RecSpec({"Y": Prefix("a", Var("X")), "X": Var("Y")})
         assert s1 == s2 and hash(s1) == hash(s2)
 
+    def test_body_looks_up_every_name_and_only_those(self):
+        names = ("X", "X1", "X10", "X2", "Y")
+        bodies = {name: Prefix(f"a{i}", Var(name)) for i, name in enumerate(names)}
+        spec = RecSpec(bodies)
+        for name in names:
+            assert spec.body(name) is bodies[name]
+        for name in ("X0", "X3", "A", "Z"):
+            with pytest.raises(KeyError):
+                spec.body(name)
+
     def test_interned_per_class_and_fields(self):
         a, b = Prefix("a", Nil()), Prefix("b", Nil())
         assert ExtChoice(a, b) is ExtChoice(a, b)
