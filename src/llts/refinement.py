@@ -137,21 +137,19 @@ def _simulate(view, seeds):
         else:
             relation.add(pair)
 
-    # Counters in the style of Henzinger-Henzinger-Kopke: count[p2, a, q] is
-    # the number of weak a-targets q2 of q with (p2, q2) still related.  A
-    # pair (p, q) fails while one of its counters (p2 a weak a-target of p)
-    # is zero, and counters only fall.
-    count: dict[tuple[int, str, int], int] = {}
+    # p's a-move to p2 is matched against q while some weak a-target q2 of q
+    # has (p2, q2) related, and it is checked directly.  A related pair that
+    # is not queued has every move matched, so the move goes unmatched at the
+    # deletion of its last related (p2, q2): the loop below rechecks (p2, a,
+    # q) at each deletion of a (p2, q2) and enqueues the readers then.
+    def unmatched(p2, a, q) -> bool:
+        return not any((p2, q2) in relation for q2 in weak[q].get(a, ()))
 
     def unmatched_move(pair) -> tuple[str, int] | None:
         p, q = pair
         for a, targets in weak[p].items():
             for p2 in targets:
-                key = (p2, a, q)
-                if key not in count:
-                    q_targets = weak[q].get(a, ())
-                    count[key] = sum((p2, q2) in relation for q2 in q_targets)
-                if not count[key]:
+                if unmatched(p2, a, q):
                     return a, p2
         return None
 
@@ -164,17 +162,10 @@ def _simulate(view, seeds):
         p2, q2 = pair
         for a, q_users in users[q2].items():
             for q in q_users:
-                key = (p2, a, q)
-                if key not in count:
-                    continue
-                count[key] -= 1
-                if count[key]:
-                    continue
-                for p in users[p2][a]:
-                    reader = (p, q)
-                    if reader in relation and reader not in queued:
-                        queued.add(reader)
-                        queue.append(reader)
+                readers = [(p, q) for p in users[p2][a] if (p, q) in relation and (p, q) not in queued]
+                if readers and unmatched(p2, a, q):
+                    queued.update(readers)
+                    queue.extend(readers)
     return relation, deleted, weak
 
 
