@@ -12,7 +12,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .refinement import alt_refines, equivalent, largest_stable_sim, refines
@@ -24,6 +24,7 @@ from .semantics import (
     build_combined,
     build_lts,
     consistency_law_violations,
+    step,
     stratification_violations,
     validate_llts,
     weak_visible_step,
@@ -48,7 +49,6 @@ from .terms import (
     free_vars,
     is_multi_unfolding,
     normalize,
-    rec_specs,
     substitute,
     unfold_one,
     variable_status,
@@ -469,22 +469,19 @@ def _probed_equation(
 
 
 def _replace_positions(t: Term) -> list[Term]:
-    """Candidates with one subterm replaced by deadlock, in pre-order, plus
-    equation drops."""
+    """Candidates with one subterm replaced by deadlock, or one recursion with
+    an equation dropped that no other equation names, in pre-order."""
 
     def leave(t: Term, values: list[list[Term]]) -> list[Term]:
         own = [] if isinstance(t, Nil) else [Nil()]
+        if isinstance(t, Rec):
+            for name, _ in t.spec.equations:
+                remaining = {n: b for n, b in t.spec.equations if n != name}
+                if name != t.var and all(name not in free_vars(b) for b in remaining.values()):
+                    own.append(Rec(t.var, RecSpec(remaining)))
         return own + _variants(t, values)
 
-    out = _walk(t, None, _into_subterms, leave)
-    for rec, spec in rec_specs(t):
-        for name, _ in spec.equations:
-            if name == rec.var:
-                continue
-            remaining = {n: b for n, b in spec.equations if n != name}
-            if all(name not in free_vars(b) for b in remaining.values()):
-                out.append(Rec(rec.var, RecSpec(remaining)))
-    return out
+    return _walk(t, None, _into_subterms, leave)
 
 
 def shrink_term(t: Term, still_fails) -> Term:
@@ -702,15 +699,14 @@ def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
 def check_unfolding_equiv(config: GenConfig, trials: int = 150) -> TheoremReport:
     """Expanding one recursion step preserves equivalence, and expansion
     commutes with single transitions in both directions."""
-    from .semantics import step
 
     def trial(report: TheoremReport, k: int) -> None:
         t = _gen_term_trial(config, k)
+        t_moves = step(t)
         for s in unfold_one(t):
             if not equivalent(t, s):
                 report.fail([t, s], "inequivalent", "expansion preserves equivalence")
                 continue
-            t_moves = step(t)
             s_moves = step(s)
             for a, t2 in t_moves:
                 if not any(
@@ -772,10 +768,11 @@ def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
     same context as with the build."""
 
     def trial(report: TheoremReport, k: int) -> None:
-        pair = next(((p, q) for p, q in _true_pairs(config, k) if refines(p, q).holds), None)
+        pairs = _true_pairs(config, k)
+        pair = next(((p, q) for p, q in pairs if refines(p, q).holds), None)
         if pair is None:
             report.fail(
-                [t for pq in _true_pairs(config, k) for t in pq][:2],
+                [t for pq in pairs for t in pq][:2],
                 "no seed law verified",
                 "algebraic seed laws hold",
             )
@@ -809,7 +806,7 @@ def check_operator_closure(config: GenConfig, trials: int = 60) -> TheoremReport
     and conjunction."""
 
     def trial(report: TheoremReport, k: int) -> None:
-        verified = [(p, q) for p, q in _true_pairs(config, k) if refines(p, q).holds]
+        verified = list(islice(((p, q) for p, q in _true_pairs(config, k) if refines(p, q).holds), 2))
         if len(verified) < 2:
             report.skip(k, "no verified pairs")
             return

@@ -35,6 +35,7 @@ from llts.terms import (
     Nil,
     Parallel,
     Prefix,
+    Rec,
     Var,
     degree,
     first_guard_violation,
@@ -270,6 +271,18 @@ class TestShrink:
         small = shrink_term(bad, still_fails)
         lts = build_lts(small)
         assert lts.inconsistent[lts.root]
+
+    def test_equation_drop_keeps_its_context(self):
+        def still_fails(s):
+            return isinstance(s, Prefix) and isinstance(s.body, Rec) and s.body.var == "X"
+
+        small = shrink_term(parse("a.<X | X = b.X, Y = c.Y>"), still_fails)
+        assert small == parse("a.<X | X = 0>")
+
+    def test_candidates_of_a_nested_recursion_are_closed(self):
+        candidates = properties._replace_positions(parse("<Z | Z = a.<X | X = b.Z, Y = c.Y>>"))
+        assert parse("<Z | Z = a.<X | X = b.Z>>") in candidates
+        assert all(not free_vars(c) for c in candidates)
 
 
 class TestChecks:
