@@ -13,10 +13,12 @@ The corpus is built from seeds, with no input file:
 - malformed texts: well-formed ones with one seeded character inserted or
   deleted.
 
-The families are ``refines`` (``verdict_to_json``), ``equivalent``,
-``lts_json`` and ``lts_text`` (of ``build_lts``), and ``parse``: a
-``ParseError``'s message, span and expected tokens, or else the term the
-text gives.
+The families are, per pair, ``refines`` (``verdict_to_json``),
+``equivalent``, ``stable`` (``stable_refines``), ``sim`` (the sorted index
+pairs of ``largest_stable_sim`` on the pair's graph) and ``certify``
+(``check_verdict`` on the ``refines`` verdict); per term, ``lts_json`` and
+``lts_text`` (of ``build_lts``); and per text, ``parse``: a ``ParseError``'s
+message, span and expected tokens, or else the term the text gives.
 
 Check the pins:        PYTHONPATH=src python -m tests.golden
 Write them again:      PYTHONPATH=src python -m tests.golden --write
@@ -34,7 +36,14 @@ import sys
 from pathlib import Path
 
 from llts.properties import GenConfig, _gen_term_trial
-from llts.refinement import equivalent, refines, verdict_to_json
+from llts.refinement import (
+    check_verdict,
+    equivalent,
+    largest_stable_sim,
+    refines,
+    stable_refines,
+    verdict_to_json,
+)
 from llts.semantics import build_lts, lts_to_json, lts_to_text
 from llts.syntax import ParseError, parse
 from llts.terms import Disj, Term
@@ -104,7 +113,15 @@ def _malformed(bases: list[str]) -> dict[str, str]:
 
 
 def _pair(p: Term, q: Term) -> dict[str, str]:
-    return {"refines": verdict_to_json(refines(p, q)), "equivalent": str(equivalent(p, q))}
+    verdict = refines(p, q)
+    lts = verdict.lts
+    return {
+        "refines": verdict_to_json(verdict),
+        "equivalent": str(equivalent(p, q)),
+        "stable": str(stable_refines(p, q)),
+        "sim": json.dumps(sorted(largest_stable_sim(lts).pairs)),
+        "certify": str(check_verdict(lts, *lts.roots, verdict)),
+    }
 
 
 def _graph(t: Term) -> dict[str, str]:
