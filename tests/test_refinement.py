@@ -69,6 +69,19 @@ class TestLargestStableSim:
         assert (bot, nil) in rel
         assert (nil, bot) not in rel
 
+    def test_inconsistent_stable_states_by_definition(self):
+        # every stable state simulates an inconsistent one, and no consistent
+        # state is simulated by an inconsistent one
+        lts = build("bot", "a.0", "0", "b.0 [] bot")
+        rel = largest_stable_sim(lts).pairs
+        stable = [i for i in range(len(lts.terms)) if lts.stable[i]]
+        bad = [i for i in stable if lts.inconsistent[i]]
+        good = [i for i in stable if not lts.inconsistent[i]]
+        bot, _, _, bot_choice = lts.roots
+        assert {bot, bot_choice} <= set(bad) and good
+        assert set(product(bad, stable)) <= rel
+        assert not any((p, q) in rel for p in good for q in (bot, bot_choice))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_witness_is_simulation(self, seed):
         p = _gen_term_trial(CFG, 2 * seed)
@@ -99,6 +112,11 @@ class TestRefines:
         assert not v.holds
         v2 = refines(parse("0"), parse("bot"))
         assert not v2.holds
+
+    def test_inconsistent_partner_is_no_descendant(self):
+        v = refines(parse("a.0"), parse("bot"))
+        assert not v.holds
+        assert v.counterexample.reason == REASON_NO_DESCENDANT
 
     def test_witness_present_iff_holds(self):
         held = refines(parse("a.0"), parse("a.0"))
@@ -134,6 +152,11 @@ class TestEquivalence:
         assert not stable_refines(parse("tau.a.0"), parse("a.0"))  # left unstable
         assert stable_refines(parse("a.0 [] b.0"), parse("b.0 [] a.0"))
         assert stable_refines(parse("b.0 [] a.0"), parse("a.0 [] b.0"))
+
+    def test_stable_variant_with_inconsistent_roots(self):
+        assert stable_refines(parse("bot"), parse("a.0"))
+        assert stable_refines(parse("bot"), parse("bot"))
+        assert not stable_refines(parse("a.0"), parse("bot"))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reflexive_on_generated(self, seed):
@@ -201,7 +224,6 @@ class TestCounterexampleFuzz:
         assert cex is not None
         assert cex.reason in (
             "ready-set-mismatch",
-            "consistency-violation",
             "no-matching-move",
             "no-stable-descendant-match",
         )
