@@ -4,7 +4,9 @@
 processes.  It folds the stable states reachable by weak moves from the roots'
 stable consistent descendants into blocks of weakly bisimilar states, computes
 the largest stable ready simulation over the block pairs reachable from those
-descendants' blocks, then matches the descendants.  The witness and the
+descendants' blocks, then matches the descendants.  Weak moves reach
+consistent states only, so blocks are compared on ready sets and moves alone;
+inconsistent stable states are answered by definition.  The witness and the
 counterexample are read off that block relation and its deletion records,
 and only when one of them is read.  ``check_verdict`` checks such an explanation
 against the graph.  ``alt_refines`` decides the same preorder through an
@@ -29,7 +31,6 @@ from .semantics import (
 from .terms import Term
 
 REASON_READY = "ready-set-mismatch"
-REASON_CONSISTENCY = "consistency-violation"
 REASON_NO_MOVE = "no-matching-move"
 REASON_NO_DESCENDANT = "no-stable-descendant-match"
 
@@ -57,8 +58,7 @@ class Counterexample:
 @dataclass(frozen=True)
 class _Deletion:
     seq: int
-    reason: str
-    action: str | None = None
+    action: str | None = None  # None: the ready sets differ
     successor: int | None = None
 
 
@@ -98,17 +98,16 @@ def _simulate(view, seeds):
     """Largest stable ready simulation over the pairs of blocks reachable
     from ``seeds`` through matching weak moves, plus a deletion record per
     rejected pair (used to assemble counterexamples) and the weak moves of
-    every block it touched.  ``view(b)`` gives block ``b``'s inconsistency
-    flag, ready set and weak moves, as sorted targets per action.
+    every block it touched.  ``view(b)`` gives block ``b``'s ready set and
+    weak moves, as sorted targets per action.
 
     On a set of pairs closed under those moves, the largest simulation is the
     graph's largest one restricted to the set.  Deletions are numbered in
-    order: the pairs that fail on consistency or ready sets, sorted, then
-    those with an unmatched move, first in first out from the sorted ones
-    that fail at the start.  With ``_partition``'s block numbering, this
+    order: the pairs whose ready sets differ, sorted, then those with an
+    unmatched move, first in first out from the sorted ones that fail at the
+    start.  With ``_partition``'s block numbering, this
     fixes the partner ``_diagnose`` follows: the one deleted last.
     """
-    F: dict[int, bool] = {}
     ready: dict[int, frozenset[str]] = {}
     weak: dict[int, dict[str, tuple[int, ...]]] = {}
     # users[i][a]: the touched nodes with i among their weak a-targets
@@ -117,25 +116,21 @@ def _simulate(view, seeds):
     def matchable(pair) -> bool:
         for i in pair:
             if i not in weak:
-                F[i], ready[i], weak[i] = view(i)
+                ready[i], weak[i] = view(i)
                 for a, targets in weak[i].items():
                     for t in targets:
                         users[t][a].append(i)
         p, q = pair
-        return not (F[p] or F[q]) and ready[p] == ready[q]
+        return ready[p] == ready[q]
 
     relation: set[tuple[int, int]] = set()
     deleted: dict[tuple[int, int], _Deletion] = {}
     for pair in sorted(_closure(seeds, weak.__getitem__, matchable)):
         p, q = pair
-        if F[p]:
+        if ready[p] == ready[q]:
             relation.add(pair)
-        elif F[q]:
-            deleted[pair] = _Deletion(len(deleted), REASON_CONSISTENCY)
-        elif ready[p] != ready[q]:
-            deleted[pair] = _Deletion(len(deleted), REASON_READY)
         else:
-            relation.add(pair)
+            deleted[pair] = _Deletion(len(deleted))
 
     # p's a-move to p2 is matched against q while some weak a-target q2 of q
     # has (p2, q2) related, and it is checked directly.  A related pair that
@@ -153,11 +148,11 @@ def _simulate(view, seeds):
                     return a, p2
         return None
 
-    queue = deque(pair for pair in sorted(relation) if not F[pair[0]] and unmatched_move(pair))
+    queue = deque(pair for pair in sorted(relation) if unmatched_move(pair))
     queued = set(queue)
     while queue:
         pair = queue.popleft()
-        deleted[pair] = _Deletion(len(deleted), REASON_NO_MOVE, *unmatched_move(pair))
+        deleted[pair] = _Deletion(len(deleted), *unmatched_move(pair))
         relation.discard(pair)
         p2, q2 = pair
         for a, q_users in users[q2].items():
@@ -176,7 +171,7 @@ class _Quotient:
     the labels, moves and deletion records that explain it."""
 
     block: dict[int, int]
-    label: dict[int, tuple[bool, frozenset[str]]]
+    label: dict[int, frozenset[str]]
     weak: dict[int, dict[str, frozenset[int]]]
     pairs: set[tuple[int, int]]
     deleted: dict[tuple[int, int], _Deletion]
@@ -188,10 +183,10 @@ class _Quotient:
 
 
 def _partition(lts: Lts, starts):
-    """Fold the stable states reachable by weak moves from ``starts`` into
-    blocks of weakly bisimilar states: the coarsest partition whose blocks
-    agree on (inconsistent, ready set, set of blocks per weak action).
-    Returns every state's block, label and weak moves.
+    """Fold the stable states reachable by weak moves from ``starts``, all
+    consistent, into blocks of weakly bisimilar states: the coarsest
+    partition whose blocks agree on (ready set, set of blocks per weak
+    action).  Returns every state's block, ready set and weak moves.
 
     A state is signed again only when one of its weak-move successors
     changes block.  When a block splits, the part whose signature is
@@ -209,7 +204,7 @@ def _partition(lts: Lts, starts):
                 if t not in weak:
                     weak[t] = _weak_moves(lts, t)
                     order.append(t)
-    label = {s: (lts.inconsistent[s], lts.ready(s)) for s in order}
+    label = {s: lts.ready(s) for s in order}
     block = dict.fromkeys(order, 0)
     size = [len(order)]
     sig: list = [None]  # the signature of each block's members not in dirty
@@ -250,7 +245,7 @@ def _quotient_sim(lts: Lts, left, right) -> _Quotient:
     def view(b):
         s = rep[b]
         moves = {a: tuple(sorted({block[t] for t in ts})) for a, ts in weak[s].items()}
-        return (*label[s], moves)
+        return label[s], moves
 
     left_blocks = {block[s] for s in left}
     right_blocks = {block[s] for s in right}
@@ -259,13 +254,17 @@ def _quotient_sim(lts: Lts, left, right) -> _Quotient:
 
 
 def largest_stable_sim(lts: Lts) -> SimRelation:
-    """The largest stable ready simulation over the graph's stable states."""
+    """The largest stable ready simulation over the graph's stable states.
+    Every stable state simulates an inconsistent one, and no weak move
+    reaches an inconsistent state, so only the consistent ones are folded."""
     stable_ids = [i for i in range(len(lts.terms)) if lts.stable[i]]
-    quotient = _quotient_sim(lts, stable_ids, stable_ids)
+    consistent = [i for i in stable_ids if not lts.inconsistent[i]]
+    quotient = _quotient_sim(lts, consistent, consistent)
     members = defaultdict(list)
-    for s in stable_ids:
+    for s in consistent:
         members[quotient.block[s]].append(s)
-    pairs = (pair for b, c in quotient.pairs for pair in product(members[b], members[c]))
+    pairs = [pair for b, c in quotient.pairs for pair in product(members[b], members[c])]
+    pairs += product(set(stable_ids).difference(consistent), stable_ids)
     return SimRelation(lts, frozenset(pairs))
 
 
@@ -273,13 +272,13 @@ def _witness_pairs(lts: Lts, quotient: _Quotient) -> frozenset[tuple[int, int]]:
     """The largest simulation over the state pairs reachable from the roots'
     stable consistent descendants, csd(p) × csd(q): the pairs reached through
     matching weak moves that the block relation relates.  A pair's moves are
-    followed when ``_simulate`` follows its block pair's: both states
-    consistent, with equal ready sets."""
+    followed when ``_simulate`` follows its block pair's: on equal ready
+    sets."""
     label = quotient.label
 
     def matchable(pair) -> bool:
         p, q = pair
-        return not label[p][0] and label[p] == label[q]
+        return label[p] == label[q]
 
     csd = lts.consistent_stable_descendants()
     reached = _closure(product(*(csd[r] for r in lts.roots)), quotient.weak.__getitem__, matchable)
@@ -298,8 +297,8 @@ def _diagnose(lts, quotient: _Quotient, p0: int, candidates):
         # every candidate's pair was deleted, since p has no partner left
         partner = max(quorum, key=lambda c: deleted[block[p], c].seq)
         record = deleted[block[p], partner]
-        if record.reason in (REASON_CONSISTENCY, REASON_READY):
-            return Counterexample(tuple(path), record.reason)
+        if record.action is None:
+            return Counterexample(tuple(path), REASON_READY)
         a = record.action
         p = min(t for t in quotient.weak[p][a] if block[t] == record.successor)
         path.append((a, str(lts.terms[p])))
@@ -358,11 +357,13 @@ def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVe
 def stable_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
     """Stable ready simulation between the roots themselves: both must be
     stable and related by the largest stable ready simulation, computed over
-    the block pairs reachable from the root pair."""
+    the block pairs reachable from the root pair when both are consistent."""
     lts = build_combined([p, q], limits)
     ip, iq = lts.roots
     if not (lts.stable[ip] and lts.stable[iq]):
         return False
+    if lts.inconsistent[ip] or lts.inconsistent[iq]:
+        return lts.inconsistent[ip]
     return (ip, iq) in _quotient_sim(lts, [ip], [iq])
 
 
@@ -387,7 +388,7 @@ def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str
     ``iq``.  A refuted verdict's path must replay as weak moves from a stable
     consistent descendant of ``ip``, and its reason must hold at the path's
     end for some state that ``iq``'s descendants reach by the same actions:
-    its ready set differs, it is inconsistent, or it lacks the last move.
+    its ready set differs, or it lacks the last move.
     """
     F = lts.inconsistent
     csd = lts.consistent_stable_descendants()
@@ -427,8 +428,6 @@ def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str
         holds = not steps and not csd[iq]
     elif cex.reason == REASON_NO_MOVE:
         holds = bool(steps) and any(not weak_visible_step(lts, s, steps[-1][0]) for s in before)
-    elif cex.reason == REASON_CONSISTENCY:
-        holds = any(F[s] for s in there)
     else:
         holds = cex.reason == REASON_READY and any(
             lts.ready(s) != lts.ready(t) for s in here for t in there

@@ -13,7 +13,6 @@ from llts.properties import (
     enumerate_stable_sim_pairs,
 )
 from llts.refinement import (
-    REASON_CONSISTENCY,
     REASON_NO_DESCENDANT,
     REASON_NO_MOVE,
     REASON_READY,
@@ -329,7 +328,7 @@ def _round_robin_sim(lts):
         if F[p] or not (F[q] or lts.ready(p) != lts.ready(q)):
             relation.add(pair)
         else:
-            reason = REASON_CONSISTENCY if F[q] else REASON_READY
+            reason = "consistency-violation" if F[q] else REASON_READY
             deleted[pair] = (len(deleted), reason, None, None)
     changed = True
     while changed:
@@ -546,6 +545,6 @@ class TestCheckVerdict:
         verdict = refines(p, q)
         lts, cex = verdict.lts, verdict.counterexample
         assert cex.reason == REASON_READY
-        for reason in (REASON_CONSISTENCY, REASON_NO_MOVE, "no-stable-descendant-match"):
+        for reason in ("consistency-violation", REASON_NO_MOVE, "no-stable-descendant-match"):
             forged = SimpleNamespace(holds=False, counterexample=Counterexample(cex.path, reason))
             assert "does not hold" in check_verdict(lts, *lts.roots, forged)
