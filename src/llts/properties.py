@@ -410,16 +410,13 @@ def _resampled(draw, close, fallback: Term) -> tuple[Term, Lts]:
     return fallback, _fits(close(fallback))
 
 
-def _probed(gen: _Gen, depth: int) -> tuple[Term, Lts]:
-    """A generated term whose graph fits the probe bound, with that graph."""
+def _probed_trial(config: GenConfig, trial: int, depth: int) -> tuple[Term, Lts]:
+    """The trial's generated term, resampled until its graph fits the probe
+    bound, with its graph as ``build_lts`` builds it."""
+    gen = _Gen(_trial_rng(config, trial), config)
     return _resampled(
         lambda: normalize(gen.term(depth, {}, _Path())), lambda t: t, Prefix(ALPHABET[0], Nil())
     )
-
-
-def _probed_trial(config: GenConfig, trial: int, depth: int) -> tuple[Term, Lts]:
-    """The trial's generated term, with its graph as ``build_lts`` builds it."""
-    return _probed(_Gen(_trial_rng(config, trial), config), depth)
 
 
 def _gen_term_trial(config: GenConfig, trial: int, depth: int | None = None) -> Term:
@@ -486,20 +483,16 @@ def _replace_positions(t: Term) -> list[Term]:
 
 def shrink_term(t: Term, still_fails) -> Term:
     """Greedy minimisation: keep any deadlock-replacement or equation drop
-    that preserves the failure."""
+    that preserves the failure.  ``still_fails`` handles its own errors: one
+    it raises ends the search."""
     changed = True
     while changed:
         changed = False
         for candidate in _replace_positions(t):
-            if candidate == t:
-                continue
-            try:
-                if still_fails(candidate):
-                    t = candidate
-                    changed = True
-                    break
-            except Exception:
-                continue
+            if candidate != t and still_fails(candidate):
+                t = candidate
+                changed = True
+                break
     return t
 
 
@@ -654,7 +647,7 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
             def still_fails(s: Term) -> bool:
                 try:
                     l2 = build_lts(s)
-                except Exception:
+                except StateBoundExceeded:
                     return False
                 return bool(consistency_law_violations(l2)) or not validate_llts(l2).ok
 

@@ -279,6 +279,13 @@ class TestShrink:
         small = shrink_term(parse("a.<X | X = b.X, Y = c.Y>"), still_fails)
         assert small == parse("a.<X | X = 0>")
 
+    def test_predicate_errors_propagate(self):
+        def raising(s):
+            raise ValueError("predicate fault")
+
+        with pytest.raises(ValueError, match="predicate fault"):
+            shrink_term(parse("a.b.0"), raising)
+
     def test_candidates_of_a_nested_recursion_are_closed(self):
         candidates = properties._replace_positions(parse("<Z | Z = a.<X | X = b.Z, Y = c.Y>>"))
         assert parse("<Z | Z = a.<X | X = b.Z>>") in candidates
