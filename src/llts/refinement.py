@@ -28,7 +28,7 @@ from .semantics import (
     build_combined,
     weak_visible_step,
 )
-from .terms import Term
+from .terms import TAU, Term
 
 REASON_READY = "ready-set-mismatch"
 REASON_NO_MOVE = "no-matching-move"
@@ -63,14 +63,17 @@ class _Deletion:
 
 
 def _weak_moves(lts: Lts, i: int) -> dict[str, frozenset[int]]:
-    out: dict[str, frozenset[int]] = {}
+    """``weak_visible_step(lts, i, a)`` for each visible action ``a`` that
+    has a target, in sorted order, read in one pass over ``i``'s moves.  An
+    inconsistent move target has no consistent stable descendant."""
     if lts.inconsistent[i]:
-        return out
-    for a in sorted(lts.visible_ready(i)):
-        targets = weak_visible_step(lts, i, a)
-        if targets:
-            out[a] = targets
-    return out
+        return {}
+    csd = lts.consistent_stable_descendants()
+    out: dict[str, set[int]] = {}
+    for a, j in lts.transitions[i]:
+        if a != TAU and csd[j]:
+            out.setdefault(a, set()).update(csd[j])
+    return {a: frozenset(out[a]) for a in sorted(out)}
 
 
 def _closure(seeds, moves, matchable):
@@ -444,7 +447,11 @@ def alt_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
     n = len(lts.terms)
     F = lts.inconsistent
     csd = lts.consistent_stable_descendants()
-    weak = {i: _weak_moves(lts, i) for i in range(n) if lts.stable[i]}
+    weak = {
+        i: {a: weak_visible_step(lts, i, a) for a in lts.visible_ready(i)}
+        for i in range(n)
+        if lts.stable[i]
+    }
 
     relation = {
         (i, j)

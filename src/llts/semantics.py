@@ -7,7 +7,8 @@ one entry per operator.  ``step`` reads its transition rules,
 ``compute_inconsistent`` its inconsistency rules as Horn clauses, and
 ``used_rule_instances`` both, with their premises.  ``step`` applies the rules
 bottom-up on the explicit-stack walk ``terms._walk``, so the depth of a term
-is no limit; it checks each recursion it meets guarded, so by
+is no limit, or straight away to a term whose premise sources' moves are
+already known; it checks each recursion it meets guarded, so by
 ``terms.StratRank`` every chain of recursion expansions ends.
 
 Internal moves take precedence over visible ones: a composition offers a
@@ -322,14 +323,33 @@ def _check_closed(t: Term) -> None:
         raise ValueError(f"only closed terms have a transition graph: {t}")
 
 
+def _premise_sources(t: Term) -> tuple[Term, ...]:
+    """The terms whose moves ``t``'s transition rules read: a recursion's
+    expansion, or a composition's operands; a prefix or disjunction reads
+    none."""
+    return () if type(t) in (Prefix, Disj) else support_children(t)
+
+
 def _closed_step(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
     """``step`` on a term known to be closed.  ``memo`` may be shared across
     calls: it keeps completed results and the equation systems that passed
-    the guard check.  The walk ends by the argument of ``terms.StratRank``."""
+    the guard check.
+
+    When the moves of every premise source of ``t`` are in ``memo``, and a
+    recursion's equation system has passed the check, the rule table is
+    applied to ``t`` straight away: in a build, most terms are stepped after
+    their operands.  Otherwise the premise sources are stepped bottom-up on
+    ``_walk``, which ends by the argument of ``terms.StratRank``."""
+    cached = memo.get(t)
+    if cached is not None:
+        return cached
+    if all(map(memo.__contains__, _premise_sources(t))) and (
+        type(t) is not Rec or t.spec in memo
+    ):
+        return _apply_rules(t, memo)
 
     # A known term is a leaf.  A recursion's equation system is checked
-    # guarded, and it reads its expansion's moves; a prefix or disjunction
-    # reads none.  A choice is walked as its whole chain, whose head is the
+    # guarded.  A choice is walked as its whole chain, whose head is the
     # chain's nodes.
     def enter(t: Term, _):
         cached = memo.get(t)
@@ -342,7 +362,7 @@ def _closed_step(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
             if violation is not None:
                 raise GuardednessError(*violation)
             memo[t.spec] = ()
-        return t, (() if type(t) in (Prefix, Disj) else support_children(t)), None
+        return t, _premise_sources(t), None
 
     def leave(head, values) -> tuple[tuple[str, Term], ...]:
         if type(head) is not list:
@@ -417,6 +437,11 @@ class Lts:
     take hand-made graphs that break the purity lemma, and a state with both
     kinds of move must not count as stable there.  A support-only term is not
     stable.
+
+    ``shapes`` gives each term's kind and the ids of its operands or
+    expansion.  ``build_combined`` records them as it adds those children and
+    passes them in; on a graph made by hand they are read off the terms when
+    first asked for.
     """
 
     __slots__ = (
@@ -433,7 +458,7 @@ class Lts:
         "_std",
     )
 
-    def __init__(self, terms, index, roots, transitions, limits):
+    def __init__(self, terms, index, roots, transitions, limits, shapes=None):
         self.terms: list[Term] = terms
         self.index: dict[Term, int] = index
         self.roots: list[int] = roots
@@ -445,7 +470,7 @@ class Lts:
         ]
         self.inconsistent: list[bool] = [False] * len(terms)
         self.reachable: list[bool] = self._compute_reachable()
-        self._shape = None
+        self._shape = shapes
         self._csd = None
         self._std: list[frozenset[int] | None] = [None] * len(terms)
 
@@ -478,7 +503,7 @@ class Lts:
     # -- shape metadata used by the predicate rules -------------------------
 
     def shapes(self):
-        """Per-state structural view: kind tag plus operand/expansion ids."""
+        """Per-term structural view: kind tag plus operand/expansion ids."""
         if self._shape is None:
             index = self.index
             self._shape = [
@@ -604,10 +629,11 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     index: dict[Term, int] = {}
     terms: list[Term] = []
     transitions: list = []  # None until the term is explored
+    shapes: list = []  # ``Lts.shapes``, each set when its term is explored
     is_state: list[bool] = []
     todo: deque[int] = deque()
 
-    def add(t: Term, state: bool) -> int:
+    def add(t: Term, state: bool = True) -> int:
         i = index.get(t)
         if i is None:
             if len(terms) >= limits.max_states:
@@ -616,6 +642,7 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
             index[t] = i
             terms.append(t)
             transitions.append(None)
+            shapes.append(None)
             is_state.append(state or type(t) in (Conj, Rec))
             todo.append(i)
         elif state and not is_state[i]:
@@ -629,21 +656,21 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     # the roots alone are checked.
     for t in roots:
         _check_closed(t)
-    root_ids = [add(t, True) for t in roots]
+    root_ids = [add(t) for t in roots]
     step_memo: dict = {}
-    pairs = _MovePairs(lambda t: add(t, True))
+    pairs = _MovePairs(add)
     while todo:
         i = todo.popleft()
         t = terms[i]
-        for c in support_children(t):
-            add(c, type(t) is Conj)
+        conj = type(t) is Conj
+        shapes[i] = (_KIND[type(t)], *[add(c, conj) for c in support_children(t)])
         if is_state[i]:
             moves = _closed_step(t, step_memo)
             transitions[i] = tuple(map(pairs.__getitem__, moves))
         else:
             transitions[i] = UNSTORED
 
-    lts = Lts(terms, index, root_ids, transitions, limits)
+    lts = Lts(terms, index, root_ids, transitions, limits, shapes)
     compute_inconsistent(lts)
     return lts
 

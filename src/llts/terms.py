@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
@@ -61,23 +62,22 @@ class _Interned:
     """Hash-consed values: construction returns the one instance with the
     given fields, so equality is identity and so is the hash.
 
-    A class lists its fields once, in ``__slots__``; ``_key`` checks the
-    constructor's arguments and turns them into the fields.  Each instance
-    records its ``_Facts`` when it is first built.
+    A class lists its fields once, in ``__slots__``.  A class whose
+    constructor checks or converts its arguments defines ``_key``, which
+    turns them into the fields; any other takes its fields as they are.
+    Each instance records its ``_Facts`` when it is first built.
     """
 
     __slots__ = ("_facts",)
     _fields: tuple[str, ...] = ()
+    _key = None
 
     def __init_subclass__(cls):
         cls._fields = cls.__match_args__ = cls._fields + cls.__dict__["__slots__"]
 
-    @staticmethod
-    def _key(*fields):
-        return fields
-
-    def __new__(cls, *args):
-        fields = cls._key(*args)
+    def __new__(cls, *fields):
+        if cls._key is not None:
+            fields = cls._key(*fields)
         key = (cls, *fields)
         inst = _INTERN.get(key)
         if inst is None:
@@ -239,14 +239,19 @@ def _facts_of(t: _Interned) -> _Facts:
     return _Facts(free, (unguarded - bound) or _EMPTY, True)
 
 
+def _body(t: Prefix) -> tuple[Term]:
+    return (t.body,)
+
+
+_sides = attrgetter("left", "right")
+# The operands of each operator that has some.
+_OPERANDS = {Prefix: _body, ExtChoice: _sides, Conj: _sides, Disj: _sides, Parallel: _sides}
+
+
 def operands(t: Term) -> tuple[Term, ...]:
     """Immediate subterms, not descending into recursion equation bodies."""
-    match t:
-        case Prefix():
-            return (t.body,)
-        case _Binary() | Parallel():
-            return (t.left, t.right)
-    return ()
+    get = _OPERANDS.get(type(t))
+    return () if get is None else get(t)
 
 
 def subterms(t: Term) -> tuple[Term, ...]:

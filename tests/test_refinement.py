@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import golden
 from llts import refinement
 
 from llts.properties import (
@@ -27,7 +28,7 @@ from llts.refinement import (
     stable_refines,
     verdict_to_json,
 )
-from llts.semantics import BuildLimits, StateBoundExceeded, build_combined
+from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, weak_visible_step
 from llts.syntax import parse
 from llts.terms import Disj, Term
 
@@ -314,13 +315,20 @@ PINNED = {
 }
 
 
+def _weak_by_action(lts, i):
+    """Reference for ``_weak_moves``: ``weak_visible_step`` action by action,
+    sorted, the actions with a target kept."""
+    steps = {a: weak_visible_step(lts, i, a) for a in sorted(lts.visible_ready(i))}
+    return {a: targets for a, targets in steps.items() if targets}
+
+
 def _round_robin_sim(lts):
     """Reference for the simulation on states: check every stable pair in
     sorted order, sweep after sweep, until a sweep deletes nothing.  Returns
     the relation and, per deleted pair, (sequence number, reason, action,
     successor)."""
     stable = [i for i in range(len(lts.terms)) if lts.stable[i]]
-    weak = {i: _weak_moves(lts, i) for i in stable}
+    weak = {i: _weak_by_action(lts, i) for i in stable}
     F = lts.inconsistent
     relation, deleted = set(), {}
     for pair in product(stable, stable):
@@ -365,7 +373,7 @@ def _round_robin_counterexample(lts, deleted, p0, candidates):
         if reason != REASON_NO_MOVE:
             return Counterexample(tuple(path), reason)
         path.append((a, str(lts.terms[p])))
-        quorum = _weak_moves(lts, partner).get(a, ())
+        quorum = _weak_by_action(lts, partner).get(a, ())
     return Counterexample(tuple(path), REASON_NO_MOVE if len(path) > 1 else REASON_NO_DESCENDANT)
 
 
@@ -448,6 +456,21 @@ class TestEngine:
             assert equivalent(p, q) == (alt_refines(p, q) and alt_refines(q, p))
             full = largest_stable_sim(lts).pairs
             assert stable_refines(p, q) == (tuple(lts.roots) in full)
+
+
+class TestWeakMoves:
+    @pytest.mark.parametrize("seed", golden.GEN_SEEDS)
+    def test_one_pass_equals_per_action(self, seed):
+        # on the graphs of the golden corpus's generated pairs, in the same
+        # action order, which fixes the order deletions are recorded in
+        config = GenConfig(seed=seed)
+        for k in range(golden.GEN_TRIALS):
+            p, q = _gen_term_trial(config, 2 * k), _gen_term_trial(config, 2 * k + 1)
+            for lts in (build_combined([p, q]), build_combined([p, Disj(p, q)])):
+                for i, stable in enumerate(lts.stable):
+                    if stable and not lts.inconsistent[i]:
+                        got, expected = _weak_moves(lts, i), _weak_by_action(lts, i)
+                        assert list(got.items()) == list(expected.items())
 
 
 class TestQuotient:

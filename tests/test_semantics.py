@@ -350,6 +350,18 @@ class TestGuardedRecursion:
     guarded, so a step expands any number of recursions, and an unguarded
     system is rejected with the error ``parse`` raises."""
 
+    def test_memoised_sources_do_not_skip_the_check(self):
+        # the rules are applied without the walk only once every premise
+        # source is memoised and a recursion's equations passed the check
+        a0 = Prefix("a", Nil())
+        loop = UNGUARDED["loop"][0]
+        unreached = Rec("X", {"X": a0, "Y": Var("Y")})  # expands to a.0
+        for t in (Parallel((), a0, loop), Parallel((), loop, a0), unreached):
+            memo = {}
+            _closed_step(a0, memo)
+            with pytest.raises(GuardednessError):
+                _closed_step(t, memo)
+
     @pytest.mark.parametrize("name", sorted(MANY_RECURSIONS))
     def test_many_recursions_in_one_step(self, name):
         lts = build_lts(parse(MANY_RECURSIONS[name]))
@@ -796,6 +808,26 @@ def _interleaving(n):
     return " |[]| ".join(["<X | X = a.(b.X \\/ c.X)>"] * n)
 
 
+GENERATED = pytest.mark.parametrize(
+    "seed, depth", [(23, 4), (37, 3), (7, 5), (3, 5)], ids=["23-4", "37-3", "7-5", "3-5"]
+)
+
+
+def _generated_graphs(seed, depth):
+    """The graphs of 300 generated terms, less those over the state bound."""
+    config = GenConfig(seed=seed, max_depth=depth)
+    for trial in range(300):
+        try:
+            yield build_lts(_gen_term_trial(config, trial))
+        except StateBoundExceeded:
+            continue
+
+
+def _lazy_shapes(lts):
+    """``lts.shapes()`` read off the terms, as on a graph made by hand."""
+    return Lts(lts.terms, lts.index, lts.roots, lts.transitions, lts.limits).shapes()
+
+
 class TestLazyUniverse:
     """Moves are stored for the states only; support-only terms keep their
     universe id and flag."""
@@ -815,16 +847,9 @@ class TestLazyUniverse:
         _closed_step(t, memo)
         assert sum(map(len, memo.values())) <= 2 * k
 
-    @pytest.mark.parametrize(
-        "seed, depth", [(23, 4), (37, 3), (7, 5), (3, 5)], ids=["23-4", "37-3", "7-5", "3-5"]
-    )
+    @GENERATED
     def test_generated_states_and_flags(self, seed, depth):
-        config = GenConfig(seed=seed, max_depth=depth)
-        for trial in range(300):
-            try:
-                lts = build_lts(_gen_term_trial(config, trial))
-            except StateBoundExceeded:
-                continue
+        for lts in _generated_graphs(seed, depth):
             for i in _states(lts):
                 assert [(a, lts.terms[j]) for a, j in lts.transitions[i]] == step(lts.terms[i])
             for u in lts.terms:
@@ -834,6 +859,32 @@ class TestLazyUniverse:
             assert flagged == inconsistent_fixpoint_naive(lts)
             assert validate_llts(lts).ok
             assert consistency_law_violations(lts) == []
+
+    @GENERATED
+    def test_recorded_shapes_equal_lazy_ones(self, seed, depth):
+        for lts in _generated_graphs(seed, depth):
+            assert lts.shapes() == _lazy_shapes(lts)
+
+    def test_recorded_shape_of_a_term_explored_again(self):
+        # ``c`` enters the universe as a support-only operand of the root
+        # choice; the conjunction's operand, it is explored again as a state
+        a0 = Prefix("a", Nil())
+        c = ExtChoice(a0, Prefix("b", Nil()))
+        conj = Conj(c, a0)
+        lts = build_lts(ExtChoice(c, conj))
+        assert lts.index[c] < lts.index[conj]
+        assert lts.transitions[lts.index[c]] is not UNSTORED
+        assert lts.shapes() == _lazy_shapes(lts)
+
+    @GENERATED
+    def test_step_does_not_depend_on_memo_order(self, seed, depth):
+        # a term whose premise sources are memoised is stepped without the
+        # walk, whichever order they were stepped in
+        for lts in _generated_graphs(seed, depth):
+            for order in (lts.terms, lts.terms[::-1]):
+                memo = {}
+                for u in order:
+                    assert list(_closed_step(u, memo)) == step(u)
 
     @pytest.mark.parametrize(
         "text",
