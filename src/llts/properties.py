@@ -386,8 +386,8 @@ def _fits(t: Term) -> Lts | None:
     """The graph of ``t`` if it builds within the small probe bound, else
     None.  The growth check rejects first what it proves unbounded; the
     bounded build decides the rest.  A build the bounds did not cut short is
-    the default build, so the graph is handed on with the default limits and
-    answers every question as ``build_lts(t)`` would."""
+    the default build; with the default limits set back on it, the graph
+    equals what ``build_lts(t)`` builds, limits included."""
     if _grows_unboundedly(t):
         return None
     try:
@@ -1060,13 +1060,11 @@ def run_checks(
     """Run the theorem suite with seed-derived trials; ``only`` selects one."""
     if trials is not None and trials < 1:
         raise ValueError(f"trial count must be at least 1: {trials}")
+    if only is not None and only not in ALL_CHECKS:
+        raise ValueError(f"unknown theorem id {only!r}")
     config = GenConfig(seed=seed)
-    reports = []
-    for name, fn in ALL_CHECKS.items():
-        if only is not None and name != only:
-            continue
-        reports.append(fn(config) if trials is None else fn(config, trials))
-    return reports
+    checks = ALL_CHECKS.values() if only is None else [ALL_CHECKS[only]]
+    return [fn(config) if trials is None else fn(config, trials) for fn in checks]
 
 
 def load_baseline(path: str) -> list[tuple[str, int, int]]:

@@ -8,7 +8,8 @@ one entry per operator.  ``step`` reads its transition rules,
 ``used_rule_instances`` both, with their premises.  ``step`` applies the rules
 bottom-up on the explicit-stack walk ``terms._walk``, so the depth of a term
 is no limit, or straight away to a term whose premise sources' moves are
-already known; it checks each recursion it meets guarded, so by
+already known.  Both paths find premise sources in one function, which
+checks a recursion's equations guarded from their recorded facts, so by
 ``terms.StratRank`` every chain of recursion expansions ends.
 
 Internal moves take precedence over visible ones: a composition offers a
@@ -326,42 +327,37 @@ def _check_closed(t: Term) -> None:
 def _premise_sources(t: Term) -> tuple[Term, ...]:
     """The terms whose moves ``t``'s transition rules read: a recursion's
     expansion, or a composition's operands; a prefix or disjunction reads
-    none."""
+    none.  A recursion is checked guarded first, off its recorded facts."""
+    if type(t) is Rec:
+        violation = first_guard_violation(t.spec)
+        if violation is not None:
+            raise GuardednessError(*violation)
     return () if type(t) in (Prefix, Disj) else support_children(t)
 
 
 def _closed_step(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
-    """``step`` on a term known to be closed.  ``memo`` may be shared across
-    calls: it keeps completed results and the equation systems that passed
-    the guard check.
+    """``step`` on a term known to be closed.  ``memo`` maps the terms
+    stepped so far to their moves, and may be shared across calls.
 
-    When the moves of every premise source of ``t`` are in ``memo``, and a
-    recursion's equation system has passed the check, the rule table is
-    applied to ``t`` straight away: in a build, most terms are stepped after
-    their operands.  Otherwise the premise sources are stepped bottom-up on
-    ``_walk``, which ends by the argument of ``terms.StratRank``."""
+    When the moves of every premise source of ``t`` are in ``memo``, the
+    rule table is applied to ``t`` straight away: in a build, most terms are
+    stepped after their operands.  Otherwise the premise sources are stepped
+    bottom-up on ``_walk``, which ends by the argument of ``terms.StratRank``.
+    Both paths read them off ``_premise_sources``, which checks recursions."""
     cached = memo.get(t)
     if cached is not None:
         return cached
-    if all(map(memo.__contains__, _premise_sources(t))) and (
-        type(t) is not Rec or t.spec in memo
-    ):
+    if all(map(memo.__contains__, _premise_sources(t))):
         return _apply_rules(t, memo)
 
-    # A known term is a leaf.  A recursion's equation system is checked
-    # guarded.  A choice is walked as its whole chain, whose head is the
-    # chain's nodes.
+    # A known term is a leaf.  A choice is walked as its whole chain, whose
+    # head is the chain's nodes.
     def enter(t: Term, _):
         cached = memo.get(t)
         if cached is not None:
             return cached, None, None
         if type(t) is ExtChoice:
             return _choice_chain(t, memo)
-        if type(t) is Rec and t.spec not in memo:
-            violation = first_guard_violation(t.spec)
-            if violation is not None:
-                raise GuardednessError(*violation)
-            memo[t.spec] = ()
         return t, _premise_sources(t), None
 
     def leave(head, values) -> tuple[tuple[str, Term], ...]:
@@ -465,8 +461,7 @@ class Lts:
         self.transitions: list[tuple[tuple[str, int], ...]] = transitions
         self.limits: BuildLimits = limits
         self.stable: list[bool] = [
-            succ is not UNSTORED and all(a != TAU for a, _ in succ)
-            for succ in transitions
+            succ is not UNSTORED and TAU not in dict(succ) for succ in transitions
         ]
         self.inconsistent: list[bool] = [False] * len(terms)
         self.reachable: list[bool] = self._compute_reachable()
@@ -845,8 +840,8 @@ def used_rule_instances(lts: Lts) -> list[RuleInstance]:
     built graph."""
     terms, shapes, F = lts.terms, lts.shapes(), lts.inconsistent
     # Every recursion in the universe is a state.  Seeded with the states'
-    # stored moves, the memo unfolds no recursion again and checks none
-    # guarded again: each passed the guard check when the graph was built.
+    # stored moves, the memo holds every recursion's moves: none is unfolded
+    # or checked guarded again, as each passed the check in the build.
     memo = {
         terms[i]: tuple((a, terms[j]) for a, j in succ)
         for i, succ in enumerate(lts.transitions)

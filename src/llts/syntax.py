@@ -19,7 +19,8 @@ identifier, its first character.  Offsets are not kept: a ``ParseError``
 finds its span by scanning the text again up to the token's index
 (``_span``).  ``parse`` then calls ``normalize``, which returns the parsed
 term itself when no bound name is free in it and distinct equation systems
-bind disjoint names, and the guard check.
+bind disjoint names, and the guard check.  Both find the equation systems
+with ``rec_specs``, which enters only the subterms with a binder below.
 """
 
 from __future__ import annotations
@@ -286,6 +287,8 @@ def parse(text: str) -> Term:
     head without an equation, and GuardednessError when a bound variable has
     an unguarded occurrence.
     """
+    # Called through this module's globals: ``bench/tracing.py`` wraps the
+    # three helpers here, and ``tests/test_bench_contract.py`` relies on it.
     t = normalize(_Parser(text).parse())
     for _, spec in rec_specs(t):
         violation = first_guard_violation(spec)

@@ -46,11 +46,11 @@ _INTERN: dict = {}
 
 
 class _Facts(NamedTuple):
-    """What the recursion theory reads of a term's names, kept on the term."""
+    """What the recursion theory reads of a term's names and binders."""
 
     free: frozenset[str]  # the variables with a free occurrence
     unguarded: frozenset[str]  # those with one under no prefix and in no disjunction
-    named: bool  # a variable or a binder occurs
+    binder: bool  # a binder occurs: a recursion, or an equation system
 
 
 _EMPTY: frozenset[str] = frozenset()
@@ -212,31 +212,32 @@ class Rec(Term):
 def _facts_of(t: _Interned) -> _Facts:
     """``t``'s facts, read off those of its parts: the operands, or an
     equation system's bodies, less the names it binds.  A recursion shares
-    its equation system's facts."""
+    its equation system's facts.  Every term with no variable and no binder
+    gets ``_CLOSED`` itself."""
     cls = type(t)
     if cls is Var:
         free = frozenset((t.name,))
-        return _Facts(free, free, True)
+        return _Facts(free, free, False)
     if cls is Rec:
         return t.spec._facts
     if cls is RecSpec:
         parts, bound = [body for _, body in t.equations], t.names
     else:
         parts, bound = operands(t), _EMPTY
-    named, free, unguarded = bool(bound), _EMPTY, _EMPTY
+    binder, free, unguarded = bool(bound), _EMPTY, _EMPTY
     for part in parts:
         p = part._facts
-        if p.named:
-            named, free, unguarded = True, free | p.free, unguarded | p.unguarded
-    if not named:
-        return _CLOSED
+        if p is not _CLOSED:
+            binder, free, unguarded = binder or p.binder, free | p.free, unguarded | p.unguarded
+    if not free:
+        return _BOUND if binder else _CLOSED
     free -= bound
     if not free:
         return _BOUND
     # no occurrence under a prefix or in a disjunction is unguarded
     if cls is Prefix or cls is Disj:
-        return _Facts(free, _EMPTY, True)
-    return _Facts(free, (unguarded - bound) or _EMPTY, True)
+        return _Facts(free, _EMPTY, binder)
+    return _Facts(free, (unguarded - bound) or _EMPTY, binder)
 
 
 def _body(t: Prefix) -> tuple[Term]:
@@ -399,8 +400,9 @@ def unguarded_free_vars(t: Term) -> frozenset[str]:
 
 
 def _named(t: Term) -> bool:
-    """Whether a variable or a binder occurs in ``t``."""
-    return t._facts.named
+    """Whether a variable or a binder occurs in ``t``: whether its facts
+    are not ``_CLOSED``."""
+    return t._facts is not _CLOSED
 
 
 def all_names(t: Term) -> frozenset[str]:
@@ -493,9 +495,11 @@ def variable_status(t: Term, x: str) -> VarStatus:
     )
 
 
+@lru_cache(maxsize=1 << 16)
 def first_guard_violation(spec: RecSpec) -> tuple[str, str] | None:
     """Return (variable, equation) for the first unguarded bound occurrence:
-    equations in order, variables sorted."""
+    equations in order, variables sorted.  Kept per system, as every
+    recursion of a system that ``step`` meets asks again."""
     for eq_name, body in spec.equations:
         unguarded = unguarded_free_vars(body) & spec.names
         if unguarded:
@@ -755,9 +759,9 @@ def normalize(t: Term) -> Term:
             used.update(all_names(t))
         return _fresh_name(v, used, first)
 
-    # A subterm without names has no variable and no binder to rename.
+    # A subterm with no binder below has no binder to rename.
     def rename(t: Term, _):
-        if not _named(t):
+        if not t._facts.binder:
             return t, None, None
         if isinstance(t, Rec):
             renaming = {v: fresh(v) for v in sorted(t.spec.names) if v in free or v in scope}
@@ -777,7 +781,7 @@ def normalize(t: Term) -> Term:
     claims: dict[str, RecSpec] = {}
 
     def claim(t: Term, _):
-        if not _named(t):
+        if not t._facts.binder:
             return t, None, None
         if isinstance(t, Rec):
             renaming = {}
@@ -801,7 +805,7 @@ def rec_specs(t: Term) -> list[tuple[Rec, RecSpec]]:
     out: list[tuple[Rec, RecSpec]] = []
 
     def enter(t: Term, _):
-        if not _named(t):
+        if not t._facts.binder:
             return None, None, None  # no binder below
         if isinstance(t, Rec):
             out.append((t, t.spec))

@@ -412,6 +412,12 @@ class TestChecks:
         with pytest.raises(ValueError):
             load_baseline(str(path))
 
+    def test_run_checks_rejects_unknown_theorem(self):
+        # a misspelt name runs nothing, so it must not pass as an empty suite
+        with pytest.raises(ValueError, match="coincidense"):
+            properties.run_checks(1, trials=1, only="coincidense")
+        assert len(properties.run_checks(1, trials=1, only="coincidence")) == 1
+
 
 class TestSkipPolicy:
     """Every build at the default limits exceeds the state bound; the

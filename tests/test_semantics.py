@@ -351,8 +351,8 @@ class TestGuardedRecursion:
     system is rejected with the error ``parse`` raises."""
 
     def test_memoised_sources_do_not_skip_the_check(self):
-        # the rules are applied without the walk only once every premise
-        # source is memoised and a recursion's equations passed the check
+        # the rules are applied without the walk once every premise source
+        # is memoised, and a recursion's equations are checked on both paths
         a0 = Prefix("a", Nil())
         loop = UNGUARDED["loop"][0]
         unreached = Rec("X", {"X": a0, "Y": Var("Y")})  # expands to a.0
@@ -361,6 +361,14 @@ class TestGuardedRecursion:
             _closed_step(a0, memo)
             with pytest.raises(GuardednessError):
                 _closed_step(t, memo)
+
+    def test_memo_holds_terms_only(self):
+        # the step memo keeps moves: it marks no equation system checked
+        memo = {}
+        for text in ("<X | X = a.X>", "<X | X = a.Y, Y = b.X> |[a]| <Z | Z = a.Z>"):
+            for _, target in _closed_step(parse(text), memo):
+                _closed_step(target, memo)
+        assert memo and all(isinstance(k, terms.Term) for k in memo)
 
     @pytest.mark.parametrize("name", sorted(MANY_RECURSIONS))
     def test_many_recursions_in_one_step(self, name):

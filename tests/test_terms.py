@@ -179,20 +179,23 @@ class TestGuardCheck:
 
 
 def _reference_facts(t):
-    """(free names, unguarded free names, whether a name occurs) of ``t``,
-    folded over its subterms with nothing kept between calls."""
+    """(free names, unguarded free names, whether a name occurs, whether a
+    binder occurs) of ``t``, folded over its subterms with nothing kept
+    between calls."""
 
     def leave(node, parts):
         if isinstance(node, Var):
-            return {node.name}, {node.name}, True
-        free = set().union(*(f for f, _, _ in parts))
+            return {node.name}, {node.name}, True, False
+        free = set().union(*(f for f, _, _, _ in parts))
         unguarded = set()
         if not isinstance(node, (Prefix, Disj)):
-            unguarded = unguarded.union(*(u for _, u, _ in parts))
+            unguarded = unguarded.union(*(u for _, u, _, _ in parts))
         if isinstance(node, Rec):
             free -= node.spec.names
             unguarded -= node.spec.names
-        return free, unguarded, isinstance(node, Rec) or any(n for _, _, n in parts)
+        named = isinstance(node, Rec) or any(n for _, _, n, _ in parts)
+        binder = isinstance(node, Rec) or any(b for _, _, _, b in parts)
+        return free, unguarded, named, binder
 
     return _walk(t, None, _into_subterms, leave)
 
@@ -229,10 +232,11 @@ class TestNameFacts:
             if t in seen:
                 continue
             seen.add(t)
-            free, unguarded, named = _reference_facts(t)
+            free, unguarded, named, binder = _reference_facts(t)
             assert free_vars(t) == free
             assert unguarded_free_vars(t) == unguarded
             assert _named(t) == named
+            assert t._facts.binder == binder
             todo.extend(subterms(t))
         assert sum(bool(unguarded_free_vars(t)) for t in seen) > 100
 
@@ -693,6 +697,26 @@ class TestNormalize:
         monkeypatch.setattr(llts.terms, "rebuild", counted)
         assert normalize(t) is t
         assert rebuilt == []
+
+    def test_binder_searches_skip_binder_free_bodies(self, monkeypatch):
+        # <X | X = x0. ... .x2749.(X [] y.0)>: one binder over a long body
+        # that holds none, so each search enters the recursion alone
+        body = ExtChoice(Var("X"), Prefix("y", Nil()))
+        for i in reversed(range(2750)):
+            body = Prefix(f"x{i}", body)
+        t = Rec("X", {"X": body})
+        entered = []
+
+        def counted(u):
+            entered.append(u)
+            return subterms(u)
+
+        monkeypatch.setattr(llts.terms, "subterms", counted)
+        assert rec_specs(t) == [(t, t.spec)]
+        assert len(entered) <= 2
+        entered.clear()
+        assert normalize(t) is t
+        assert len(entered) <= 2
 
 
 class TestNestedScopes:
