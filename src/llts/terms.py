@@ -62,34 +62,32 @@ class _Interned:
     """Hash-consed values: construction returns the one instance with the
     given fields, so equality is identity and so is the hash.
 
-    A class lists its fields once, in ``__slots__``.  A class whose
-    constructor checks or converts its arguments defines ``_key``, which
-    turns them into the fields; any other takes its fields as they are.
-    Each instance records its ``_Facts`` when it is first built.
+    A class lists its fields once, in ``__slots__``.  A class with fields
+    has its own ``__new__``: it probes ``_INTERN`` once with the key
+    ``(cls, *fields)`` (an equation system's names follow from its
+    equations and are left out) and, on a miss, checks its arguments,
+    stores the fields and its ``_Facts`` and interns the new instance with
+    ``setdefault``, which is atomic, so concurrent constructions agree on one
+    instance.  An instance whose check fails is not interned.  The facts are
+    an operand's own object wherever they equal it, and ``_facts_of``
+    computes them otherwise.  This ``__new__`` builds the classes without
+    fields.
     """
 
     __slots__ = ("_facts",)
     _fields: tuple[str, ...] = ()
-    _key = None
 
     def __init_subclass__(cls):
         cls._fields = cls.__match_args__ = cls._fields + cls.__dict__["__slots__"]
 
-    def __new__(cls, *fields):
-        if cls._key is not None:
-            fields = cls._key(*fields)
-        key = (cls, *fields)
-        inst = _INTERN.get(key)
-        if inst is None:
-            if len(fields) != len(cls._fields):
-                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
-            inst = object.__new__(cls)
-            for name, value in zip(cls._fields, fields):
-                setattr(inst, name, value)
-            inst._facts = _facts_of(inst)
-            # setdefault is atomic: concurrent constructions agree on one instance
-            inst = _INTERN.setdefault(key, inst)
-        return inst
+    def __new__(cls):
+        key = (cls,)
+        t = _INTERN.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            t._facts = _CLOSED
+            t = _INTERN.setdefault(key, t)
+        return t
 
 
 class Term(_Interned):
@@ -126,15 +124,33 @@ class Bottom(Term):
 class Prefix(Term):
     __slots__ = ("action", "body")
 
-    @staticmethod
-    def _key(action: str, body: Term):
-        if not action:
-            raise ValueError("action name must be nonempty")
-        return action, body
+    def __new__(cls, action: str, body: Term):
+        key = (cls, action, body)
+        t = _INTERN.get(key)
+        if t is None:
+            if not action:
+                raise ValueError("action name must be nonempty")
+            t = object.__new__(cls)
+            t.action, t.body = action, body
+            # a prefix guards its body's names and keeps all else
+            facts = body._facts
+            t._facts = _facts_of(t) if facts.unguarded else facts
+            t = _INTERN.setdefault(key, t)
+        return t
 
 
 class _Binary(Term):
     __slots__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, left, right)
+        t = _INTERN.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            t.left, t.right = left, right
+            t._facts = _composed(t, left._facts, right._facts)
+            t = _INTERN.setdefault(key, t)
+        return t
 
 
 class ExtChoice(_Binary):
@@ -152,22 +168,35 @@ class Disj(_Binary):
 class Parallel(Term):
     __slots__ = ("sync", "left", "right")
 
-    @staticmethod
-    def _key(sync: Iterable[str], left: Term, right: Term):
+    def __new__(cls, sync: Iterable[str], left: Term, right: Term):
         sync = frozenset(sync)
-        if TAU in sync:
-            raise ValueError("synchronisation sets contain visible actions only")
-        return sync, left, right
+        key = (cls, sync, left, right)
+        t = _INTERN.get(key)
+        if t is None:
+            if TAU in sync:
+                raise ValueError("synchronisation sets contain visible actions only")
+            t = object.__new__(cls)
+            t.sync, t.left, t.right = sync, left, right
+            t._facts = _composed(t, left._facts, right._facts)
+            t = _INTERN.setdefault(key, t)
+        return t
 
 
 class Var(Term):
     __slots__ = ("name",)
 
-    @staticmethod
-    def _key(name: str):
-        if not name:
-            raise ValueError("variable name must be nonempty")
-        return (name,)
+    def __new__(cls, name: str):
+        key = (cls, name)
+        t = _INTERN.get(key)
+        if t is None:
+            if not name:
+                raise ValueError("variable name must be nonempty")
+            t = object.__new__(cls)
+            t.name = name
+            free = frozenset((name,))
+            t._facts = _Facts(free, free, False)
+            t = _INTERN.setdefault(key, t)
+        return t
 
 
 class RecSpec(_Interned):
@@ -179,12 +208,18 @@ class RecSpec(_Interned):
 
     __slots__ = ("equations", "names")
 
-    @staticmethod
-    def _key(equations):
+    def __new__(cls, equations):
         items = tuple(sorted(dict(equations).items()))
-        if not items:
-            raise ValueError("recursive specification must be nonempty")
-        return items, frozenset(name for name, _ in items)
+        key = (cls, items)  # the names follow from the equations
+        t = _INTERN.get(key)
+        if t is None:
+            if not items:
+                raise ValueError("recursive specification must be nonempty")
+            t = object.__new__(cls)
+            t.equations, t.names = items, frozenset(name for name, _ in items)
+            t._facts = _facts_of(t)
+            t = _INTERN.setdefault(key, t)
+        return t
 
     def body(self, name: str) -> Term:
         # (name,) sorts just before (name, body), so no two bodies are compared
@@ -200,26 +235,44 @@ class RecSpec(_Interned):
 class Rec(Term):
     __slots__ = ("var", "spec")
 
-    @staticmethod
-    def _key(var: str, spec):
+    def __new__(cls, var: str, spec):
         if not isinstance(spec, RecSpec):
             spec = RecSpec(spec)
-        if var not in spec.names:
-            raise UnboundRecVar(var)
-        return var, spec
+        key = (cls, var, spec)
+        t = _INTERN.get(key)
+        if t is None:
+            if var not in spec.names:
+                raise UnboundRecVar(var)
+            t = object.__new__(cls)
+            t.var, t.spec = var, spec
+            t._facts = spec._facts  # a recursion names what its system does
+            t = _INTERN.setdefault(key, t)
+        return t
+
+
+def _composed(t: Term, left: _Facts, right: _Facts) -> _Facts:
+    """The facts of ``t``, a composition whose operands have the facts
+    ``left`` and ``right``: one operand's own object when the other is
+    closed, or both are the same, and otherwise ``_facts_of(t)``.  A
+    disjunction guards its operands, so it shares none with an unguarded
+    name."""
+    if right is _CLOSED or right is left:
+        shared = left
+    elif left is _CLOSED:
+        shared = right
+    else:
+        return _facts_of(t)
+    return _facts_of(t) if shared.unguarded and type(t) is Disj else shared
 
 
 def _facts_of(t: _Interned) -> _Facts:
-    """``t``'s facts, read off those of its parts: the operands, or an
-    equation system's bodies, less the names it binds.  A recursion shares
-    its equation system's facts.  Every term with no variable and no binder
-    gets ``_CLOSED`` itself."""
+    """The facts of ``t``, an operator or an equation system, read off those
+    of its parts: the operands, or the system's bodies less the names it
+    binds.  Every facts object without a free name is ``_CLOSED`` (no
+    binder) or ``_BOUND`` (a binder), which ``_named`` relies on.  A
+    constructor that can tell its facts equal an operand's shares that
+    object and does not call this."""
     cls = type(t)
-    if cls is Var:
-        free = frozenset((t.name,))
-        return _Facts(free, free, False)
-    if cls is Rec:
-        return t.spec._facts
     if cls is RecSpec:
         parts, bound = [body for _, body in t.equations], t.names
     else:

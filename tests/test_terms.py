@@ -46,7 +46,8 @@ from llts.terms import (
     unguarded_rec_count,
     variable_status,
 )
-from llts.terms import _into_subterms, _named, _occurrences, _walk
+from llts import terms
+from llts.terms import _BOUND, _CLOSED, _into_subterms, _named, _occurrences, _walk
 from test_semantics import FACTS
 
 CFG = GenConfig(seed=11, max_depth=4)
@@ -179,13 +180,15 @@ class TestGuardCheck:
 
 
 def _reference_facts(t):
-    """(free names, unguarded free names, whether a name occurs, whether a
-    binder occurs) of ``t``, folded over its subterms with nothing kept
-    between calls."""
+    """Every subterm of ``t`` mapped to its (free names, unguarded free
+    names, whether a name occurs, whether a binder occurs), folded over its
+    subterms in one walk that reads no recorded facts."""
+    out = {}
 
     def leave(node, parts):
         if isinstance(node, Var):
-            return {node.name}, {node.name}, True, False
+            out[node] = {node.name}, {node.name}, True, False
+            return out[node]
         free = set().union(*(f for f, _, _, _ in parts))
         unguarded = set()
         if not isinstance(node, (Prefix, Disj)):
@@ -195,9 +198,11 @@ def _reference_facts(t):
             unguarded -= node.spec.names
         named = isinstance(node, Rec) or any(n for _, _, n, _ in parts)
         binder = isinstance(node, Rec) or any(b for _, _, _, b in parts)
-        return free, unguarded, named, binder
+        out[node] = free, unguarded, named, binder
+        return out[node]
 
-    return _walk(t, None, _into_subterms, leave)
+    _walk(t, None, _into_subterms, leave)
+    return out
 
 
 def _nested(names):
@@ -221,24 +226,54 @@ def _facts_corpus():
         yield gen_equation_body(config, k, "RX")
     yield _nested(["X"] * 20)
     yield _nested([f"X{i}" for i in range(20)])
+    # each operator over closed, bound, guarded and unguarded operands:
+    # the shapes where a constructor shares an operand's facts, and those
+    # where it must not
+    kinds = [
+        Prefix("a", Nil()),
+        LOOP,
+        Prefix("b", Var("X")),
+        Var("Y"),
+        ExtChoice(Var("X"), LOOP),
+        Disj(Var("X"), Prefix("c", Var("Y"))),
+    ]
+    for left in kinds:
+        yield Prefix("d", left)
+        for right in kinds:
+            for op in (ExtChoice, Conj, Disj, lambda p, q: Parallel({"a"}, p, q)):
+                yield op(left, right)
+    yield parse(_recursion_chain(2750))
+
+
+def _recursion_chain(depth):
+    """check-build's consistent recursion chain: ``<X | X = x0. ... .(X [] y.0)>``."""
+    return f"<X | X = {'.'.join(f'x{i}' for i in range(depth))}.(X [] y.0)>"
 
 
 class TestNameFacts:
     def test_same_as_reference_fold_on_every_subterm(self):
         seen = set()
-        todo = list(_facts_corpus())
-        while todo:
-            t = todo.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            free, unguarded, named, binder = _reference_facts(t)
-            assert free_vars(t) == free
-            assert unguarded_free_vars(t) == unguarded
-            assert _named(t) == named
-            assert t._facts.binder == binder
-            todo.extend(subterms(t))
+        for root in _facts_corpus():
+            for t, (free, unguarded, named, binder) in _reference_facts(root).items():
+                seen.add(t)
+                assert free_vars(t) == free
+                assert unguarded_free_vars(t) == unguarded
+                assert _named(t) == named
+                assert t._facts.binder == binder
+                # _named tests identity with _CLOSED
+                if not free:
+                    assert t._facts is (_BOUND if binder else _CLOSED)
         assert sum(bool(unguarded_free_vars(t)) for t in seen) > 100
+
+    def test_chain_prefixes_share_their_facts(self):
+        # the innermost prefix computes its facts and every prefix above
+        # shares that object: the chain holds one, not one per prefix
+        t = parse(_recursion_chain(2750)).spec.body("X")
+        facts = set()
+        while isinstance(t, Prefix):
+            facts.add(id(t._facts))
+            t = t.body
+        assert len(facts) == 1
 
 
 class TestMeasures:
@@ -808,6 +843,62 @@ class TestConstruction:
             Prefix("", Nil())
         with pytest.raises(ValueError):
             Var("")
+
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda: Prefix("", Nil()), ValueError, "action name must be nonempty"),
+            (lambda: Var(""), ValueError, "variable name must be nonempty"),
+            (
+                lambda: Parallel({"a", TAU}, Nil(), Prefix("a", Nil())),
+                ValueError,
+                "synchronisation sets contain visible actions only",
+            ),
+            (
+                lambda: Rec("Y", LOOP.spec),
+                UnboundRecVar,
+                "recursion variable 'Y' is not bound by its equations",
+            ),
+            (lambda: RecSpec({}), ValueError, "recursive specification must be nonempty"),
+            (lambda: Rec("X", {}), ValueError, "recursive specification must be nonempty"),
+        ],
+    )
+    def test_failed_check_raises_and_interns_nothing(self, make, error, message):
+        before = len(terms._INTERN)
+        with pytest.raises(ValueError) as err:
+            make()
+        assert type(err.value) is error and str(err.value) == message
+        assert len(terms._INTERN) == before
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Nil(Nil()),
+            lambda: Bottom(Nil()),
+            lambda: Prefix("a"),
+            lambda: Prefix("a", Nil(), Nil()),
+            lambda: ExtChoice(Nil()),
+            lambda: Conj(Nil(), Nil(), Nil()),
+            lambda: Disj(),
+            lambda: Parallel({"a"}, Nil()),
+            lambda: Var(),
+            lambda: Var("X", "Y"),
+            lambda: Rec("X"),
+            lambda: RecSpec(),
+        ],
+    )
+    def test_wrong_arity_raises_type_error(self, make):
+        before = len(terms._INTERN)
+        with pytest.raises(TypeError):
+            make()
+        assert len(terms._INTERN) == before
+
+    def test_sync_set_of_any_iterable_is_one_term(self):
+        # operands no term holds yet, so the first construction is a miss
+        p, q = Prefix("sync-fresh-a", Nil()), Prefix("sync-fresh-b", Nil())
+        t = Parallel(["a"], p, q)
+        assert t is Parallel({"a"}, p, q) is Parallel(frozenset("a"), p, q)
+        assert type(t.sync) is frozenset
 
 
 class TestRebuild:
