@@ -12,6 +12,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -85,13 +86,16 @@ class TheoremReport:
     failures: list[Failure] = field(default_factory=list)
     skipped: list = field(default_factory=list)  # (trial, reason)
     notes: list = field(default_factory=list)
+    seed: int | None = None  # the check's seed, stamped on each failure
+    trial: int | None = None  # the index of the trial being run, likewise
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def fail(self, inputs, observed, expected) -> None:
-        self.failures.append(Failure(tuple(str(t) for t in inputs), observed, expected, None, None))
+        inputs = tuple(str(t) for t in inputs)
+        self.failures.append(Failure(inputs, observed, expected, self.seed, self.trial))
 
     def skip(self, trial: int, reason: str) -> None:
         self.skipped.append((trial, reason))
@@ -610,23 +614,24 @@ def enumerate_stable_sim_pairs(lts: Lts, max_subsets: int = 4096):
 
 
 def _run(theorem: str, seed: int | None, trials: int, trial) -> TheoremReport:
-    """Run ``trial(report, k)`` for each trial index ``k``.  A trial whose
-    graph exceeds the state bound is skipped as ``(k, "state-bound")``,
-    keeping any failure it recorded before the build that raised.  Each
-    failure a trial records is marked with ``seed`` and ``k``: the check run
-    at that seed with the same trial count records it again at trial ``k``."""
-    report = TheoremReport(theorem)
+    """Count and ``_attempt`` each trial index ``k`` below ``trials``, in one
+    report whose failures carry ``seed``."""
+    report = TheoremReport(theorem, seed=seed)
     for k in range(trials):
         report.trials += 1
-        first = len(report.failures)
-        try:
-            trial(report, k)
-        except StateBoundExceeded:
-            report.skip(k, "state-bound")
-        report.failures[first:] = [
-            f._replace(seed=seed, trial=k) for f in report.failures[first:]
-        ]
+        _attempt(report, k, trial)
     return report
+
+
+def _attempt(report: TheoremReport, k: int, trial) -> None:
+    """Run ``trial(report, k)`` as trial ``k``, which ``report.fail`` stamps
+    on each failure with the seed.  A trial whose graph exceeds the state
+    bound is skipped as ``(k, "state-bound")``, keeping its earlier failures."""
+    report.trial = k
+    try:
+        trial(report, k)
+    except StateBoundExceeded:
+        report.skip(k, "state-bound")
 
 
 def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
@@ -860,92 +865,86 @@ def check_unique_solution(
 
     Unmet placement preconditions downgrade the outcomes to notes.
     """
-    return _unique_solution(t_body, x, candidates, None)
+    trial = partial(_unique_solution, t_body=t_body, x=x, candidates=candidates)
+    return _run("unique-solution", None, 1, trial)
 
 
 def _unique_solution(
-    t_body: Term, x: str, candidates: list[Term] | None, rec_lts: Lts | None
-) -> TheoremReport:
-    """``check_unique_solution``, reading the recursion's graph from
-    ``rec_lts`` when given, else building it."""
+    report: TheoremReport, k: int, t_body: Term, x: str, candidates=None, rec_lts: Lts | None = None
+) -> None:
+    """``check_unique_solution``'s trial ``k``, written into ``report``; it
+    reads the recursion's graph from ``rec_lts`` when given, else builds it."""
+    status = variable_status(t_body, x)
+    preconditions: list[str] = []
+    if not status.strongly_guarded:
+        preconditions.append("variable-not-strongly-guarded")
+    if status.in_conjunction_scope:
+        preconditions.append("variable-in-conjunction-scope")
+    for p in preconditions:
+        report.notes.append(f"precondition unmet: {p}")
 
-    def trial(report: TheoremReport, k: int) -> None:
-        status = variable_status(t_body, x)
-        preconditions: list[str] = []
-        if not status.strongly_guarded:
-            preconditions.append("variable-not-strongly-guarded")
-        if status.in_conjunction_scope:
-            preconditions.append("variable-in-conjunction-scope")
-        for p in preconditions:
-            report.notes.append(f"precondition unmet: {p}")
-
-        def record(inputs, observed, expected):
-            if preconditions:
-                report.notes.append(
-                    f"informational: {[str(i) for i in inputs]} observed={observed} expected={expected}"
-                )
-            else:
-                report.fail(inputs, observed, expected)
-
-        rec = normalize(Rec(x, RecSpec({x: t_body})))
-        fixed_point = equivalent(rec, substitute(t_body, {x: rec}))
-        if not fixed_point:
-            record([rec], "not a fixed point", "recursion solves its equation")
-        lts = build_lts(rec) if rec_lts is None else rec_lts
-        rec_consistent = not lts.inconsistent[lts.roots[0]]
-        pool = list(candidates or [])
-        expansions = unfold_one(rec)
-        pool.extend(expansions[:1])
-        for s in expansions[:1]:
-            pool.extend(unfold_one(s)[:1])
-        pool.append(Prefix(TAU, rec))
-        solutions = 0
-        for cand in pool:
-            try:
-                cl = build_lts(cand)
-            except StateBoundExceeded:
-                report.skip(k, "state-bound")
-                continue
-            if cl.inconsistent[cl.roots[0]]:
-                continue  # inconsistent candidates are outside the hypothesis
-            if not equivalent(cand, substitute(t_body, {x: cand})):
-                continue  # not a solution of the equation
-            solutions += 1
-            if not equivalent(cand, rec):
-                record([cand, rec], "distinct solutions", "solutions coincide")
-        if solutions and not rec_consistent:
-            record(
-                [rec],
-                "consistent solution exists but recursion inconsistent",
-                "existence matches recursion consistency",
+    def record(inputs, observed, expected):
+        if preconditions:
+            report.notes.append(
+                f"informational: {[str(i) for i in inputs]} observed={observed} expected={expected}"
             )
-        if rec_consistent and not fixed_point:
-            record([rec], "no solution found", "recursion itself solves the equation")
+        else:
+            report.fail(inputs, observed, expected)
 
-    return _run("unique-solution", None, 1, trial)
+    rec = normalize(Rec(x, RecSpec({x: t_body})))
+    fixed_point = equivalent(rec, substitute(t_body, {x: rec}))
+    if not fixed_point:
+        record([rec], "not a fixed point", "recursion solves its equation")
+    lts = build_lts(rec) if rec_lts is None else rec_lts
+    rec_consistent = not lts.inconsistent[lts.roots[0]]
+    pool = list(candidates or [])
+    expansions = unfold_one(rec)
+    pool.extend(expansions[:1])
+    for s in expansions[:1]:
+        pool.extend(unfold_one(s)[:1])
+    pool.append(Prefix(TAU, rec))
+    solutions = 0
+    for cand in pool:
+        try:
+            cl = build_lts(cand)
+        except StateBoundExceeded:
+            report.skip(k, "state-bound")
+            continue
+        if cl.inconsistent[cl.roots[0]]:
+            continue  # inconsistent candidates are outside the hypothesis
+        if not equivalent(cand, substitute(t_body, {x: cand})):
+            continue  # not a solution of the equation
+        solutions += 1
+        if not equivalent(cand, rec):
+            record([cand, rec], "distinct solutions", "solutions coincide")
+    if solutions and not rec_consistent:
+        record(
+            [rec],
+            "consistent solution exists but recursion inconsistent",
+            "existence matches recursion consistency",
+        )
+    if rec_consistent and not fixed_point:
+        record([rec], "no solution found", "recursion itself solves the equation")
 
 
 def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport:
     """Driver over generated equation bodies, plus ``trials // 8`` (at least
     one) informational bodies drawn with the variable allowed inside a
-    conjunction.  Where it lands there, the outcomes are notes; a body that
+    conjunction, all written into one report.  The informational bodies are
+    not counted as trials: each is attempted at the index ``50_000 + k`` its
+    body was drawn at, which its failures and skips carry.  Where the
+    variable lands inside a conjunction, the outcomes are notes; a body that
     leaves it strongly guarded outside every conjunction meets the
-    preconditions, and its failures are kept, each marked with the check's
-    seed and the index ``50_000 + k`` its body was drawn at."""
+    preconditions, and its failures count."""
     var = "RX"
 
-    def trial(report: TheoremReport, k: int) -> None:
-        body, lts = _probed_equation(config, k, var, False)
-        sub = _unique_solution(body, var, None, lts)
-        report.failures.extend(sub.failures)
-        report.skipped.extend((k, reason) for _, reason in sub.skipped)
+    def trial(report: TheoremReport, k: int, conj_scope: bool = False) -> None:
+        body, lts = _probed_equation(config, k, var, conj_scope)
+        _unique_solution(report, k, body, var, rec_lts=lts)
 
     report = _run("unique-solution", config.seed, trials, trial)
     for k in range(max(1, trials // 8)):
-        body, lts = _probed_equation(config, 50_000 + k, var, True)
-        sub = _unique_solution(body, var, None, lts)
-        report.failures += [f._replace(seed=config.seed, trial=50_000 + k) for f in sub.failures]
-        report.notes.extend(sub.notes)
+        _attempt(report, 50_000 + k, partial(trial, conj_scope=True))
     return report
 
 
@@ -984,7 +983,7 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
     """The iterative simulation equals exhaustive relation enumeration on
     small graphs, and the worklist inconsistency fixpoint equals naive
     saturation on small universes."""
-    report = TheoremReport("brute-force")
+    report = TheoremReport("brute-force", seed=config.seed)
     small = replace(config, max_depth=min(config.max_depth, 3))
     sims = 0
     kleenes = 0
@@ -992,6 +991,7 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
     budget = trials * 40
     while (sims < trials or kleenes < trials) and k < budget:
         k += 1
+        report.trial = k
         p = _gen_term_trial(small, 2 * k, depth=3)
         q = _gen_term_trial(small, 2 * k + 1, depth=3)
         try:
@@ -1006,9 +1006,7 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
                 i for i, f in enumerate(lts.inconsistent) if f
             )
             if naive != worklist:
-                report.failures.append(
-                    Failure((str(p), str(q)), sorted(naive), sorted(worklist), config.seed, k)
-                )
+                report.fail([p, q], sorted(naive), sorted(worklist))
         n_stable = sum(lts.stable)
         if sims < trials and n_stable <= 4:
             enumerated = enumerate_stable_sim_pairs(lts)
@@ -1018,9 +1016,7 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
             report.trials += 1
             iterative = largest_stable_sim(lts).pairs
             if enumerated != iterative:
-                report.failures.append(
-                    Failure((str(p), str(q)), sorted(enumerated), sorted(iterative), config.seed, k)
-                )
+                report.fail([p, q], sorted(enumerated), sorted(iterative))
     if sims < trials or kleenes < trials:
         report.skip(k, f"instances found: sims={sims} kleene={kleenes}")
     return report

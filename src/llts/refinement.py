@@ -31,7 +31,6 @@ from .semantics import (
 from .terms import TAU, Term
 
 REASON_READY = "ready-set-mismatch"
-REASON_NO_MOVE = "no-matching-move"
 REASON_NO_DESCENDANT = "no-stable-descendant-match"
 
 
@@ -292,7 +291,11 @@ def _diagnose(lts, quotient: _Quotient, p0: int, candidates):
     """Greedy diagnostic trace over the block pairs' deletion records: follow
     the candidate partner block deleted last and report why it fails, moving
     to the least weak a-target in the record's successor block.  Refutations
-    are tree-shaped in general; this path explains one failing branch."""
+    are tree-shaped in general; this path explains one failing branch.  With
+    no candidates it stops at once; otherwise at a ready-set mismatch, for a
+    pair deleted for an action ``a`` was related, so the partner has ``a``
+    ready and, being consistent, a consistent ``a``-derivative (LTS1) with a
+    stable consistent descendant (LTS2): ``moves[partner][a]`` is not empty."""
     block, deleted = quotient.block, quotient.deleted
     path = [("eps", str(lts.terms[p0]))]
     p, quorum = p0, {block[q] for q in candidates}
@@ -305,9 +308,8 @@ def _diagnose(lts, quotient: _Quotient, p0: int, candidates):
         a = record.action
         p = min(t for t in quotient.weak[p][a] if block[t] == record.successor)
         path.append((a, str(lts.terms[p])))
-        quorum = quotient.moves[partner].get(a, ())
-    reason = REASON_NO_MOVE if len(path) > 1 else REASON_NO_DESCENDANT
-    return Counterexample(tuple(path), reason)
+        quorum = quotient.moves[partner][a]
+    return Counterexample(tuple(path), REASON_NO_DESCENDANT)
 
 
 def _unmatched_start(lts: Lts, relation, ip: int, iq: int) -> int | None:
@@ -390,8 +392,8 @@ def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str
     every stable consistent descendant of ``ip`` a partner among those of
     ``iq``.  A refuted verdict's path must replay as weak moves from a stable
     consistent descendant of ``ip``, and its reason must hold at the path's
-    end for some state that ``iq``'s descendants reach by the same actions:
-    its ready set differs, or it lacks the last move.
+    end: some state that ``iq``'s descendants reach by the same actions has
+    another ready set, or the path is empty and csd(``iq``) is empty.
     """
     F = lts.inconsistent
     csd = lts.consistent_stable_descendants()
@@ -421,16 +423,14 @@ def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str
     here = {s for s in csd[ip] if str(lts.terms[s]) == name}
     if not here:
         return f"path start {name} is not a stable consistent descendant of the first root"
-    before, there = set(), set(csd[iq])
+    there = set(csd[iq])
     for a, name in steps:
         here = {t for s in here for t in weak_visible_step(lts, s, a) if str(lts.terms[t]) == name}
         if not here:
             return f"path step {a}: {name} is not a weak move"
-        before, there = there, {t for s in there for t in weak_visible_step(lts, s, a)}
+        there = {t for s in there for t in weak_visible_step(lts, s, a)}
     if cex.reason == REASON_NO_DESCENDANT:
         holds = not steps and not csd[iq]
-    elif cex.reason == REASON_NO_MOVE:
-        holds = bool(steps) and any(not weak_visible_step(lts, s, steps[-1][0]) for s in before)
     else:
         holds = cex.reason == REASON_READY and any(
             lts.ready(s) != lts.ready(t) for s in here for t in there

@@ -383,24 +383,38 @@ class TestChecks:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "63f55c3d5bf5ca2d18f96a9257c839f73507178972624f6db50ade0b44e6b3d8"
 
-    def test_failures_name_their_seed_and_trial(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["coincidence", "brute-force"])
+    def test_failures_name_their_seed_and_trial(self, name, monkeypatch):
         import json
 
         from llts.properties import run_checks
 
-        real = properties.alt_refines
-        monkeypatch.setattr(properties, "alt_refines", lambda p, q: not real(p, q))
+        # the check's oracle made to disagree everywhere, and the depth of the
+        # pair it draws at trial (for brute-force: search index) k
+        if name == "coincidence":
+            real = properties.alt_refines
+            monkeypatch.setattr(properties, "alt_refines", lambda p, q: not real(p, q))
+            depth = 4
+        else:
+            naive = properties.inconsistent_fixpoint_naive
+            monkeypatch.setattr(properties, "inconsistent_fixpoint_naive", lambda lts: naive(lts) ^ {0})
+            depth = 3
         seed = 11
-        report = run_checks(seed, trials=6, only="coincidence")[0]
+        report = run_checks(seed, trials=6, only=name)[0]
         assert report.failures
-        assert all(f.seed == seed and 0 <= f.trial < 6 for f in report.failures)
+        drawn = GenConfig(seed=seed, max_depth=depth)
+        for f in report.failures:
+            assert f.seed == seed
+            assert f.inputs == tuple(str(_gen_term_trial(drawn, 2 * f.trial + i)) for i in (0, 1))
         doc = json.loads(report_to_json(report))
         assert [(f["seed"], f["trial"]) for f in doc["failures"]] == [
             (f.seed, f.trial) for f in report.failures
         ]
-        last = report.failures[-1]
-        again = run_checks(seed, trials=last.trial + 1, only="coincidence")[0]
-        assert again.failures[-1] == last
+        if name == "coincidence":
+            assert all(0 <= f.trial < 6 for f in report.failures)
+            last = report.failures[-1]
+            again = run_checks(seed, trials=last.trial + 1, only=name)[0]
+            assert again.failures[-1] == last
 
     def test_baseline_rejects_unknown_theorem(self, tmp_path):
         import json
@@ -449,9 +463,12 @@ class TestSkipPolicy:
             assert 0 < len(building) < self.TRIALS
         if name in ("model-laws", "stratification"):  # they read the probe's graph
             building = []
+        skipped = [(k, "state-bound") for k in building]
+        if name == "unique-solution":  # and its one informational body
+            skipped.append((50_000, "state-bound"))
         assert report.trials == self.TRIALS
         assert not report.failures
-        assert report.skipped == [(k, "state-bound") for k in building]
+        assert report.skipped == skipped
 
 
 def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremReport:
