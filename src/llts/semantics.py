@@ -426,8 +426,10 @@ class Lts:
     It holds the states, whose moves are stored, and the support-only terms,
     whose ``transitions`` entry is ``UNSTORED``.  The states are closed under
     moves; ``build_combined`` says which terms it makes states.  Every term's
-    operands and recursion expansion are in the universe, since the
-    inconsistency predicate reads their flags.
+    operands and recursion expansion have ids, since the inconsistency
+    predicate reads their flags.  ``index`` maps each term to its id;
+    ``build_combined`` also maps each member of a class of ``|[S]|``
+    compositions to the id of the one it keeps.
 
     ``stable`` reads every move of a state, not its first: the validators
     take hand-made graphs that break the purity lemma, and a state with both
@@ -609,6 +611,55 @@ class _MovePairs(dict):
         return pair
 
 
+def _bag(t: Parallel, bags: dict) -> frozenset:
+    """The operands of ``t``'s maximal ``|[t.sync]|`` chain, the maximal
+    subterms that are not such a composition, as a multiset: the frozenset
+    of the operands while each occurs once, else the ``_Counts`` of their
+    (operand, count) pairs.  ``bags`` memoises it per chain node.  A node's
+    bag is its two operands' bags added, on an explicit stack, so no chain
+    is flattened: a chain that doubles at every level, kept small by
+    hash-consing, has bags of one pair each."""
+    bag = bags.get(t)
+    if bag is not None:
+        return bag
+    sync = t.sync
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        l, r = u.left, u.right
+        l_in = type(l) is Parallel and l.sync == sync
+        if l_in and l not in bags:
+            todo.append(l)
+            continue
+        r_in = type(r) is Parallel and r.sync == sync
+        if r_in and r not in bags:
+            todo.append(r)
+            continue
+        todo.pop()
+        x = bags[l] if l_in else frozenset((l,))
+        y = bags[r] if r_in else frozenset((r,))
+        if type(x) is frozenset and type(y) is frozenset and x.isdisjoint(y):
+            bags[u] = x | y
+        else:
+            counts = _counts(x)
+            for c, k in _counts(y).items():
+                counts[c] = counts.get(c, 0) + k
+            bags[u] = _Counts(counts.items())
+    return bags[t]
+
+
+class _Counts(frozenset):
+    """A bag in which an operand occurs more than once: its (operand, count)
+    pairs."""
+
+    __slots__ = ()
+
+
+def _counts(bag: frozenset) -> dict:
+    """``bag`` as a map from each operand to its count."""
+    return dict(bag) if type(bag) is _Counts else dict.fromkeys(bag, 1)
+
+
 def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     """Explore the given closed terms into one shared graph.
 
@@ -619,6 +670,16 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     conjunction and recursion rules read.  Every other term is support-only:
     the rules read its flag alone.  Terms are numbered breadth first, each
     one's operands or expansion before its move targets.
+
+    The universe holds one term per class of ``|[S]|`` compositions that
+    differ only in the order and bracketing of one maximal chain's operands:
+    the class of ``t`` is its sync set and ``_bag(t)``.  The ``|[S]|`` rules
+    are symmetric, so the members are strongly bisimilar with equal flags,
+    and by precongruence in every context.  The member met first names the
+    class and is the one stepped; each member met later is an alias, whose
+    ``index`` entry is the class's id and which ``max_states`` does not
+    count.  So a stored move's target is the class of ``step``'s target, and
+    the naming follows the breadth-first order alone.
     """
     limits = limits or BuildLimits()
     index: dict[Term, int] = {}
@@ -627,9 +688,18 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     shapes: list = []  # ``Lts.shapes``, each set when its term is explored
     is_state: list[bool] = []
     todo: deque[int] = deque()
+    classes: dict = {}  # (sync, operand bag) of a ``|[S]|`` chain -> its id
+    bags: dict = {}  # ``_bag``'s memo
 
     def add(t: Term, state: bool = True) -> int:
         i = index.get(t)
+        if i is None and type(t) is Parallel:
+            key = (t.sync, _bag(t, bags))
+            i = classes.get(key)
+            if i is None:
+                classes[key] = len(terms)  # the first-met member names the class
+            else:
+                index[t] = i  # an alias of the class's id, with no state of its own
         if i is None:
             if len(terms) >= limits.max_states:
                 raise StateBoundExceeded(len(terms) + 1)
@@ -660,8 +730,10 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         conj = type(t) is Conj
         shapes[i] = (_KIND[type(t)], *[add(c, conj) for c in support_children(t)])
         if is_state[i]:
-            moves = _closed_step(t, step_memo)
-            transitions[i] = tuple(map(pairs.__getitem__, moves))
+            stored = [*map(pairs.__getitem__, _closed_step(t, step_memo))]
+            if len(index) > len(terms):  # an alias: moves to one class are stored once
+                stored = dict.fromkeys(stored)
+            transitions[i] = tuple(stored)
         else:
             transitions[i] = UNSTORED
 
@@ -837,16 +909,11 @@ class RuleInstance:
 def used_rule_instances(lts: Lts) -> list[RuleInstance]:
     """The ground rule applications justifying the moves of every universe
     term, support-only ones included, and every inconsistency flag of the
-    built graph."""
+    built graph.  They hold modulo ``build_combined``'s classes: a move is
+    ``step``'s, whose target the graph stores as its class, and a flag's
+    premises name the terms that the ids it needs stand for."""
     terms, shapes, F = lts.terms, lts.shapes(), lts.inconsistent
-    # Every recursion in the universe is a state.  Seeded with the states'
-    # stored moves, the memo holds every recursion's moves: none is unfolded
-    # or checked guarded again, as each passed the check in the build.
-    memo = {
-        terms[i]: tuple((a, terms[j]) for a, j in succ)
-        for i, succ in enumerate(lts.transitions)
-        if succ is not UNSTORED
-    }
+    memo: dict = {}
 
     def moves_of(u: Term) -> tuple[tuple[str, Term], ...]:
         return _closed_step(u, memo)

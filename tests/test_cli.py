@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import golden
 import llts
 from llts import refinement
 from llts.cli import expand_source, main
@@ -340,3 +341,34 @@ class TestOutputStability:
         _, out3, _ = run(capsys, "refine", "a.b.0", "a.c.0", "--format", "json")
         _, out4, _ = run(capsys, "refine", "a.b.0", "a.c.0", "--format", "json")
         assert out3 == out4
+
+
+class TestSymmetricInterleavings:
+    """Copies sharing their actions: one state per class of ``|[]|``."""
+
+    P4, P7 = golden._interleaving(4), golden._interleaving(7)
+
+    def test_check_at_seven_copies(self, capsys):
+        code, out, _ = run(capsys, "check", self.P7)
+        assert code == 0 and out.strip() == "consistent"
+
+    def test_refine_at_seven_copies(self, capsys):
+        code, out, _ = run(capsys, "refine", self.P7, self.P7)
+        assert code == 0 and out.strip() == "holds"
+
+    @pytest.mark.parametrize("command", ["lts", "refine"])
+    def test_same_bytes_under_any_hash_seed(self, command):
+        # classes are named by the order of the build, not by hashes or ids
+        argv = ["lts", self.P4] if command == "lts" else ["refine", self.P4, self.P4, "--format", "json"]
+        src = os.path.dirname(os.path.dirname(llts.__file__))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "llts.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1] and outs[0]

@@ -29,7 +29,7 @@ from llts.refinement import (
 )
 from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, weak_visible_step
 from llts.syntax import parse
-from llts.terms import Disj, Term
+from llts.terms import Disj, Parallel, Term, unfold_rec
 
 CFG = GenConfig(seed=37, max_depth=3)
 
@@ -236,7 +236,12 @@ class TestSerialization:
         assert "witness_pairs" in doc and doc["witness_pairs"]
 
     def test_witness_renders_each_state_once(self, monkeypatch):
-        p = parse(_interleaving())
+        # copies with actions of their own, so that no two states are one
+        # class of ``|[]|``; the first copy starts as either of two bisimilar
+        # states, so a state is in more than one pair
+        copies = [parse(f"<X | X = a{j}.(b{j}.X \\/ c{j}.X)>") for j in range(3)]
+        first = Disj(copies[0], unfold_rec(copies[0]))
+        p = Parallel((), Parallel((), first, copies[1]), copies[2])
         witness = refines(p, p).witness
         plain, terms = Term.__str__, witness.lts.terms
         expected = sorted((plain(terms[i]), plain(terms[j])) for i, j in witness.pairs)

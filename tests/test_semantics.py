@@ -53,21 +53,29 @@ CFG = GenConfig(seed=23, max_depth=4)
 def _states(lts):
     """The ids of the states, found with ``step`` from their definition: the
     closure under moves of the roots, of every conjunction and recursion in
-    the universe and of each conjunction's operands.  Checks that exactly
-    these store moves, and every other term's entry is ``UNSTORED``."""
-    todo = [lts.terms[r] for r in lts.roots]
+    the universe and of each conjunction's operands, where a move leads to
+    its target's class, the id ``lts.index`` gives it, and a class's moves
+    are its term's.  Checks that exactly these store moves, and every other
+    term's entry is ``UNSTORED``."""
+    todo = list(lts.roots)
     for u in lts.terms:
         if isinstance(u, (Conj, Rec)):
-            todo += [u, *operands(u)] if isinstance(u, Conj) else [u]
+            todo += [lts.index[c] for c in [u, *operands(u)]]
     seen = set()
     while todo:
-        u = todo.pop()
-        if u not in seen:
-            seen.add(u)
-            todo += [s for _, s in step(u)]
-    ids = sorted(lts.index[u] for u in seen)
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo += [lts.index[s] for _, s in step(lts.terms[i])]
+    ids = sorted(seen)
     assert [i for i, succ in enumerate(lts.transitions) if succ is not UNSTORED] == ids
     return ids
+
+
+def _classed(lts, moves):
+    """``moves`` with each target replaced by its class, first occurrences
+    kept: what the graph stores for a state with these moves."""
+    return list(dict.fromkeys((a, lts.index[s]) for a, s in moves))
 
 
 def _level_by_level(t, memo):
@@ -698,7 +706,7 @@ class TestRuleTable:
             assert moves[u] == set(step(u))
             assert (u in flagged) == lts.inconsistent[i]
         for i in _states(lts):
-            assert moves[lts.terms[i]] == {(a, lts.terms[j]) for a, j in lts.transitions[i]}
+            assert set(_classed(lts, moves[lts.terms[i]])) == set(lts.transitions[i])
 
 
 # Operands that move internally, leaves first: a prefix, a disjunction and a
@@ -739,6 +747,8 @@ def _mixed_operands():
         "(tau.a.0 [] b.0) |[a]| (a.0 /\\ (c.0 \\/ a.0))",
         "(a.0 |[a]| tau.a.0) [] (a.b.0 /\\ a.c.0)",
         "(a.0 \\/ b.0) /\\ (a.0 [] b.0)",
+        # an operand whose two moves lead to one class of ``|[]|``
+        "(a.0 |[]| a.b.0 |[]| a.0) /\\ a.(a.0 |[]| b.0 |[]| a.0)",
     ]
 
 
@@ -763,10 +773,10 @@ class TestOperandRules:
                 instance_moves[src].append((a, dst))
         for i in _states(lts):
             u = lts.terms[i]
-            stored = [(a, lts.terms[j]) for a, j in lts.transitions[i]]
-            assert stored == step(u)
-            _assert_pure(stored)
-            assert list(dict.fromkeys(instance_moves[u])) == stored
+            moves = step(u)
+            assert list(lts.transitions[i]) == _classed(lts, moves)
+            _assert_pure(moves)
+            assert list(dict.fromkeys(instance_moves[u])) == moves
         assert validate_llts(lts).ok
 
     def test_duplicate_moves_stored_once(self):
@@ -859,7 +869,7 @@ class TestLazyUniverse:
     def test_generated_states_and_flags(self, seed, depth):
         for lts in _generated_graphs(seed, depth):
             for i in _states(lts):
-                assert [(a, lts.terms[j]) for a, j in lts.transitions[i]] == step(lts.terms[i])
+                assert list(lts.transitions[i]) == _classed(lts, step(lts.terms[i]))
             for u in lts.terms:
                 assert all(c in lts.index for c in operands(u))
                 assert not isinstance(u, Rec) or unfold_rec(u) in lts.index
