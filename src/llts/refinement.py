@@ -64,9 +64,9 @@ class _Deletion:
 def _weak_moves(lts: Lts, i: int) -> dict[str, frozenset[int]]:
     """``weak_visible_step(lts, i, a)`` for each visible action ``a`` that
     has a target, in sorted order, read in one pass over ``i``'s moves.  An
-    inconsistent move target has no consistent stable descendant."""
-    if lts.inconsistent[i]:
-        return {}
+    inconsistent move target has no consistent stable descendant.  ``i``
+    must be consistent, as every state ``_partition`` asks about is: a
+    consistent stable descendant, or a weak move's target, which is one."""
     csd = lts.consistent_stable_descendants()
     out: dict[str, set[int]] = {}
     for a, j in lts.transitions[i]:

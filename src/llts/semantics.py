@@ -6,11 +6,11 @@ The rule table ``RULES`` writes each transition and inconsistency rule once,
 one entry per operator.  ``step`` reads its transition rules,
 ``compute_inconsistent`` its inconsistency rules as Horn clauses, and
 ``used_rule_instances`` both, with their premises.  ``step`` applies the rules
-bottom-up on the explicit-stack walk ``terms._walk``, so the depth of a term
-is no limit, or straight away to a term whose premise sources' moves are
-already known.  Both paths find premise sources in one function, which
-checks a recursion's equations guarded from their recorded facts, so by
-``terms.StratRank`` every chain of recursion expansions ends.
+bottom-up in one loop over an explicit stack of frames, so the depth of a
+term is no limit: a term is stepped once the moves of its premise sources
+are known.  The one function that builds a frame checks a recursion's
+equations guarded from their recorded facts, so by ``terms.StratRank``
+every chain of recursion expansions ends.
 
 Internal moves take precedence over visible ones: a composition offers a
 visible action only while the blocking operand has no internal move.  Since
@@ -27,8 +27,8 @@ read whether an operand moves internally off its first move (``_internal``),
 and pass a stable operand's move tuple on whole.  Only the rules rely on the
 lemma: ``Lts`` also holds hand-made graphs, which need not satisfy it.
 
-Choice chains: ``step`` walks a maximal chain of ``[]`` nodes not stepped
-before as one node whose children are the chain's leaves.  By the lemma, a
+Choice chains: ``step`` steps a maximal chain of ``[]`` nodes not stepped
+before on one frame, whose sources are the chain's leaves.  By the lemma, a
 node of the chain moves internally exactly when one of its leaves does.  When
 none does, the chain's moves are its leaves' moves joined left to right,
 first occurrences kept, and no nested node gets a move tuple: at each node
@@ -58,7 +58,6 @@ from .terms import (
     Prefix,
     Rec,
     Term,
-    _walk,
     first_guard_violation,
     free_vars,
     is_visible,
@@ -77,7 +76,7 @@ class BuildLimits:
 
     def __post_init__(self):
         if self.max_states <= 0:
-            raise ValueError("limits must be positive")
+            raise ValueError(f"max_states must be positive: {self.max_states}")
 
 
 class StateBoundExceeded(RuntimeError):
@@ -324,90 +323,85 @@ def _check_closed(t: Term) -> None:
         raise ValueError(f"only closed terms have a transition graph: {t}")
 
 
-def _premise_sources(t: Term) -> tuple[Term, ...]:
-    """The terms whose moves ``t``'s transition rules read: a recursion's
-    expansion, or a composition's operands; a prefix or disjunction reads
-    none.  A recursion is checked guarded first, off its recorded facts."""
-    if type(t) is Rec:
+def _frame(t: Term, memo: dict) -> tuple:
+    """The frame that steps ``t``: its head, its sources and an iterator
+    over them.  A choice heads the maximal chain of choices below it not in
+    ``memo``, stepped as one node: the head is the chain's distinct nodes
+    bottom-up, and the sources are its distinct leaves left to right.  Any
+    other term is its own head, and its sources are the terms whose moves
+    its rules read: a recursion's expansion, or a composition's operands.  A
+    recursion is checked guarded first, off its recorded facts."""
+    kind = type(t)
+    if kind is ExtChoice:
+        nodes, leaves, seen = [], {}, {t}
+        path = [(t, iter((t.left, t.right)))]
+        while path:
+            u, todo = path[-1]
+            for c in todo:
+                if type(c) is not ExtChoice or c in memo:
+                    leaves[c] = None
+                elif c not in seen:
+                    seen.add(c)
+                    path.append((c, iter((c.left, c.right))))
+                    break
+            else:
+                nodes.append(path.pop()[0])
+        return nodes, leaves, iter(leaves)
+    if kind is Rec:
         violation = first_guard_violation(t.spec)
         if violation is not None:
             raise GuardednessError(*violation)
-    return () if type(t) in (Prefix, Disj) else support_children(t)
+    sources = () if kind in (Prefix, Disj) else support_children(t)
+    return t, sources, iter(sources)
 
 
 def _closed_step(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
     """``step`` on a term known to be closed.  ``memo`` maps the terms
     stepped so far to their moves, and may be shared across calls.
 
-    When the moves of every premise source of ``t`` are in ``memo``, the
-    rule table is applied to ``t`` straight away: in a build, most terms are
-    stepped after their operands.  Otherwise the premise sources are stepped
-    bottom-up on ``_walk``, which ends by the argument of ``terms.StratRank``.
-    Both paths read them off ``_premise_sources``, which checks recursions."""
-    cached = memo.get(t)
-    if cached is not None:
-        return cached
-    if all(map(memo.__contains__, _premise_sources(t))):
-        return _apply_rules(t, memo)
-
-    # A known term is a leaf.  A choice is walked as its whole chain, whose
-    # head is the chain's nodes.
-    def enter(t: Term, _):
-        cached = memo.get(t)
-        if cached is not None:
-            return cached, None, None
-        if type(t) is ExtChoice:
-            return _choice_chain(t, memo)
-        return t, _premise_sources(t), None
-
-    def leave(head, values) -> tuple[tuple[str, Term], ...]:
-        if type(head) is not list:
-            return _apply_rules(head, memo)
-        # a choice chain: ``head`` its nodes, ``values`` its leaves' moves
-        if any(map(_internal, values)):
-            for u in head:
-                _apply_rules(u, memo)
-            return memo[head[-1]]
-        out = memo[head[-1]] = tuple(dict.fromkeys(chain.from_iterable(values)))
-        return out
-
-    return _walk(t, None, enter, leave)
+    One loop over a stack of ``_frame``s, so the depth of a term is no
+    limit: a source not in ``memo`` is stepped first, on a frame of its own,
+    and a frame whose sources are all in ``memo`` is finished and stored
+    there.  A term whose sources are known is a run of one frame.  The loop
+    ends by the argument of ``terms.StratRank``."""
+    moves = memo.get(t)
+    if moves is not None:
+        return moves
+    head, sources, todo = _frame(t, memo)
+    stack = []  # the frames below the current one
+    while True:
+        for u in todo:
+            if u not in memo:
+                stack.append((head, sources, todo))
+                head, sources, todo = _frame(u, memo)
+                break
+        else:
+            if type(head) is not list:
+                _apply_rules(head, memo)
+            else:
+                # a choice chain: its leaves' moves joined, or, when one moves
+                # internally, the rules applied to its nodes (module docstring)
+                moves = [memo[u] for u in sources]
+                if any(map(_internal, moves)):
+                    for u in head:
+                        _apply_rules(u, memo)
+                else:
+                    memo[head[-1]] = tuple(dict.fromkeys(chain.from_iterable(moves)))
+            if not stack:
+                return memo[t]
+            head, sources, todo = stack.pop()
 
 
-def _apply_rules(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
-    """``t``'s moves by the rule table, its premise sources' moves in
-    ``memo``; stored there."""
+def _apply_rules(t: Term, memo: dict) -> None:
+    """Store ``t``'s moves by the rule table in ``memo``, where its premise
+    sources' moves are."""
     rules = RULES.get(type(t))
     if rules is None:
         raise TypeError(f"not a term: {t!r}")
     moves: list[tuple[str, Term]] = []
     for _, _, batch in rules.moves(t, memo.__getitem__):
         moves += batch
-    out = memo[t] = tuple(dict.fromkeys(moves))  # first occurrences, in order
-    return out
-
-
-def _choice_chain(t: ExtChoice, memo: dict):
-    """The maximal chain of choices below ``t`` not in ``memo``, as a walk
-    step: its distinct nodes bottom-up, then its distinct leaves left to
-    right.  A node or leaf met again adds no move, so it is skipped."""
-    nodes: list[ExtChoice] = []
-    leaves: dict[Term, None] = {}
-    seen = {t}
-    path = [(t, iter((t.left, t.right)))]
-    while path:
-        u, todo = path[-1]
-        for c in todo:
-            if type(c) is not ExtChoice or c in memo:
-                leaves[c] = None
-            elif c not in seen:
-                seen.add(c)
-                path.append((c, iter((c.left, c.right))))
-                break
-        else:
-            path.pop()
-            nodes.append(u)
-    return nodes, list(leaves), None
+    memo[t] = tuple(dict.fromkeys(moves))  # first occurrences, in order
 
 
 class _Unstored(tuple):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -174,6 +175,17 @@ class TestLts:
         code, _, err = run(capsys, "lts", "a.0")
         assert code == 2 and err.startswith("error:") and "LLTS_MAX_STATES" in err
 
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    def test_bound_not_positive_exit_2(self, capsys, monkeypatch, route):
+        argv = ["check", "a.0"]
+        if route == "flag":
+            argv += ["--max-states", "0"]
+        else:
+            monkeypatch.setenv("LLTS_MAX_STATES", "0")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == "error: max_states must be positive: 0\n"
+
 
 class TestValidate:
     def test_ok(self, capsys):
@@ -194,6 +206,18 @@ class TestParse:
         code, out, _ = run(capsys, "parse", str(src))
         assert code == 0
         assert out.strip() == "coin.tea.0 [] <X | X = coin.tea.X>"
+
+    def test_standard_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("let A = a.0\nA [] b.0\n"))
+        code, out, _ = run(capsys, "parse", "-")
+        assert code == 0 and out == "a.0 [] b.0\n"
+
+    def test_malformed_let_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "bad_let.llts"
+        src.write_text("let A =\n")
+        code, out, err = run(capsys, "parse", str(src))
+        assert code == 2 and not out
+        assert err == "error: malformed let definition: 'let A =' at 0..7\n"
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         src = tmp_path / "bad.llts"

@@ -568,6 +568,30 @@ class TestCheckVerdict:
                 failure = check_verdict(lts, *lts.roots, forged)
                 assert failure is not None and "not a weak move" in failure
 
+    @pytest.mark.parametrize(
+        "texts, pair, failure",
+        [
+            (("tau.a.0", "a.0"), (0, 0), "is not a pair of stable states"),
+            (("a.0", "bot"), (0, 1), "relates a consistent state to an inconsistent one"),
+            (("a.0", "b.0"), (0, 1), "has different ready sets"),
+            (("a.0", "a.0"), None, "gives the stable consistent descendant 0 no partner"),
+        ],
+        ids=["unstable", "consistent-to-inconsistent", "ready-sets", "no-partner"],
+    )
+    def test_rejects_forged_witness(self, texts, pair, failure):
+        # ``pair`` indexes the roots; None forges the empty witness
+        lts = build(*texts)
+        rel = set() if pair is None else {tuple(lts.roots[k] for k in pair)}
+        assert failure in check_verdict(lts, *lts.roots, _holding(lts, rel))
+
+    def test_rejects_path_not_starting_at_a_descendant(self):
+        lts = build("a.0", "b.0")
+        forged = SimpleNamespace(
+            holds=False, counterexample=Counterexample((("eps", "b.0"),), REASON_READY)
+        )
+        failure = check_verdict(lts, *lts.roots, forged)
+        assert failure == "path start b.0 is not a stable consistent descendant of the first root"
+
     def test_rejects_a_reason_that_does_not_hold(self):
         p, q = parse(_interleaving(None, 4)), parse(_interleaving(2, 4))
         verdict = refines(p, q)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import time
@@ -359,8 +360,8 @@ class TestGuardedRecursion:
     system is rejected with the error ``parse`` raises."""
 
     def test_memoised_sources_do_not_skip_the_check(self):
-        # the rules are applied without the walk once every premise source
-        # is memoised, and a recursion's equations are checked on both paths
+        # a term whose premise sources are memoised is a run of one frame,
+        # and its frame checks a recursion's equations all the same
         a0 = Prefix("a", Nil())
         loop = UNGUARDED["loop"][0]
         unreached = Rec("X", {"X": a0, "Y": Var("Y")})  # expands to a.0
@@ -369,6 +370,22 @@ class TestGuardedRecursion:
             _closed_step(a0, memo)
             with pytest.raises(GuardednessError):
                 _closed_step(t, memo)
+
+    def test_rejected_chain_leaves_a_sound_memo(self):
+        # the chain's first leaf, a few hundred frames deep, is stepped in
+        # full before its last leaf is found unguarded: the memo keeps
+        # finished steps only
+        deep = Nil()
+        for _ in range(300):
+            deep = Parallel((), Nil(), deep)
+        deep = Parallel((), Prefix("a", Nil()), deep)
+        t = ExtChoice(ExtChoice(deep, Prefix("b", Nil())), UNGUARDED["loop"][0])
+        memo = {}
+        with pytest.raises(GuardednessError):
+            _closed_step(t, memo)
+        assert deep in memo
+        assert all(moves == tuple(step(key)) for key, moves in memo.items())
+        assert list(_closed_step(deep, memo)) == step(deep)
 
     def test_memo_holds_terms_only(self):
         # the step memo keeps moves: it marks no equation system checked
@@ -631,6 +648,26 @@ class TestCompositionalLaws:
         except StateBoundExceeded:
             return
         assert consistency_law_violations(lts) == []
+
+    @pytest.mark.parametrize(
+        "text, flipped, law",
+        [
+            ("a.0 \\/ b.0", "a.0 \\/ b.0", "disjunction-needs-both"),
+            ("a.0", "a.0", "prefix-transparent"),
+            ("a.0 [] b.0", "a.0 [] b.0", "composition-either-operand"),
+            ("bot /\\ a.0", "bot /\\ a.0", "conjunction-either-operand"),
+            ("<X | X = a.X>", "<X | X = a.X>", "recursion-matches-expansion"),
+            ("tau.0", "0", "doomed-descendants"),
+        ],
+    )
+    def test_one_flipped_flag_names_its_law(self, text, flipped, law):
+        built = build_lts(parse(text))
+        assert consistency_law_violations(built) == []
+        lts = copy.copy(built)
+        lts.inconsistent = list(built.inconsistent)
+        i = lts.index[parse(flipped)]
+        lts.inconsistent[i] = not lts.inconsistent[i]
+        assert law in {name for _, name in consistency_law_violations(lts)}
 
 
 def _published_unguarded_rec_count(t):
@@ -896,8 +933,8 @@ class TestLazyUniverse:
 
     @GENERATED
     def test_step_does_not_depend_on_memo_order(self, seed, depth):
-        # a term whose premise sources are memoised is stepped without the
-        # walk, whichever order they were stepped in
+        # a term whose premise sources are memoised is a run of one frame,
+        # whichever order they were stepped in
         for lts in _generated_graphs(seed, depth):
             for order in (lts.terms, lts.terms[::-1]):
                 memo = {}
