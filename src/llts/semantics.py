@@ -12,6 +12,12 @@ are known.  The one function that builds a frame checks a recursion's
 equations guarded from their recorded facts, so by ``terms.StratRank``
 every chain of recursion expansions ends.
 
+``build_combined`` runs with the cyclic collector paused, the fixpoint
+included (``terms.collector_paused``): a graph is lists, tuples and dicts of
+ids and acyclic terms, so the collector's passes during a build find nothing,
+and they would scan every interned term.  Its collections wait until the build
+returns or raises, those a concurrent thread is due included.
+
 Internal moves take precedence over visible ones: a composition offers a
 visible action only while the blocking operand has no internal move.  Since
 every internal-move rule has positive premises only, transitions are computed
@@ -58,6 +64,7 @@ from .terms import (
     Prefix,
     Rec,
     Term,
+    collector_paused,
     first_guard_violation,
     free_vars,
     is_visible,
@@ -654,6 +661,7 @@ def _counts(bag: frozenset) -> dict:
     return dict(bag) if type(bag) is _Counts else dict.fromkeys(bag, 1)
 
 
+@collector_paused
 def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     """Explore the given closed terms into one shared graph.
 

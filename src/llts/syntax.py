@@ -47,6 +47,7 @@ from .terms import (
     _into_subterms,
     _join,
     _walk,
+    collector_paused,
     first_guard_violation,
     normalize,
     rec_specs,
@@ -280,6 +281,7 @@ class _Parser:
                 group.ops.append((level, cls, head))
 
 
+@collector_paused
 def parse(text: str) -> Term:
     """Parse, normalise and validate a term.
 

@@ -5,13 +5,23 @@ object.  The constructors are deadlock (``Nil``), the unimplementable process
 (``Bottom``), action prefix, external choice, conjunction, disjunction,
 CSP-style synchronised parallel composition, variables, and recursion over a
 finite equation system (``Rec`` / ``RecSpec``).
+
+A term is built from operands that exist before it, so terms form no
+reference cycles.  ``syntax.parse`` and ``semantics.build_combined`` make none
+either (``tests/test_semantics.py::test_no_cyclic_garbage`` pins that), so
+they run under ``collector_paused``, with CPython's cyclic collector off: its
+passes there would scan the growing intern table and find nothing.  The
+collections are deferred to the return, none is skipped, and the switch, which
+is process-global, is restored in a ``finally``.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,6 +53,46 @@ class GuardednessError(ValueError):
 
 
 _INTERN: dict = {}
+
+
+# The collector's switch is process-global, so the count of calls under
+# ``collector_paused`` in progress, in any thread, is too.  Reading the switch
+# and turning it off is one step under the lock: otherwise a call could read
+# it off while another call is paused, and leave it off for good after both.
+_pause_lock = threading.Lock()
+_pauses = 0
+_resume = False  # the collector was enabled when the first of them began
+
+
+def collector_paused(fn):
+    """Decorate ``fn`` to run with the cyclic collector disabled.
+
+    Collections are deferred, not skipped: the allocations made meanwhile
+    still count, so the first allocation after the pause runs the collection
+    they are due.  The switch is process-global, so another thread's
+    collections also wait, until the last of the paused calls in progress
+    returns or raises.  That one enables the collector again, in a
+    ``finally``, only if it was enabled when the first began: a nested call,
+    or a caller that disabled it, keeps it off.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        global _pauses, _resume
+        with _pause_lock:
+            if not _pauses:
+                _resume = gc.isenabled()
+                gc.disable()
+            _pauses += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with _pause_lock:
+                _pauses -= 1
+                if not _pauses and _resume:
+                    gc.enable()
+
+    return paused
 
 
 class _Facts(NamedTuple):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import json
@@ -5,13 +6,13 @@ import time
 
 import pytest
 
-from llts import terms
+from llts import semantics, terms
 from llts.properties import (
     GenConfig,
     _gen_term_trial,
     inconsistent_fixpoint_naive,
 )
-from llts.refinement import refines
+from llts.refinement import equivalent, refines
 from llts.semantics import (
     RULES,
     BuildLimits,
@@ -32,7 +33,7 @@ from llts.semantics import (
     weak_visible_step,
 )
 from llts.refinement import largest_stable_sim
-from llts.syntax import parse, print_term
+from llts.syntax import ParseError, parse, print_term
 from llts.terms import (
     TAU,
     Conj,
@@ -960,24 +961,93 @@ class TestLazyUniverse:
         assert largest_stable_sim(fresh).pairs == largest_stable_sim(lts).pairs
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        " [] ".join(f"x{i}.0" for i in range(300)),
-        "(a.b.0 [] c.0 [] tau.d.0) /\\ (a.0 [] c.0)",
-        _interleaving(3),
-    ],
-    ids=["wide-choice", "conjunction", "interleaving"],
-)
-def test_no_cyclic_garbage(text):
-    # reference cycles left by every call are the collector's to find, in
-    # passes whose cost grows with the heap
+def _step_and_build(text):
     t = parse(text)
+    step(t)
+    build_lts(t)
+
+
+def _distinct_copies(order, choice_at=None):
+    # copy j of the interleaving with its own actions; copy ``choice_at``
+    # offers its two moves by external choice
+    ops = {j: "[]" if j == choice_at else "\\/" for j in order}
+    return " |[]| ".join(f"(<X | X = a{j}.(b{j}.X {ops[j]} c{j}.X)>)" for j in order)
+
+
+def _shared_copies(n, choice_at):
+    # P and P' of n copies sharing the actions a, b, c, copy ``choice_at`` of
+    # P' offering b and c by external choice; their chains make class aliases
+    copies = ["<X | X = a.(b.X \\/ c.X)>"] * n
+    copies[choice_at] = "<X | X = a.(b.X [] c.X)>"
+    return _interleaving(n), " |[]| ".join(copies)
+
+
+def _bound_exceeded():
+    with pytest.raises(StateBoundExceeded):
+        build_lts(parse(" [] ".join(f"x{i}.0" for i in range(300))), BuildLimits(50))
+
+
+def _parse_error():
+    with pytest.raises(ParseError):
+        parse("a.0 [] (b.0 /\\ ")
+
+
+# the calls the collector is paused in, on the families and at the sizes the
+# benchmark builds, and on the ways they raise
+CYCLE_FREE = {
+    "wide-choice": lambda: _step_and_build(" [] ".join(f"x{i}.0" for i in range(300))),
+    "conjunction": lambda: _step_and_build("(a.b.0 [] c.0 [] tau.d.0) /\\ (a.0 [] c.0)"),
+    "interleaving": lambda: _step_and_build(_interleaving(3)),
+    "prefix-chain": lambda: _step_and_build(".".join(f"x{i}" for i in range(5000)) + ".(y.0 \\/ bot)"),
+    "recursion-chain": lambda: _step_and_build(
+        "<X | X = " + ".".join(f"x{i}" for i in range(2750)) + ".(X [] bot)>"
+    ),
+    "distinct-conjunction": lambda: _step_and_build(
+        f"({_distinct_copies(range(3))}) /\\ ({_distinct_copies(range(2, -1, -1), 1)})"
+    ),
+    "refines": lambda: refines(*map(parse, _shared_copies(4, 1))),
+    "equivalent": lambda: equivalent(*map(parse, _shared_copies(4, 2))),
+    "bound-exceeded": _bound_exceeded,
+    "parse-error": _parse_error,
+}
+
+
+@pytest.mark.parametrize("call", CYCLE_FREE.values(), ids=CYCLE_FREE)
+def test_no_cyclic_garbage(call):
+    # ``parse`` and ``build_combined`` defer the collector's passes: they
+    # must leave no reference cycles for those passes to find
     gc.collect()
     gc.disable()
     try:
-        step(t)
-        build_lts(t)
+        call()
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class TestCollectorPause:
+    """``build_combined`` runs with the cyclic collector off and leaves it as
+    it found it, whether it returns or raises."""
+
+    @pytest.mark.parametrize(
+        "root, error",
+        [
+            (Prefix("a", Nil()), None),
+            (parse("a.b.c.d.0"), StateBoundExceeded),
+            (UNGUARDED["loop"][0], GuardednessError),
+        ],
+        ids=["returns", "bound-exceeded", "unguarded"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_restored(self, monkeypatch, root, error, enabled):
+        seen = []
+        check = semantics._check_closed
+        monkeypatch.setattr(semantics, "_check_closed", lambda t: seen.append(gc.isenabled()) or check(t))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                build_combined([root], BuildLimits(2))
+            assert seen == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()

@@ -1,7 +1,10 @@
+import contextlib
+import gc
 import random
 
 import pytest
 
+from llts import syntax
 from llts.properties import GenConfig, _gen_term_trial
 from llts.syntax import ParseError, parse, print_term
 from llts.terms import (
@@ -166,6 +169,30 @@ class TestParseErrors:
                 parse(text)
             except (ParseError, GuardednessError, UnboundRecVar):
                 pass
+
+
+class TestCollectorPause:
+    """``parse`` runs with the cyclic collector off and leaves it as it found
+    it, whether it returns or raises."""
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("<X | X = a.X> [] b.0", None), ("a.0 [] (b.0 /\\ ", ParseError)],
+        ids=["returns", "parse-error"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_restored(self, monkeypatch, text, error, enabled):
+        seen = []
+        tokenize = syntax._tokenize
+        monkeypatch.setattr(syntax, "_tokenize", lambda t: seen.append(gc.isenabled()) or tokenize(t))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                parse(text)
+            assert seen == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestPrint:

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import threading
 import time
 from functools import cache
 
@@ -26,6 +28,7 @@ from llts.terms import (
     UnboundRecVar,
     Var,
     all_names,
+    collector_paused,
     degree,
     first_guard_violation,
     folding_number,
@@ -1122,3 +1125,31 @@ class TestRepr:
     def test_equations_as_in_the_spec(self):
         rec = Rec("X", {"Y": Prefix("b", Var("X")), "X": Prefix("a", Var("Y"))})
         assert repr(rec) == f"Rec('X', {rec.spec!r})"
+
+
+def test_collector_pause_across_threads():
+    # More threads than cores, switching often, each pausing the collector
+    # over and over.  A call that read the switch off while another was
+    # paused, and turned it off again after that one had turned it on, would
+    # leave the collector off for good.
+    paused = collector_paused(lambda: None)
+
+    def work():
+        for _ in range(5000):
+            paused()
+
+    interval = sys.getswitchinterval()
+    deadline = time.perf_counter() + 1.0
+    sys.setswitchinterval(1e-4)
+    try:
+        while gc.isenabled() and time.perf_counter() < deadline:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable()
