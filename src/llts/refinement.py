@@ -2,16 +2,17 @@
 
 ``refines`` decides the refinement preorder on a graph shared by both
 processes.  It folds the stable states reachable by weak moves from the roots'
-stable consistent descendants into blocks of weakly bisimilar states, computes
-the largest stable ready simulation over the block pairs reachable from those
-descendants' blocks, then matches the descendants.  Weak moves reach
-consistent states only, so blocks are compared on ready sets and moves alone;
-inconsistent stable states are answered by definition.  The witness and the
-counterexample are read off that block relation and its deletion records,
-and only when one of them is read.  ``check_verdict`` checks such an explanation
-against the graph.  ``alt_refines`` decides the same preorder through an
-independent characterisation over all state pairs and serves as a
-cross-check oracle.
+stable consistent descendants into blocks of weakly bisimilar states and
+builds the block graph once: each block's ready set and weak moves to blocks,
+which its members share.  On that graph it computes the largest stable ready
+simulation over the block pairs reachable from those descendants' blocks, then
+matches the descendants.  Weak moves reach consistent states only, so blocks
+are compared on ready sets and moves alone; inconsistent stable states are
+answered by definition.  The witness and the counterexample are read off that
+block relation and its deletion records, and only when one of them is read.
+``check_verdict`` checks such an explanation against the graph.
+``alt_refines`` decides the same preorder through an independent
+characterisation over all state pairs and serves as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -75,19 +76,19 @@ def _weak_moves(lts: Lts, i: int) -> dict[str, frozenset[int]]:
     return {a: frozenset(out[a]) for a in sorted(out)}
 
 
-def _closure(seeds, moves, matchable):
+def _closure(seeds, moves, ready):
     """The pairs reachable from ``seeds`` through matching weak moves, where
-    ``moves(i)`` gives node ``i``'s by action; a pair's moves are followed
-    only when ``matchable``, which is called first, holds for it."""
+    ``moves[i]`` gives node ``i``'s by action; a pair's moves are followed
+    only when its nodes' ``ready`` sets are equal."""
     pairs = set(seeds)
     todo = list(pairs)
     while todo:
-        pair = todo.pop()
-        if matchable(pair):
-            q_moves = moves(pair[1])
+        p, q = todo.pop()
+        if ready[p] == ready[q]:
+            q_moves = moves[q]
             fresh = {
                 read
-                for a, targets in moves(pair[0]).items()
+                for a, targets in moves[p].items()
                 for read in product(targets, q_moves.get(a, ()))
             }
             fresh -= pairs
@@ -96,12 +97,12 @@ def _closure(seeds, moves, matchable):
     return pairs
 
 
-def _simulate(view, seeds):
+def _simulate(ready, moves, seeds):
     """Largest stable ready simulation over the pairs of blocks reachable
     from ``seeds`` through matching weak moves, plus a deletion record per
-    rejected pair (used to assemble counterexamples) and the weak moves of
-    every block it touched.  ``view(b)`` gives block ``b``'s ready set and
-    weak moves, as sorted targets per action.
+    rejected pair (used to assemble counterexamples).  ``ready[b]`` and
+    ``moves[b]`` give block ``b``'s ready set and weak moves, as sorted
+    targets per action.
 
     On a set of pairs closed under those moves, the largest simulation is the
     graph's largest one restricted to the set.  Deletions are numbered in
@@ -110,24 +111,16 @@ def _simulate(view, seeds):
     start.  With ``_partition``'s block numbering, this
     fixes the partner ``_diagnose`` follows: the one deleted last.
     """
-    ready: dict[int, frozenset[str]] = {}
-    weak: dict[int, dict[str, tuple[int, ...]]] = {}
-    # users[i][a]: the touched nodes with i among their weak a-targets
+    # users[i][a]: the blocks with i among their weak a-targets, in block order
     users: dict[int, dict[str, list[int]]] = defaultdict(lambda: defaultdict(list))
-
-    def matchable(pair) -> bool:
-        for i in pair:
-            if i not in weak:
-                ready[i], weak[i] = view(i)
-                for a, targets in weak[i].items():
-                    for t in targets:
-                        users[t][a].append(i)
-        p, q = pair
-        return ready[p] == ready[q]
+    for i, by_action in moves.items():
+        for a, targets in by_action.items():
+            for t in targets:
+                users[t][a].append(i)
 
     relation: set[tuple[int, int]] = set()
     deleted: dict[tuple[int, int], _Deletion] = {}
-    for pair in sorted(_closure(seeds, weak.__getitem__, matchable)):
+    for pair in sorted(_closure(seeds, moves, ready)):
         p, q = pair
         if ready[p] == ready[q]:
             relation.add(pair)
@@ -140,11 +133,11 @@ def _simulate(view, seeds):
     # deletion of its last related (p2, q2): the loop below rechecks (p2, a,
     # q) at each deletion of a (p2, q2) and enqueues the readers then.
     def unmatched(p2, a, q) -> bool:
-        return not any((p2, q2) in relation for q2 in weak[q].get(a, ()))
+        return not any((p2, q2) in relation for q2 in moves[q].get(a, ()))
 
     def unmatched_move(pair) -> tuple[str, int] | None:
         p, q = pair
-        for a, targets in weak[p].items():
+        for a, targets in moves[p].items():
             for p2 in targets:
                 if unmatched(p2, a, q):
                     return a, p2
@@ -163,14 +156,17 @@ def _simulate(view, seeds):
                 if readers and unmatched(p2, a, q):
                     queued.update(readers)
                     queue.extend(readers)
-    return relation, deleted, weak
+    return relation, deleted
 
 
 @dataclass(frozen=True)
 class _Quotient:
     """A stable ready simulation as a relation over blocks of weakly
-    bisimilar states: (p, q) is related when (block[p], block[q]) is, with
-    the labels, moves and deletion records that explain it."""
+    bisimilar states: (p, q) is related when (block[p], block[q]) is.  It
+    keeps each state's block, ready set (``label``) and weak moves, the block
+    graph's moves (``moves[b]``: block ``b``'s weak moves as sorted target
+    blocks per action, for every block) and the deletion records that explain
+    the pairs left out."""
 
     block: dict[int, int]
     label: dict[int, frozenset[str]]
@@ -242,17 +238,17 @@ def _quotient_sim(lts: Lts, left, right) -> _Quotient:
     """The largest stable ready simulation over the block pairs reachable
     from the blocks of ``left`` × ``right`` and of ``right`` × ``left``."""
     block, label, weak = _partition(lts, {*left, *right})
-    rep = {block[s]: s for s in label}
-
-    def view(b):
-        s = rep[b]
-        moves = {a: tuple(sorted({block[t] for t in ts})) for a, ts in weak[s].items()}
-        return label[s], moves
-
+    ready: dict[int, frozenset[str]] = {}
+    moves: dict[int, dict[str, tuple[int, ...]]] = {}
+    for s in sorted(label):  # a block's members share its ready set and moves
+        b = block[s]
+        if b not in moves:
+            ready[b] = label[s]
+            moves[b] = {a: tuple(sorted({block[t] for t in ts})) for a, ts in weak[s].items()}
     left_blocks = {block[s] for s in left}
     right_blocks = {block[s] for s in right}
     seeds = {*product(left_blocks, right_blocks), *product(right_blocks, left_blocks)}
-    return _Quotient(block, label, weak, *_simulate(view, seeds))
+    return _Quotient(block, label, weak, *_simulate(ready, moves, seeds), moves)
 
 
 def largest_stable_sim(lts: Lts) -> SimRelation:
@@ -276,14 +272,8 @@ def _witness_pairs(lts: Lts, quotient: _Quotient) -> frozenset[tuple[int, int]]:
     matching weak moves that the block relation relates.  A pair's moves are
     followed when ``_simulate`` follows its block pair's: on equal ready
     sets."""
-    label = quotient.label
-
-    def matchable(pair) -> bool:
-        p, q = pair
-        return label[p] == label[q]
-
     csd = lts.consistent_stable_descendants()
-    reached = _closure(product(*(csd[r] for r in lts.roots)), quotient.weak.__getitem__, matchable)
+    reached = _closure(product(*(csd[r] for r in lts.roots)), quotient.weak, quotient.label)
     return frozenset(pair for pair in reached if pair in quotient)
 
 

@@ -57,12 +57,13 @@ MALFORMED = 300
 SYNTAX_CHARS = "ab0XY.()<>|=,[]\\/ "
 
 
-def _interleaving(n: int, swapped: int | None = None, names=lambda j: ("a", "b", "c")) -> str:
+def _interleaving(n: int, swapped: int | None = None, distinct: bool = False) -> str:
     """``n`` copies of ``<X | X = a.(b.X \\/ c.X)>`` joined by ``|[]|``;
-    copy ``swapped`` offers b and c by external choice instead."""
+    copy ``swapped`` offers b and c by external choice instead, and with
+    ``distinct`` copy j has actions of its own: aj, bj and cj."""
     parts = []
     for j in range(n):
-        a, b, c = names(j)
+        a, b, c = (f"a{j}", f"b{j}", f"c{j}") if distinct else ("a", "b", "c")
         op = "[]" if j == swapped else "\\/"
         parts.append(f"(<X | X = {a}.({b}.X {op} {c}.X)>)")
     return " |[]| ".join(parts)
@@ -80,10 +81,9 @@ def _check_shapes() -> dict[str, str]:
     shapes[f"prefix/{depth}/inconsistent"] = f"{prefixes}.(y.bot \\/ bot)"
     shapes[f"rec/{depth}/consistent"] = f"<X | X = {prefixes}.(X [] y.0)>"
     shapes[f"rec/{depth}/inconsistent"] = f"<X | X = {prefixes}.(X [] bot)>"
-    names = lambda j: (f"a{j}", f"b{j}", f"c{j}")  # noqa: E731
     for swapped in (None, 0, 1):
         tail = "" if swapped is None else f"/swap{swapped}"
-        shapes[f"conj/2{tail}"] = f"({_interleaving(2, None, names)}) /\\ ({_interleaving(2, swapped, names)})"
+        shapes[f"conj/2{tail}"] = f"({_interleaving(2, None, True)}) /\\ ({_interleaving(2, swapped, True)})"
     return shapes
 
 

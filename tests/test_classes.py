@@ -111,11 +111,6 @@ def _assert_quotient(roots, bijective=False):
     return True
 
 
-def _interleaving(n, distinct, swapped=None):
-    names = (lambda j: (f"a{j}", f"b{j}", f"c{j}")) if distinct else (lambda j: ("a", "b", "c"))
-    return parse(golden._interleaving(n, swapped, names))
-
-
 class TestReferenceQuotient:
     @GENERATED
     def test_generated(self, seed, depth):
@@ -132,10 +127,10 @@ class TestReferenceQuotient:
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("distinct", [False, True], ids=["shared", "distinct"])
     def test_interleavings(self, n, distinct):
-        p = _interleaving(n, distinct)
+        p = parse(golden._interleaving(n, None, distinct))
         assert _assert_quotient([p], bijective=distinct)
         for k in range(n):
-            q = _interleaving(n, distinct, k)
+            q = parse(golden._interleaving(n, k, distinct))
             assert _assert_quotient([p, q], bijective=distinct)
 
     def test_reordered_copies_share_the_root(self):
@@ -151,12 +146,12 @@ class TestReferenceQuotient:
 class TestClassCounts:
     @pytest.mark.parametrize("n, states", [(4, 29), (5, 40), (6, 53), (7, 68)])
     def test_shared_interleaving(self, n, states):
-        lts = build_lts(_interleaving(n, False))
+        lts = build_lts(parse(golden._interleaving(n)))
         assert sum(succ is not UNSTORED for succ in lts.transitions) == states
 
     @pytest.mark.parametrize("n, states", [(3, 66), (4, 205), (5, 668)])
     def test_distinct_interleaving_is_not_reduced(self, n, states):
-        lts = build_lts(_interleaving(n, True))
+        lts = build_lts(parse(golden._interleaving(n, None, True)))
         assert sum(succ is not UNSTORED for succ in lts.transitions) == states
         assert len(lts.index) == len(lts.terms)
 

@@ -307,6 +307,13 @@ class TestProps:
         code, _, err = run(capsys, "props", "--baseline", str(tmp_path / "absent.json"))
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
+    def test_baseline_not_a_list_exit_2(self, capsys, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text("{}")
+        code, _, err = run(capsys, "props", "--baseline", str(baseline))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert "JSON list" in err
+
     def test_malformed_baseline_row_exit_2(self, capsys, tmp_path):
         baseline = tmp_path / "base.json"
         for row in ('[5]', '["f-laws", 3.7, 2]', '["f-laws", "3", 2]', '["f-laws", 3, true]'):

@@ -25,7 +25,7 @@ from llts.properties import (
     report_to_json,
     shrink_term,
 )
-from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, build_lts
+from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, build_lts, lts_to_json
 from llts.syntax import parse, print_term
 from llts.terms import (
     TAU,
@@ -173,6 +173,17 @@ class TestGrowthCheck:
             assert lts.terms == ref.terms and lts.roots == ref.roots
             assert lts.transitions == ref.transitions
             assert lts.inconsistent == ref.inconsistent
+
+    def test_fallback_after_twenty_unbounded_draws(self):
+        # every draw is proved infinite by the growth check, so the fallback
+        # is taken, with the graph ``build_lts`` gives it
+        unbounded, fallback = parse("<X | X = a.(X |[]| X)>"), parse("a.0")
+        assert properties._grows_unboundedly(unbounded)
+        draws = []
+        t, lts = properties._resampled(lambda: draws.append(unbounded) or unbounded, lambda c: c, fallback)
+        assert len(draws) == 20 and t is fallback
+        assert lts_to_json(lts) == lts_to_json(build_lts(fallback))
+        assert lts.limits == BuildLimits()
 
 
 def _precongruence_instances(monkeypatch, seed, trials):

@@ -257,14 +257,8 @@ class TestSerialization:
         assert isinstance(doc["counterexample"]["path"], list)
 
 
-def _interleaving(swapped=None, n=3):
-    """``n`` copies of ``<X | X = a.(b.X \\/ c.X)>`` in parallel; copy
-    ``swapped`` offers b and c by external choice instead."""
-    ops = ["[]" if j == swapped else "\\/" for j in range(n)]
-    return " |[]| ".join(f"(<X | X = a.(b.X {op} c.X)>)" for op in ops)
-
-
-# (reason, path) of refines(P, P') and refines(P', P), where P' swaps copy k
+# (reason, path) of refines(P, P') and refines(P', P), where P is
+# ``golden._interleaving(3)`` and P' swaps copy k
 PINNED = {
     (0, "P<=Q"): (
         "ready-set-mismatch",
@@ -400,7 +394,7 @@ PINNED_DIGESTS = {
 class TestEngine:
     @pytest.mark.parametrize("k,direction", sorted(PINNED))
     def test_pinned_counterexample(self, k, direction):
-        p, q = parse(_interleaving()), parse(_interleaving(k))
+        p, q = parse(golden._interleaving(3)), parse(golden._interleaving(3, k))
         if direction == "Q<=P":
             p, q = q, p
         reason, path = PINNED[k, direction]
@@ -412,7 +406,7 @@ class TestEngine:
         # the counterexample read off the blocks follows the deletions that
         # the round-robin fixpoint over every stable pair makes on states
         if seed < 3:
-            p, q = parse(_interleaving()), parse(_interleaving(seed))
+            p, q = parse(golden._interleaving(3)), parse(golden._interleaving(3, seed))
         else:
             p, q = _generated_pairs(seed)[0]
         try:
@@ -433,9 +427,9 @@ class TestEngine:
     def test_pinned_interleaving_counterexamples(self, n):
         # the paths depend on which partner block was deleted last, so on
         # how ``_partition`` numbers blocks
-        p = parse(_interleaving(None, n))
+        p = parse(golden._interleaving(n))
         for k in range(n):
-            text = verdict_to_json(refines(p, parse(_interleaving(k, n))))
+            text = verdict_to_json(refines(p, parse(golden._interleaving(n, k))))
             assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[n]
 
     @pytest.mark.parametrize("seed", range(60))
@@ -494,7 +488,7 @@ class TestQuotient:
     @pytest.mark.parametrize("n", (3, 4))
     def test_lifted_blocks_on_interleavings(self, n):
         for k in range(n):
-            lts = build_combined([parse(_interleaving(None, n)), parse(_interleaving(k, n))])
+            lts = build_combined([parse(golden._interleaving(n)), parse(golden._interleaving(n, k))])
             assert largest_stable_sim(lts).pairs == _round_robin_sim(lts)[0]
 
     def test_verdicts_never_run_the_state_engine(self, monkeypatch):
@@ -502,7 +496,7 @@ class TestQuotient:
             raise RuntimeError("witness closure run")
 
         monkeypatch.setattr(refinement, "_witness_pairs", closure)
-        p, q = parse(_interleaving()), parse(_interleaving(1))
+        p, q = parse(golden._interleaving(3)), parse(golden._interleaving(3, 1))
         assert refines(p, p).holds
         assert equivalent(p, p) and not equivalent(p, q)
         assert stable_refines(p, p) and not stable_refines(p, q)
@@ -525,8 +519,8 @@ class TestQuotient:
 class TestCheckVerdict:
     @pytest.mark.parametrize("n", (4, 5))
     def test_every_interleaving_verdict_passes(self, n):
-        p = parse(_interleaving(None, n))
-        swapped = [parse(_interleaving(k, n)) for k in range(n)]
+        p = parse(golden._interleaving(n))
+        swapped = [parse(golden._interleaving(n, k)) for k in range(n)]
         pairs = [(p, p)] + [pair for q in swapped for pair in ((p, q), (q, p), (p, Disj(p, q)))]
         for left, right in pairs:
             verdict = refines(left, right)
@@ -534,7 +528,7 @@ class TestCheckVerdict:
             assert check_verdict(lts, *lts.roots, verdict) is None
 
     def test_rejects_witness_missing_a_needed_pair(self):
-        p, q = parse(_interleaving(None, 4)), parse(_interleaving(1, 4))
+        p, q = parse(golden._interleaving(4)), parse(golden._interleaving(4, 1))
         verdict = refines(p, Disj(p, q))
         lts, rel = verdict.lts, verdict.witness.pairs
         ip, iq = lts.roots
@@ -556,7 +550,7 @@ class TestCheckVerdict:
 
     def test_rejects_path_with_one_action_changed(self):
         for k in range(4):
-            p, q = parse(_interleaving(None, 4)), parse(_interleaving(k, 4))
+            p, q = parse(golden._interleaving(4)), parse(golden._interleaving(4, k))
             verdict = refines(p, q)
             cex = verdict.counterexample
             lts = verdict.lts
@@ -593,7 +587,7 @@ class TestCheckVerdict:
         assert failure == "path start b.0 is not a stable consistent descendant of the first root"
 
     def test_rejects_a_reason_that_does_not_hold(self):
-        p, q = parse(_interleaving(None, 4)), parse(_interleaving(2, 4))
+        p, q = parse(golden._interleaving(4)), parse(golden._interleaving(4, 2))
         verdict = refines(p, q)
         lts, cex = verdict.lts, verdict.counterexample
         assert cex.reason == REASON_READY

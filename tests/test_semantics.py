@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import golden
 from llts import semantics, terms
 from llts.properties import (
     GenConfig,
@@ -44,6 +45,7 @@ from llts.terms import (
     Parallel,
     Prefix,
     Rec,
+    RecSpec,
     Var,
     operands,
     unfold_rec,
@@ -294,6 +296,12 @@ class TestStep:
         with pytest.raises(ValueError):
             step(Var("X"))
 
+    def test_equation_system_is_not_a_term(self):
+        spec = RecSpec({"X": Prefix("a", Var("X"))})
+        for fn in (step, print_term):
+            with pytest.raises(TypeError, match=r"^not a term: RecSpec\("):
+                fn(spec)
+
     def test_substituted_choice_context_moves(self):
         # (a.0 \/ X) [] X with d.0 plugged in: the disjunction drives
         # internal moves that keep the choice context
@@ -512,6 +520,8 @@ class TestDescendants:
         lts = build_lts(parse("a.(b.0 \\/ c.0)"))
         got = {print_term(lts.terms[i]) for i in weak_visible_step(lts, lts.root, "a")}
         assert got == {"b.0", "c.0"}
+        with pytest.raises(ValueError):
+            weak_visible_step(lts, lts.root, TAU)
 
     def test_weak_step_inconsistent_target(self):
         lts = build_lts(parse("a.bot"))
@@ -860,10 +870,6 @@ class TestExport:
         assert a == b
 
 
-def _interleaving(n):
-    return " |[]| ".join(["<X | X = a.(b.X \\/ c.X)>"] * n)
-
-
 GENERATED = pytest.mark.parametrize(
     "seed, depth", [(23, 4), (37, 3), (7, 5), (3, 5)], ids=["23-4", "37-3", "7-5", "3-5"]
 )
@@ -944,7 +950,7 @@ class TestLazyUniverse:
 
     @pytest.mark.parametrize(
         "text",
-        [" [] ".join(f"x{i}.0" for i in range(300)), _interleaving(3)],
+        [" [] ".join(f"x{i}.0" for i in range(300)), golden._interleaving(3)],
         ids=["wide-choice", "interleaving"],
     )
     def test_traced_benchmark_reads(self, text):
@@ -974,14 +980,6 @@ def _distinct_copies(order, choice_at=None):
     return " |[]| ".join(f"(<X | X = a{j}.(b{j}.X {ops[j]} c{j}.X)>)" for j in order)
 
 
-def _shared_copies(n, choice_at):
-    # P and P' of n copies sharing the actions a, b, c, copy ``choice_at`` of
-    # P' offering b and c by external choice; their chains make class aliases
-    copies = ["<X | X = a.(b.X \\/ c.X)>"] * n
-    copies[choice_at] = "<X | X = a.(b.X [] c.X)>"
-    return _interleaving(n), " |[]| ".join(copies)
-
-
 def _bound_exceeded():
     with pytest.raises(StateBoundExceeded):
         build_lts(parse(" [] ".join(f"x{i}.0" for i in range(300))), BuildLimits(50))
@@ -997,7 +995,7 @@ def _parse_error():
 CYCLE_FREE = {
     "wide-choice": lambda: _step_and_build(" [] ".join(f"x{i}.0" for i in range(300))),
     "conjunction": lambda: _step_and_build("(a.b.0 [] c.0 [] tau.d.0) /\\ (a.0 [] c.0)"),
-    "interleaving": lambda: _step_and_build(_interleaving(3)),
+    "interleaving": lambda: _step_and_build(golden._interleaving(3)),
     "prefix-chain": lambda: _step_and_build(".".join(f"x{i}" for i in range(5000)) + ".(y.0 \\/ bot)"),
     "recursion-chain": lambda: _step_and_build(
         "<X | X = " + ".".join(f"x{i}" for i in range(2750)) + ".(X [] bot)>"
@@ -1005,8 +1003,10 @@ CYCLE_FREE = {
     "distinct-conjunction": lambda: _step_and_build(
         f"({_distinct_copies(range(3))}) /\\ ({_distinct_copies(range(2, -1, -1), 1)})"
     ),
-    "refines": lambda: refines(*map(parse, _shared_copies(4, 1))),
-    "equivalent": lambda: equivalent(*map(parse, _shared_copies(4, 2))),
+    # P against P' with one copy offering b and c by external choice: the
+    # copies share their actions, so their chains make class aliases
+    "refines": lambda: refines(parse(golden._interleaving(4)), parse(golden._interleaving(4, 1))),
+    "equivalent": lambda: equivalent(parse(golden._interleaving(4)), parse(golden._interleaving(4, 2))),
     "bound-exceeded": _bound_exceeded,
     "parse-error": _parse_error,
 }

@@ -80,6 +80,8 @@ class TestParse:
     def test_normalizes_clashing_binder(self):
         t = parse("X [] <X | X = a.X>")
         assert isinstance(t.right, Rec) and t.right.var != "X"
+        # the first fresh name is taken too, so the search goes on to the next
+        assert parse("X [] X1 [] <X | X = a.X>") is parse("X [] X1 [] <X2 | X2 = a.X2>")
 
 
 class TestParseErrors:
