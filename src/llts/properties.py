@@ -22,10 +22,12 @@ from .semantics import (
     Lts,
     StateBoundExceeded,
     _closed_step,
+    _step_memo,
     build_combined,
     build_lts,
     consistency_law_violations,
     step,
+    step_memo_scope,
     stratification_violations,
     validate_llts,
     weak_visible_step,
@@ -295,7 +297,7 @@ def _grows_unboundedly(t: Term) -> bool:
     degrees, computed over the distinct nodes, and so are the searches, so
     doubling terms such as ``R /\\ R`` cost linear time.
     """
-    memo: dict = {}
+    memo = _step_memo()
     sizes: dict[Term, int] = {}
 
     def moves(u: Term):
@@ -626,10 +628,16 @@ def _run(theorem: str, seed: int | None, trials: int, trial) -> TheoremReport:
 def _attempt(report: TheoremReport, k: int, trial) -> None:
     """Run ``trial(report, k)`` as trial ``k``, which ``report.fail`` stamps
     on each failure with the seed.  A trial whose graph exceeds the state
-    bound is skipped as ``(k, "state-bound")``, keeping its earlier failures."""
+    bound is skipped as ``(k, "state-bound")``, keeping its earlier failures.
+
+    The trial runs in one ``semantics.step_memo_scope``: its growth checks,
+    probes and builds share one step memo, so each term is stepped once in
+    the trial.  The memo is dropped when the trial ends, raised or not, so it
+    holds one trial's terms at most and needs no sweep."""
     report.trial = k
     try:
-        trial(report, k)
+        with step_memo_scope():
+            trial(report, k)
     except StateBoundExceeded:
         report.skip(k, "state-bound")
 
@@ -992,12 +1000,13 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
     while (sims < trials or kleenes < trials) and k < budget:
         k += 1
         report.trial = k
-        p = _gen_term_trial(small, 2 * k, depth=3)
-        q = _gen_term_trial(small, 2 * k + 1, depth=3)
-        try:
-            lts = build_combined([p, q])
-        except StateBoundExceeded:
-            continue
+        with step_memo_scope():  # one memo per trial, as ``_attempt`` opens
+            p = _gen_term_trial(small, 2 * k, depth=3)
+            q = _gen_term_trial(small, 2 * k + 1, depth=3)
+            try:
+                lts = build_combined([p, q])
+            except StateBoundExceeded:
+                continue
         if kleenes < trials and len(lts.terms) <= 30:
             kleenes += 1
             report.trials += 1

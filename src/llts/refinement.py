@@ -29,7 +29,8 @@ from .semantics import (
     build_combined,
     weak_visible_step,
 )
-from .terms import TAU, Term
+from .syntax import print_terms
+from .terms import TAU, Term, is_visible
 
 REASON_READY = "ready-set-mismatch"
 REASON_NO_DESCENDANT = "no-stable-descendant-match"
@@ -43,10 +44,10 @@ class SimRelation:
     pairs: frozenset[tuple[int, int]]
 
     def term_pairs(self) -> list[tuple[str, str]]:
-        """The pairs as term texts, sorted; each state is rendered once."""
-        states = {i for pair in self.pairs for i in pair}
-        text = {i: str(self.lts.terms[i]) for i in states}
-        return sorted((text[p], text[q]) for p, q in self.pairs)
+        """The pairs as term texts, sorted; printed with one table."""
+        terms = self.lts.terms
+        text = print_terms(terms[i] for pair in self.pairs for i in pair)
+        return sorted((text[terms[p]], text[terms[q]]) for p, q in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -285,21 +286,24 @@ def _diagnose(lts, quotient: _Quotient, p0: int, candidates):
     no candidates it stops at once; otherwise at a ready-set mismatch, for a
     pair deleted for an action ``a`` was related, so the partner has ``a``
     ready and, being consistent, a consistent ``a``-derivative (LTS1) with a
-    stable consistent descendant (LTS2): ``moves[partner][a]`` is not empty."""
+    stable consistent descendant (LTS2): ``moves[partner][a]`` is not empty.
+    The path's states are printed with one table."""
     block, deleted = quotient.block, quotient.deleted
-    path = [("eps", str(lts.terms[p0]))]
+    path, reason = [("eps", p0)], REASON_NO_DESCENDANT
     p, quorum = p0, {block[q] for q in candidates}
     while quorum:
         # every candidate's pair was deleted, since p has no partner left
         partner = max(quorum, key=lambda c: deleted[block[p], c].seq)
         record = deleted[block[p], partner]
         if record.action is None:
-            return Counterexample(tuple(path), REASON_READY)
+            reason = REASON_READY
+            break
         a = record.action
         p = min(t for t in quotient.weak[p][a] if block[t] == record.successor)
-        path.append((a, str(lts.terms[p])))
+        path.append((a, p))
         quorum = quotient.moves[partner][a]
-    return Counterexample(tuple(path), REASON_NO_DESCENDANT)
+    text = print_terms(lts.terms[s] for _, s in path)
+    return Counterexample(tuple((a, text[lts.terms[s]]) for a, s in path), reason)
 
 
 def _unmatched_start(lts: Lts, relation, ip: int, iq: int) -> int | None:
@@ -410,15 +414,25 @@ def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str
 
     cex = verdict.counterexample
     (_, name), *steps = cex.path
-    here = {s for s in csd[ip] if str(lts.terms[s]) == name}
+
+    def moves(states, a: str) -> set[int]:
+        """The weak ``a``-moves of ``states``: none for an internal ``a``."""
+        return {t for s in states for t in weak_visible_step(lts, s, a)} if is_visible(a) else set()
+
+    # every state the path's actions reach from csd(ip), printed with one table
+    reach = [csd[ip]]
+    for a, _ in steps:
+        reach.append(moves(reach[-1], a))
+    text = print_terms(lts.terms[s] for states in reach for s in states)
+    here = {s for s in csd[ip] if text[lts.terms[s]] == name}
     if not here:
         return f"path start {name} is not a stable consistent descendant of the first root"
     there = set(csd[iq])
     for a, name in steps:
-        here = {t for s in here for t in weak_visible_step(lts, s, a) if str(lts.terms[t]) == name}
+        here = {t for t in moves(here, a) if text[lts.terms[t]] == name}
         if not here:
             return f"path step {a}: {name} is not a weak move"
-        there = {t for s in there for t in weak_visible_step(lts, s, a)}
+        there = moves(there, a)
     if cex.reason == REASON_NO_DESCENDANT:
         holds = not steps and not csd[iq]
     else:

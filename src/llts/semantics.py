@@ -18,6 +18,15 @@ ids and acyclic terms, so the collector's passes during a build find nothing,
 and they would scan every interned term.  Its collections wait until the build
 returns or raises, those a concurrent thread is due included.
 
+One step memo per scope: ``step`` is a pure function of a hash-consed term,
+so every build and step made inside ``step_memo_scope()`` shares one memo from
+term to moves, and a term is stepped once however many graphs of the scope
+meet it.  The memo lives in a context variable: the scope opens it empty and
+drops it on exit, raised or not, so it holds no more than one scope's terms
+and needs no sweep.  A nested scope starts empty, and a thread starts with
+no scope.  Outside a scope each build and step starts an empty memo.  The
+theorem checks open one scope per trial (``properties._attempt``).
+
 Internal moves take precedence over visible ones: a composition offers a
 visible action only while the blocking operand has no internal move.  Since
 every internal-move rule has positive premises only, transitions are computed
@@ -48,10 +57,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, NamedTuple
 
+from .syntax import print_terms
 from .terms import (
     TAU,
     Bottom,
@@ -318,11 +330,32 @@ RULES: dict[type, OperatorRules] = {
 }
 
 
+# The open scope's step memo (module docstring); None outside every scope.
+_STEP_MEMO: ContextVar[dict | None] = ContextVar("step_memo", default=None)
+
+
+@contextmanager
+def step_memo_scope():
+    """Share one step memo among every build and step made inside, and drop
+    it on exit."""
+    token = _STEP_MEMO.set({})
+    try:
+        yield
+    finally:
+        _STEP_MEMO.reset(token)
+
+
+def _step_memo() -> dict:
+    """The open scope's step memo, else a new empty one."""
+    memo = _STEP_MEMO.get()
+    return {} if memo is None else memo
+
+
 def step(t: Term) -> list[tuple[str, Term]]:
     """All one-step transitions of a closed term, internal moves first;
     ``GuardednessError`` on a recursion met whose equations are unguarded."""
     _check_closed(t)
-    return list(_closed_step(t, {}))
+    return list(_closed_step(t, _step_memo()))
 
 
 def _check_closed(t: Term) -> None:
@@ -671,7 +704,8 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     and recursion and of each conjunction's operands, whose moves the
     conjunction and recursion rules read.  Every other term is support-only:
     the rules read its flag alone.  Terms are numbered breadth first, each
-    one's operands or expansion before its move targets.
+    one's operands or expansion before its move targets.  Terms are stepped
+    with the open scope's step memo, else a new one (module docstring).
 
     The universe holds one term per class of ``|[S]|`` compositions that
     differ only in the order and bracketing of one maximal chain's operands:
@@ -724,7 +758,7 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     for t in roots:
         _check_closed(t)
     root_ids = [add(t) for t in roots]
-    step_memo: dict = {}
+    step_memo = _step_memo()
     pairs = _MovePairs(add)
     while todo:
         i = todo.popleft()
@@ -915,7 +949,7 @@ def used_rule_instances(lts: Lts) -> list[RuleInstance]:
     ``step``'s, whose target the graph stores as its class, and a flag's
     premises name the terms that the ids it needs stand for."""
     terms, shapes, F = lts.terms, lts.shapes(), lts.inconsistent
-    memo: dict = {}
+    memo = _step_memo()
 
     def moves_of(u: Term) -> tuple[tuple[str, Term], ...]:
         return _closed_step(u, memo)
@@ -975,11 +1009,17 @@ def _numbering(lts: Lts) -> tuple[list[int], dict[int, int]]:
     return ids, {old: new for new, old in enumerate(ids)}
 
 
+def _state_texts(lts: Lts, ids: list[int]) -> dict[int, str]:
+    """The text of each of the states ``ids``, printed with one table."""
+    text = print_terms(lts.terms[i] for i in ids)
+    return {i: text[lts.terms[i]] for i in ids}
+
+
 def lts_to_text(lts: Lts) -> str:
     """Reachable fragment as text: each state with its flags, then its moves.
-    Each state's term is rendered once."""
+    The states' terms are printed with one table."""
     ids, remap = _numbering(lts)
-    text = {i: str(lts.terms[i]) for i in ids}  # targets of reachable states are reachable
+    text = _state_texts(lts, ids)  # targets of reachable states are reachable
     lines = [f"states: {len(ids)} (universe {len(lts.terms)})"]
     for i in ids:
         marks = (("root", i == lts.root), ("stable", lts.stable[i]),
@@ -993,10 +1033,11 @@ def lts_to_text(lts: Lts) -> str:
 def lts_to_json(lts: Lts) -> str:
     """Reachable fragment as JSON; the internal action is labelled "tau"."""
     ids, remap = _numbering(lts)
+    text = _state_texts(lts, ids)
     states = [
         {
             "id": remap[i],
-            "term": str(lts.terms[i]),
+            "term": text[i],
             "stable": lts.stable[i],
             "inconsistent": lts.inconsistent[i],
         }
@@ -1017,10 +1058,11 @@ def lts_to_dot(lts: Lts) -> str:
     """Reachable fragment in DOT: inconsistent states are double-circled and
     internal moves dashed."""
     ids, remap = _numbering(lts)
+    text = _state_texts(lts, ids)
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=circle];"]
     for i in ids:
         shape = "doublecircle" if lts.inconsistent[i] else "circle"
-        label = str(lts.terms[i]).replace("\\", "\\\\").replace('"', '\\"')
+        label = text[i].replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  s{remap[i]} [shape={shape}, label="{label}"];')
     lines.append(f"  init [shape=point]; init -> s{remap[lts.root]};")
     for i in ids:

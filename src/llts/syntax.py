@@ -26,6 +26,7 @@ with ``rec_specs``, which enters only the subterms with a binder below.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 
@@ -44,13 +45,13 @@ from .terms import (
     Term,
     Var,
     _commas,
-    _into_subterms,
     _join,
     _walk,
     collector_paused,
     first_guard_violation,
     normalize,
     rec_specs,
+    subterms,
 )
 
 
@@ -326,4 +327,34 @@ def _text_of(t: Term, parts: list[tuple[list, int]]) -> tuple[list, int]:
 
 def print_term(t: Term) -> str:
     """Canonical text with minimal parentheses; parses back to ``t``."""
-    return _join(_walk(t, None, _into_subterms, _text_of)[0])
+    return print_terms((t,))[t]
+
+
+def print_terms(terms: Iterable[Term]) -> dict[Term, str]:
+    """``print_term`` of each of ``terms``, with one table from term to text
+    and binding level for them all, so each distinct subterm is printed once
+    and its text is built from its operands' texts.  The text of each of
+    ``terms``, and of a subterm met again, is joined once, and the terms
+    above it copy it whole: a path of nested states costs the length of its
+    text, not its number of states times the length."""
+    wanted = dict.fromkeys(terms)
+    table: dict[Term, tuple] = {}
+
+    def enter(u: Term, _):
+        done = table.get(u)
+        if done is None:
+            return u, subterms(u), None
+        if type(done[0]) is not str:  # met again: join it once
+            done = table[u] = (_join(done[0]), done[1])
+        return done, None, None
+
+    def leave(u: Term, parts: list) -> tuple:
+        pieces, level = done = _text_of(u, parts)
+        if u in wanted:
+            done = (_join(pieces), level)
+        table[u] = done
+        return done
+
+    for t in wanted:
+        _walk(t, None, enter, leave)
+    return {t: table[t][0] for t in wanted}

@@ -1,8 +1,9 @@
+import contextlib
 import hashlib
 
 import pytest
 
-from llts import properties, refinement
+from llts import properties, refinement, semantics
 from llts.properties import (
     ALL_CHECKS,
     HOLE,
@@ -25,7 +26,7 @@ from llts.properties import (
     report_to_json,
     shrink_term,
 )
-from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, build_lts, lts_to_json
+from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, build_lts, lts_to_json, step
 from llts.syntax import parse, print_term
 from llts.terms import (
     TAU,
@@ -573,6 +574,65 @@ class TestOneGraphPerTrial:
         report = check(CFG, 12)
         assert report.trials == 12 and not report.skipped
         assert len(calls) == 12
+
+
+class TestStepMemoPerTrial:
+    """Each trial runs in one step memo scope, opened by ``_attempt`` and by
+    each round of ``check_brute_force``: a trial steps each term once, and
+    no memo outlives it."""
+
+    @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"brute-force"}))
+    def test_each_term_stepped_once_per_attempt(self, name, monkeypatch):
+        trials = [[]]  # the terms whose rules each trial applied
+        attempt, apply_rules = properties._attempt, semantics._apply_rules
+
+        def counting_attempt(report, k, trial):
+            trials.append([])
+            attempt(report, k, trial)
+
+        monkeypatch.setattr(properties, "_attempt", counting_attempt)
+        monkeypatch.setattr(semantics, "_apply_rules", lambda t, memo: trials[-1].append(t) or apply_rules(t, memo))
+        ALL_CHECKS[name](CFG, 8)
+        assert trials[0] == [] and sum(map(len, trials)) > 0
+        assert all(len(terms) == len(set(terms)) for terms in trials)
+
+    def test_each_term_stepped_once_per_brute_force_round(self, monkeypatch):
+        rounds = [[]]
+        scope, apply_rules = properties.step_memo_scope, semantics._apply_rules
+
+        def counting_scope():
+            rounds.append([])
+            return scope()
+
+        monkeypatch.setattr(properties, "step_memo_scope", counting_scope)
+        monkeypatch.setattr(semantics, "_apply_rules", lambda t, memo: rounds[-1].append(t) or apply_rules(t, memo))
+        report = check_brute_force(CFG, 8)
+        assert len(rounds) - 1 >= report.trials > 0
+        assert rounds[0] == [] and all(len(terms) == len(set(terms)) for terms in rounds)
+
+    @pytest.mark.parametrize(
+        "error", [None, StateBoundExceeded(1), ValueError("boom")], ids=["returns", "skipped", "raises"]
+    )
+    def test_no_memo_survives_the_attempt(self, error):
+        memos = []
+
+        def trial(report, k):
+            memo = semantics._STEP_MEMO.get()
+            memos.append((memo, len(memo)))
+            step(parse("a.0 [] tau.b.0"))
+            if error is not None:
+                raise error
+
+        report = properties.TheoremReport("scoped")
+        for k in range(2):
+            with pytest.raises(ValueError) if isinstance(error, ValueError) else contextlib.nullcontext():
+                properties._attempt(report, k, trial)
+            assert semantics._STEP_MEMO.get() is None
+        (first, n1), (second, n2) = memos
+        assert first is not None and second is not None and first is not second
+        assert n1 == n2 == 0 and len(first) == len(second) > 0
+        skipped = isinstance(error, StateBoundExceeded)
+        assert report.skipped == ([(0, "state-bound"), (1, "state-bound")] if skipped else [])
 
 
 class TestUniqueSolution:

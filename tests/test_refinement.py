@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import golden
-from llts import refinement
+from llts import refinement, syntax
 
 from llts.properties import (
     GenConfig,
@@ -29,7 +29,7 @@ from llts.refinement import (
 )
 from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, weak_visible_step
 from llts.syntax import parse
-from llts.terms import Disj, Parallel, Term, unfold_rec
+from llts.terms import TAU, Disj, Parallel, Prefix, unfold_rec
 
 CFG = GenConfig(seed=37, max_depth=3)
 
@@ -243,12 +243,35 @@ class TestSerialization:
         first = Disj(copies[0], unfold_rec(copies[0]))
         p = Parallel((), Parallel((), first, copies[1]), copies[2])
         witness = refines(p, p).witness
-        plain, terms = Term.__str__, witness.lts.terms
-        expected = sorted((plain(terms[i]), plain(terms[j])) for i, j in witness.pairs)
-        rendered = []
-        monkeypatch.setattr(Term, "__str__", lambda t: rendered.append(t) or plain(t))
+        terms = witness.lts.terms
+        states = {terms[i] for pair in witness.pairs for i in pair}
+        expected = sorted((str(terms[i]), str(terms[j])) for i, j in witness.pairs)
+        plain, printed = syntax._text_of, []
+        monkeypatch.setattr(syntax, "_text_of", lambda t, parts: printed.append(t) or plain(t, parts))
         assert witness.term_pairs() == expected
-        assert len(rendered) == len({i for pair in witness.pairs for i in pair}) < len(witness.pairs)
+        assert len(states) < len(witness.pairs)
+        # the states share their copies' subterms, each printed once
+        assert len(printed) == len(set(printed)) and states <= set(printed)
+
+    def test_long_path_prints_each_state_once(self, monkeypatch):
+        # refines(a^n.0, a^n.b.0): a path of n + 1 states, each a subterm of
+        # the one before, printed once each, not once per state above it
+        n = 1000
+        p, q = parse("0"), parse("b.0")
+        for _ in range(n):
+            p, q = Prefix("a", p), Prefix("a", q)
+        verdict = refines(p, q)
+        plain, printed = syntax._text_of, []
+        monkeypatch.setattr(syntax, "_text_of", lambda t, parts: printed.append(t) or plain(t, parts))
+        cex = verdict.counterexample
+        assert len(printed) == len(set(printed)) == n + 1
+        monkeypatch.setattr(syntax, "_text_of", plain)
+        states = [p]
+        while type(states[-1]) is Prefix:
+            states.append(states[-1].body)
+        assert cex.reason == REASON_READY
+        assert cex.path == (("eps", str(p)), *(("a", str(t)) for t in states[1:]))
+        assert check_verdict(verdict.lts, *verdict.lts.roots, verdict) is None
 
     def test_refuted_schema(self):
         doc = json.loads(verdict_to_json(refines(parse("a.0"), parse("b.0"))))
@@ -585,6 +608,28 @@ class TestCheckVerdict:
         )
         failure = check_verdict(lts, *lts.roots, forged)
         assert failure == "path start b.0 is not a stable consistent descendant of the first root"
+
+    def test_rejects_path_with_one_state_renamed(self):
+        # each state named as another state the same actions reach
+        p, q = parse("a.(b.0 \\/ c.0)"), parse("a.b.c.0")
+        verdict = refines(p, q)
+        lts, cex = verdict.lts, verdict.counterexample
+        assert check_verdict(lts, *lts.roots, verdict) is None
+        assert [a for a, _ in cex.path] == ["eps", "a"] and cex.path[1][1] in ("b.0", "c.0")
+        other = "c.0" if cex.path[1][1] == "b.0" else "b.0"
+        forged = SimpleNamespace(holds=False, counterexample=Counterexample((cex.path[0], ("a", other)), cex.reason))
+        assert "does not hold" in check_verdict(lts, *lts.roots, forged)
+        forged = SimpleNamespace(holds=False, counterexample=Counterexample((cex.path[0], ("a", "a.0")), cex.reason))
+        assert check_verdict(lts, *lts.roots, forged) == "path step a: a.0 is not a weak move"
+
+    def test_internal_action_on_the_path(self):
+        # weak moves are indexed by visible actions: an internal action on
+        # the path is no weak move, reported after a wrong start
+        lts = build("a.0", "b.0")
+        for start, failure in (("b.0", "path start b.0"), ("a.0", "path step tau: 0 is not a weak move")):
+            path = (("eps", start), (TAU, "0"))
+            forged = SimpleNamespace(holds=False, counterexample=Counterexample(path, REASON_READY))
+            assert check_verdict(lts, *lts.roots, forged).startswith(failure)
 
     def test_rejects_a_reason_that_does_not_hold(self):
         p, q = parse(golden._interleaving(4)), parse(golden._interleaving(4, 2))

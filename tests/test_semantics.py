@@ -2,6 +2,7 @@ import contextlib
 import copy
 import gc
 import json
+import threading
 import time
 
 import pytest
@@ -1051,3 +1052,143 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+
+def _same_graph(lts, fresh):
+    """``lts`` equals ``fresh`` field by field."""
+    assert lts.terms == fresh.terms
+    assert lts.index == fresh.index
+    assert lts.transitions == fresh.transitions
+    assert lts.inconsistent == fresh.inconsistent
+    assert lts.shapes() == fresh.shapes()
+
+
+def _verdict_text(verdict):
+    """What a ``refines`` verdict prints, as ``verdict_to_json`` reads it."""
+    if verdict.holds:
+        return True, verdict.witness.term_pairs()
+    return False, verdict.counterexample
+
+
+# choice chains, each with the inner ``[]`` nodes stepped first as roots of
+# their own: a chain ``_frame`` then meets splits at those nodes, whose moves
+# are memoised, and its moves must come in the same order
+_CHAIN_LEAVES = ("a.0", "tau.b.0", "b.0", "a.0", "tau.b.0 \\/ c.0", "b.c.0", "bot", "a.0")
+
+
+def _choice_chains():
+    leaves = [parse(text) for text in _CHAIN_LEAVES]
+    for n in range(2, len(leaves) + 1):
+        for part in (leaves[:n], leaves[-n:], leaves[1:n] + leaves[:1]):
+            right = part[-1]
+            for u in reversed(part[:-1]):  # right-nested
+                right = ExtChoice(u, right)
+            left = part[0]
+            for u in part[1:]:  # left-nested, as parsed
+                left = ExtChoice(left, u)
+            yield left, [left.left] if type(left.left) is ExtChoice else []
+            yield right, [right.right] if type(right.right) is ExtChoice else []
+
+
+class TestStepMemoScope:
+    """Builds and steps inside one ``step_memo_scope`` share its memo, which
+    changes no graph: they equal builds made outside any scope."""
+
+    def test_rejected_builds_leave_a_sound_memo(self):
+        # one build stops at an unguarded recursion after stepping a deep
+        # operand, another at the state bound; the memo keeps finished steps
+        # only, and the next build reads them
+        deep = Nil()
+        for _ in range(300):
+            deep = Parallel((), Nil(), deep)
+        deep = Parallel((), Prefix("a", Nil()), deep)
+        b0 = Prefix("b", Nil())
+        rejected = ExtChoice(ExtChoice(deep, b0), UNGUARDED["loop"][0])
+        roots = [ExtChoice(deep, b0), parse(golden._interleaving(3)), parse(golden._interleaving(3, 1))]
+        with semantics.step_memo_scope():
+            memo = semantics._STEP_MEMO.get()
+            with pytest.raises(GuardednessError):
+                build_lts(rejected)
+            with pytest.raises(StateBoundExceeded):
+                build_combined(roots[1:], BuildLimits(20))
+            kept = dict(memo)
+            lts = build_combined(roots)
+        assert deep in kept and roots[1] in kept
+        assert all(moves == tuple(step(key)) for key, moves in kept.items())
+        _same_graph(lts, build_combined(roots))
+
+    @GENERATED
+    def test_generated_builds_equal_fresh_ones(self, seed, depth):
+        config = GenConfig(seed=seed, max_depth=depth)
+        for k in range(150):
+            p, q = _gen_term_trial(config, 2 * k), _gen_term_trial(config, 2 * k + 1)
+            groups = ([p], [q], [p, q], [q, p])
+            try:
+                fresh = [build_combined(roots) for roots in groups]
+            except StateBoundExceeded:
+                continue
+            with semantics.step_memo_scope():
+                scoped = [build_combined(roots) for roots in groups]
+                verdicts = [_verdict_text(refines(p, q)), _verdict_text(refines(q, p))]
+            for lts, expected in zip(scoped, fresh):
+                _same_graph(lts, expected)
+            assert verdicts == [_verdict_text(refines(p, q)), _verdict_text(refines(q, p))]
+
+    def test_chains_split_at_memoised_nodes(self):
+        chains = list(_choice_chains())
+        assert any(inner for _, inner in chains)
+        for t, inner in chains:
+            with semantics.step_memo_scope():
+                memo = semantics._STEP_MEMO.get()
+                for u in inner:
+                    build_lts(u)
+                assert all(u in memo for u in inner)
+                moves = step(t)
+                lts = build_lts(t)
+            assert moves == step(t)
+            _same_graph(lts, build_lts(t))
+
+    def test_chains_in_refinement(self):
+        chains = [t for t, inner in _choice_chains() if inner]
+        for p, q in zip(chains, chains[1:]):
+            with semantics.step_memo_scope():
+                for t in (p.left, p.right, q.left, q.right):
+                    build_lts(t)
+                verdict = _verdict_text(refines(p, q))
+            assert verdict == _verdict_text(refines(p, q))
+
+    def test_no_scope_outside(self):
+        assert semantics._STEP_MEMO.get() is None
+        with semantics.step_memo_scope():
+            memo = semantics._STEP_MEMO.get()
+            assert memo is not None and memo == {}
+            build_lts(parse("a.b.0"))
+            assert memo
+        assert semantics._STEP_MEMO.get() is None
+
+    def test_nested_scope_starts_empty(self):
+        with semantics.step_memo_scope():
+            outer = semantics._STEP_MEMO.get()
+            step(parse("a.0 [] b.0"))
+            with semantics.step_memo_scope():
+                inner = semantics._STEP_MEMO.get()
+                assert inner is not None and inner == {} and inner is not outer
+                step(parse("c.0"))
+            assert semantics._STEP_MEMO.get() is outer
+            assert parse("c.0") not in outer
+
+    def test_scope_is_not_seen_by_another_thread(self):
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(semantics._STEP_MEMO.get()))
+        with semantics.step_memo_scope():
+            assert semantics._STEP_MEMO.get() is not None
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(seen) == 1 and seen[0] is None
+
+    def test_scope_dropped_when_raised(self):
+        with pytest.raises(GuardednessError):
+            with semantics.step_memo_scope():
+                build_lts(UNGUARDED["loop"][0])
+        assert semantics._STEP_MEMO.get() is None

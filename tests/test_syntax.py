@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from llts import syntax
+from llts import syntax, terms
 from llts.properties import GenConfig, _gen_term_trial
 from llts.syntax import ParseError, parse, print_term
 from llts.terms import (
@@ -221,3 +221,23 @@ class TestPrint:
     def test_round_trip(self, seed):
         t = _gen_term_trial(CFG, seed)
         assert parse(print_term(t)) == t
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_table_prints_as_one_walk_per_term(self, seed):
+        # every subterm of a few generated terms, the shared ones included,
+        # in either order, against the text of a plain walk of each alone
+        def walked(t):
+            return terms._join(terms._walk(t, None, terms._into_subterms, syntax._text_of)[0])
+
+        batch = [_gen_term_trial(CFG, 5 * seed + k) for k in range(5)]
+        batch += [Conj(t, t) for t in batch] + [Prefix("a", Disj(t, t)) for t in batch]
+        every = []
+        for t in batch:
+            todo = [t]
+            while todo:
+                u = todo.pop()
+                every.append(u)
+                todo += terms.subterms(u)
+        expected = {t: walked(t) for t in every}
+        for order in (every, every[::-1]):
+            assert syntax.print_terms(order) == expected
