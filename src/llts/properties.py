@@ -1,8 +1,10 @@
 """Random term generation and desk-scale machine checks of the calculus laws.
 
-Each check runs a number of independent, seed-derived trials through one
-loop, ``_run``, and returns a ``TheoremReport``.  Failures carry the
-offending terms (model-laws shrinks them greedily first); trials whose
+Each check runs independent, seed-derived trials and returns a
+``TheoremReport``.  Every trial of every check runs through ``_attempt``, in
+one step memo scope: ``_run`` counts and attempts a fixed number of them, and
+brute-force attempts rounds until it has found its instances.  Failures carry
+the offending terms (model-laws shrinks them greedily first); trials whose
 graphs exceed the configured bounds are skipped, not failed.
 """
 
@@ -21,8 +23,6 @@ from .semantics import (
     BuildLimits,
     Lts,
     StateBoundExceeded,
-    _closed_step,
-    _step_memo,
     build_combined,
     build_lts,
     consistency_law_violations,
@@ -293,15 +293,13 @@ def _grows_unboundedly(t: Term) -> bool:
     graph is therefore infinite, and a build under any finite state bound,
     the probe's or the default one, cannot finish: it exceeds that bound.
 
-    Each step ends by the guard check and ``terms.StratRank``.  Sizes are
-    degrees, computed over the distinct nodes, and so are the searches, so
-    doubling terms such as ``R /\\ R`` cost linear time.
+    Terms are stepped by ``semantics.step``, so in a trial the growth check
+    shares the trial's step memo with its builds.  Each step ends by the
+    guard check and ``terms.StratRank``.  Sizes are degrees, computed over
+    the distinct nodes, and so are the searches, so doubling terms such as
+    ``R /\\ R`` cost linear time.
     """
-    memo = _step_memo()
     sizes: dict[Term, int] = {}
-
-    def moves(u: Term):
-        return _closed_step(u, memo)
 
     def size(u: Term) -> int:
         return _degree(u, sizes)
@@ -314,7 +312,7 @@ def _grows_unboundedly(t: Term) -> bool:
         return (
             type(node) is Parallel
             and not node.sync & visible
-            and not any(a == TAU for a, _ in moves(other))
+            and not any(a == TAU for a, _ in step(other))
         )
 
     def contains(s1: Term, s0: Term, visible: set[str]) -> bool:
@@ -370,7 +368,7 @@ def _grows_unboundedly(t: Term) -> bool:
     todo = deque([t])
     while todo:
         p = todo.popleft()
-        for a, u in moves(p):
+        for a, u in step(p):
             if u in parent:
                 continue
             parent[u] = (p, a)
@@ -995,18 +993,15 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
     small = replace(config, max_depth=min(config.max_depth, 3))
     sims = 0
     kleenes = 0
-    k = 0
-    budget = trials * 40
-    while (sims < trials or kleenes < trials) and k < budget:
-        k += 1
-        report.trial = k
-        with step_memo_scope():  # one memo per trial, as ``_attempt`` opens
-            p = _gen_term_trial(small, 2 * k, depth=3)
-            q = _gen_term_trial(small, 2 * k + 1, depth=3)
-            try:
-                lts = build_combined([p, q])
-            except StateBoundExceeded:
-                continue
+
+    def trial(report: TheoremReport, k: int) -> None:
+        nonlocal sims, kleenes
+        p = _gen_term_trial(small, 2 * k, depth=3)
+        q = _gen_term_trial(small, 2 * k + 1, depth=3)
+        try:
+            lts = build_combined([p, q])
+        except StateBoundExceeded:
+            return  # no instance this round, and no skip
         if kleenes < trials and len(lts.terms) <= 30:
             kleenes += 1
             report.trials += 1
@@ -1020,12 +1015,18 @@ def check_brute_force(config: GenConfig, trials: int = 60) -> TheoremReport:
         if sims < trials and n_stable <= 4:
             enumerated = enumerate_stable_sim_pairs(lts)
             if enumerated is None:
-                continue
+                return
             sims += 1
             report.trials += 1
             iterative = largest_stable_sim(lts).pairs
             if enumerated != iterative:
                 report.fail([p, q], sorted(enumerated), sorted(iterative))
+
+    k = 0
+    budget = trials * 40
+    while (sims < trials or kleenes < trials) and k < budget:
+        k += 1
+        _attempt(report, k, trial)
     if sims < trials or kleenes < trials:
         report.skip(k, f"instances found: sims={sims} kleene={kleenes}")
     return report

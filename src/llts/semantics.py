@@ -3,14 +3,14 @@ graph construction, the inconsistency predicate as a least fixpoint, and
 model validators.
 
 The rule table ``RULES`` writes each transition and inconsistency rule once,
-one entry per operator.  ``step`` reads its transition rules,
-``compute_inconsistent`` its inconsistency rules as Horn clauses, and
-``used_rule_instances`` both, with their premises.  ``step`` applies the rules
-bottom-up in one loop over an explicit stack of frames, so the depth of a
-term is no limit: a term is stepped once the moves of its premise sources
-are known.  The one function that builds a frame checks a recursion's
-equations guarded from their recorded facts, so by ``terms.StratRank``
-every chain of recursion expansions ends.
+one entry per operator, with the operator's shape tag.  ``step`` reads its
+transition rules, ``compute_inconsistent`` its inconsistency rules as Horn
+clauses, and ``used_rule_instances`` both, with their premises.  ``step``
+applies the rules bottom-up in one loop over an explicit stack of frames, so
+the depth of a term is no limit: a term is stepped once the moves of its
+premise sources are known.  The one function that builds a frame checks a
+recursion's equations guarded from their recorded facts, so by
+``terms.StratRank`` every chain of recursion expansions ends.
 
 ``build_combined`` runs with the cyclic collector paused, the fixpoint
 included (``terms.collector_paused``): a graph is lists, tuples and dicts of
@@ -109,6 +109,7 @@ class StateBoundExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # the rule table: the calculus, written once, one entry per operator
 #
+# ``kind`` is the operator's tag, the first field of each ``Lts.shapes`` entry.
 # ``moves(t, moves_of)`` applies the transition rules to ``t``, given
 # ``moves_of(u)``, the moves of a premise source ``u``.  It returns one
 # ``(rule, premises, moves)`` batch per rule, in the order ``step`` lists
@@ -300,33 +301,21 @@ def _rec_clauses(lts, i, shape):
     )
 
 
-# The kind tags of ``Lts.shapes``.
-_KIND: dict[type, str] = {
-    Nil: "nil",
-    Bottom: "bottom",
-    Prefix: "prefix",
-    ExtChoice: "choice",
-    Disj: "disj",
-    Conj: "conj",
-    Parallel: "par",
-    Rec: "rec",
-}
-
-
 class OperatorRules(NamedTuple):
+    kind: str
     moves: Callable
     clauses: Callable
 
 
 RULES: dict[type, OperatorRules] = {
-    Nil: OperatorRules(_none, _none),
-    Bottom: OperatorRules(_none, _bottom_clauses),
-    Prefix: OperatorRules(_prefix_moves, _prefix_clauses),
-    Disj: OperatorRules(_disj_moves, _disj_clauses),
-    ExtChoice: OperatorRules(_choice_moves, _choice_clauses),
-    Conj: OperatorRules(_conj_moves, _conj_clauses),
-    Parallel: OperatorRules(_par_moves, _par_clauses),
-    Rec: OperatorRules(_rec_moves, _rec_clauses),
+    Nil: OperatorRules("nil", _none, _none),
+    Bottom: OperatorRules("bottom", _none, _bottom_clauses),
+    Prefix: OperatorRules("prefix", _prefix_moves, _prefix_clauses),
+    Disj: OperatorRules("disj", _disj_moves, _disj_clauses),
+    ExtChoice: OperatorRules("choice", _choice_moves, _choice_clauses),
+    Conj: OperatorRules("conj", _conj_moves, _conj_clauses),
+    Parallel: OperatorRules("par", _par_moves, _par_clauses),
+    Rec: OperatorRules("rec", _rec_moves, _rec_clauses),
 }
 
 
@@ -538,7 +527,7 @@ class Lts:
         if self._shape is None:
             index = self.index
             self._shape = [
-                (_KIND[type(t)], *[index[c] for c in support_children(t)])
+                (RULES[type(t)].kind, *[index[c] for c in support_children(t)])
                 for t in self.terms
             ]
         return self._shape
@@ -764,7 +753,7 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         i = todo.popleft()
         t = terms[i]
         conj = type(t) is Conj
-        shapes[i] = (_KIND[type(t)], *[add(c, conj) for c in support_children(t)])
+        shapes[i] = (RULES[type(t)].kind, *[add(c, conj) for c in support_children(t)])
         if is_state[i]:
             stored = [*map(pairs.__getitem__, _closed_step(t, step_memo))]
             if len(index) > len(terms):  # an alias: moves to one class are stored once

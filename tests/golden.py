@@ -16,9 +16,10 @@ The corpus is built from seeds, with no input file:
 The families are, per pair, ``refines`` (``verdict_to_json``),
 ``equivalent``, ``stable`` (``stable_refines``), ``sim`` (the sorted index
 pairs of ``largest_stable_sim`` on the pair's graph) and ``certify``
-(``check_verdict`` on the ``refines`` verdict); per term, ``lts_json`` and
-``lts_text`` (of ``build_lts``); and per text, ``parse``: a ``ParseError``'s
-message, span and expected tokens, or else the term the text gives.
+(``check_verdict`` on the ``refines`` verdict); per term, ``lts_json``,
+``lts_text`` and ``lts_dot`` (of ``build_lts``); and per text, ``parse``: a
+``ParseError``'s message, span and expected tokens, or else the term the
+text gives.
 
 Check the pins:        PYTHONPATH=src python -m tests.golden
 Write them again:      PYTHONPATH=src python -m tests.golden --write
@@ -44,7 +45,7 @@ from llts.refinement import (
     stable_refines,
     verdict_to_json,
 )
-from llts.semantics import build_lts, lts_to_json, lts_to_text
+from llts.semantics import build_lts, lts_to_dot, lts_to_json, lts_to_text
 from llts.syntax import ParseError, parse
 from llts.terms import Disj, Term
 
@@ -126,7 +127,7 @@ def _pair(p: Term, q: Term) -> dict[str, str]:
 
 def _graph(t: Term) -> dict[str, str]:
     lts = build_lts(t)
-    return {"lts_json": lts_to_json(lts), "lts_text": lts_to_text(lts)}
+    return {"lts_json": lts_to_json(lts), "lts_text": lts_to_text(lts), "lts_dot": lts_to_dot(lts)}
 
 
 def _parse(text: str) -> dict[str, str]:

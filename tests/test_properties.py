@@ -577,11 +577,10 @@ class TestOneGraphPerTrial:
 
 
 class TestStepMemoPerTrial:
-    """Each trial runs in one step memo scope, opened by ``_attempt`` and by
-    each round of ``check_brute_force``: a trial steps each term once, and
-    no memo outlives it."""
+    """Each trial of every check runs in one step memo scope, opened by
+    ``_attempt``: a trial steps each term once, and no memo outlives it."""
 
-    @pytest.mark.parametrize("name", sorted(set(ALL_CHECKS) - {"brute-force"}))
+    @pytest.mark.parametrize("name", sorted(ALL_CHECKS))
     def test_each_term_stepped_once_per_attempt(self, name, monkeypatch):
         trials = [[]]  # the terms whose rules each trial applied
         attempt, apply_rules = properties._attempt, semantics._apply_rules
@@ -595,20 +594,6 @@ class TestStepMemoPerTrial:
         ALL_CHECKS[name](CFG, 8)
         assert trials[0] == [] and sum(map(len, trials)) > 0
         assert all(len(terms) == len(set(terms)) for terms in trials)
-
-    def test_each_term_stepped_once_per_brute_force_round(self, monkeypatch):
-        rounds = [[]]
-        scope, apply_rules = properties.step_memo_scope, semantics._apply_rules
-
-        def counting_scope():
-            rounds.append([])
-            return scope()
-
-        monkeypatch.setattr(properties, "step_memo_scope", counting_scope)
-        monkeypatch.setattr(semantics, "_apply_rules", lambda t, memo: rounds[-1].append(t) or apply_rules(t, memo))
-        report = check_brute_force(CFG, 8)
-        assert len(rounds) - 1 >= report.trials > 0
-        assert rounds[0] == [] and all(len(terms) == len(set(terms)) for terms in rounds)
 
     @pytest.mark.parametrize(
         "error", [None, StateBoundExceeded(1), ValueError("boom")], ids=["returns", "skipped", "raises"]
