@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_limit_args(p_validate)
 
     p_props = sub.add_parser("props", help="run the theorem checks on generated terms")
-    p_props.add_argument("--seed", type=int, default=0)
+    p_props.add_argument("--seed", type=int, default=None)
     p_props.add_argument("--trials", type=int, default=None)
     p_props.add_argument("--only", choices=sorted(properties.ALL_CHECKS), default=None)
     p_props.add_argument("--format", choices=("text", "json"), default="text")
@@ -253,10 +253,13 @@ def _dispatch(args) -> int:
 
     if args.command == "props":
         if args.baseline:
+            clash = [f"--{name}" for name in ("seed", "trials", "only") if getattr(args, name) is not None]
+            if clash:
+                raise ValueError(f"--baseline takes no {', '.join(clash)}: its file pins them")
             entries = properties.load_baseline(args.baseline)
             reports = properties.run_baseline(entries)
         else:
-            reports = properties.run_checks(args.seed, args.trials, args.only)
+            reports = properties.run_checks(args.seed or 0, args.trials, args.only)
         failed = False
         for report in reports:
             if args.format == "json":

@@ -1076,7 +1076,10 @@ def run_checks(
 def load_baseline(path: str) -> list[tuple[str, int, int]]:
     """Read a pinned-seed baseline: a JSON list of [theorem, seed, trials]."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise ValueError(f"baseline {path} is not JSON: {err}") from None
     if not isinstance(doc, list):
         raise ValueError("a baseline is a JSON list of [theorem, seed, trials] rows")
     entries = []

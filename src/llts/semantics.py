@@ -15,8 +15,11 @@ recursion's equations guarded from their recorded facts, so by
 ``build_combined`` runs with the cyclic collector paused, the fixpoint
 included (``terms.collector_paused``): a graph is lists, tuples and dicts of
 ids and acyclic terms, so the collector's passes during a build find nothing,
-and they would scan every interned term.  Its collections wait until the build
-returns or raises, those a concurrent thread is due included.
+and they would scan every interned term.  A build that finds the collector on
+turns it off and its collections wait until the build returns or raises; one
+that finds it off, turned off by its caller or by a build in another thread,
+leaves the switch alone, so it may finish with the collector on once that
+other build returns.
 
 One step memo per scope: ``step`` is a pure function of a hash-consed term,
 so every build and step made inside ``step_memo_scope()`` shares one memo from

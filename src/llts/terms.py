@@ -11,14 +11,17 @@ reference cycles.  ``syntax.parse`` and ``semantics.build_combined`` make none
 either (``tests/test_semantics.py::test_no_cyclic_garbage`` pins that), so
 they run under ``collector_paused``, with CPython's cyclic collector off: its
 passes there would scan the growing intern table and find nothing.  The
-collections are deferred to the return, none is skipped, and the switch, which
-is process-global, is restored in a ``finally``.
+collections are deferred to the return, none is skipped.  Each call decides
+alone: one that finds the collector on turns it off and on again in a
+``finally``, and one that finds it off leaves it off.  The switch is
+process-global, so when paused calls overlap in two threads, the one that
+found it on turns it on again as it ends, though the other may still run.
+That costs the other call time, never a collection.
 """
 
 from __future__ import annotations
 
 import gc
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -55,42 +58,27 @@ class GuardednessError(ValueError):
 _INTERN: dict = {}
 
 
-# The collector's switch is process-global, so the count of calls under
-# ``collector_paused`` in progress, in any thread, is too.  Reading the switch
-# and turning it off is one step under the lock: otherwise a call could read
-# it off while another call is paused, and leave it off for good after both.
-_pause_lock = threading.Lock()
-_pauses = 0
-_resume = False  # the collector was enabled when the first of them began
-
-
 def collector_paused(fn):
     """Decorate ``fn`` to run with the cyclic collector disabled.
 
     Collections are deferred, not skipped: the allocations made meanwhile
     still count, so the first allocation after the pause runs the collection
-    they are due.  The switch is process-global, so another thread's
-    collections also wait, until the last of the paused calls in progress
-    returns or raises.  That one enables the collector again, in a
-    ``finally``, only if it was enabled when the first began: a nested call,
-    or a caller that disabled it, keeps it off.
+    they are due.  A call that finds the collector enabled disables it, and
+    enables it again in a ``finally``.  A call that finds it disabled, by its
+    caller, by an enclosing paused call or by another thread, leaves the
+    switch alone.  So no call leaves the collector off that was on when it
+    began, and a caller who turned it off keeps it off.
     """
 
     @wraps(fn)
     def paused(*args, **kwargs):
-        global _pauses, _resume
-        with _pause_lock:
-            if not _pauses:
-                _resume = gc.isenabled()
-                gc.disable()
-            _pauses += 1
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
         try:
             return fn(*args, **kwargs)
         finally:
-            with _pause_lock:
-                _pauses -= 1
-                if not _pauses and _resume:
-                    gc.enable()
+            gc.enable()
 
     return paused
 

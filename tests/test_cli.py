@@ -315,6 +315,38 @@ class TestProps:
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
         assert "JSON list" in err
 
+    def test_baseline_not_json_names_the_file(self, capsys, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text("not json")
+        code, out, err = run(capsys, "props", "--baseline", str(baseline))
+        assert code == 2 and not out
+        assert err == f"error: baseline {baseline} is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--only", "coincidence", "--seed", "99", "--trials", "7"], "--seed, --trials, --only"),
+            (["--seed", "0"], "--seed"),
+            (["--trials", "3"], "--trials"),
+            (["--only", "preorder", "--format", "json"], "--only"),
+        ],
+    )
+    def test_baseline_with_generation_options_exit_2(self, capsys, tmp_path, extra, named):
+        # the file pins each row's theorem, seed and trials, so options that
+        # would pick them are refused, not dropped
+        baseline = tmp_path / "base.json"
+        baseline.write_text('[["preorder", 3, 5]]')
+        code, out, err = run(capsys, "props", "--baseline", str(baseline), *extra)
+        assert code == 2 and not out
+        assert err == f"error: --baseline takes no {named}: its file pins them\n"
+
+    def test_baseline_keeps_format(self, capsys, tmp_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text('[["preorder", 3, 5]]')
+        code, out, _ = run(capsys, "props", "--baseline", str(baseline), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["theorem"] == "preorder"
+
     def test_malformed_baseline_row_exit_2(self, capsys, tmp_path):
         baseline = tmp_path / "base.json"
         for row in ('[5]', '["f-laws", 3.7, 2]', '["f-laws", "3", 2]', '["f-laws", 3, true]'):

@@ -1127,11 +1127,40 @@ class TestRepr:
         assert repr(rec) == f"Rec('X', {rec.spec!r})"
 
 
+def test_collector_pause_overlapping_threads():
+    # Thread A's paused call is inside while the main thread's paused call
+    # runs and returns: that one finds the collector off, so it leaves it
+    # off, and A turns it on again as it ends.
+    inside, release = threading.Event(), threading.Event()
+    seen = []
+
+    def hold():
+        seen.append(gc.isenabled())
+        inside.set()
+        assert release.wait(timeout=60)
+
+    a = threading.Thread(target=collector_paused(hold))
+    assert gc.isenabled()
+    try:
+        a.start()
+        assert inside.wait(timeout=60)
+        collector_paused(lambda: seen.append(gc.isenabled()))()
+        assert not gc.isenabled()
+        release.set()
+        a.join(timeout=60)
+        assert not a.is_alive()
+        assert gc.isenabled()
+        assert seen == [False, False]
+    finally:
+        release.set()
+        gc.enable()
+
+
 def test_collector_pause_across_threads():
     # More threads than cores, switching often, each pausing the collector
-    # over and over.  A call that read the switch off while another was
-    # paused, and turned it off again after that one had turned it on, would
-    # leave the collector off for good.
+    # over and over.  A call that found the switch off, because another call
+    # was paused, and then touched it, turning it off after that one had
+    # turned it on, would leave the collector off for good.
     paused = collector_paused(lambda: None)
 
     def work():
