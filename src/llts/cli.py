@@ -60,7 +60,7 @@ def expand_source(text: str) -> tuple[str, list[int]]:
             name = head.strip()
             if not name or not rhs.strip():
                 raise ParseError(span, f"malformed let definition: {stripped!r}")
-            if _word_end(name, 0) != len(name):
+            if not syntax._IDENT.fullmatch(name):
                 raise ParseError(span, f"let name is not an identifier: {name!r}")
             if name in syntax._RESERVED:
                 raise ParseError(span, f"let name is a reserved word: {name!r}")
@@ -78,30 +78,22 @@ def expand_source(text: str) -> tuple[str, list[int]]:
     return expanded, where + (origins[-1:] or [0])
 
 
-def _word_end(text: str, i: int) -> int:
-    """The end of the identifier starting at ``text[i]`` (``i`` itself if
-    none does), by the tokenizer's rules."""
-    m = syntax._IDENT.match(text, i)
-    return m.end() if m else i
-
-
 def _expand(
     text: str, origins: Sequence[int], lets: dict[str, tuple[str, list[int]]]
 ) -> tuple[str, list[int]]:
+    """``text`` with each identifier that names a ``let`` replaced by its
+    body in parentheses, identifiers found by the tokenizer's rule."""
     out: list[str] = []
     where: list[int] = []
     i = 0
-    while i < len(text):
-        j = max(_word_end(text, i), i + 1)  # a character starting no word goes alone
-        word = text[i:j]
-        if word in lets:
-            body, body_origins = lets[word]
-            out.append(f"({body})")
-            where += (origins[i], *body_origins, origins[j - 1])
-        else:
-            out.append(word)
-            where += origins[i:j]
-        i = j
+    for m in syntax._IDENT.finditer(text):
+        if m[0] in lets:
+            body, body_origins = lets[m[0]]
+            out += (text[i : m.start()], f"({body})")
+            where += (*origins[i : m.start()], origins[m.start()], *body_origins, origins[m.end() - 1])
+            i = m.end()
+    out.append(text[i:])
+    where += origins[i : len(text)]
     return "".join(out), where
 
 
@@ -116,7 +108,10 @@ def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path} is not UTF-8: {err}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -143,7 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     p_refine.add_argument("q")
     p_refine.add_argument("--format", choices=("text", "json"), default="text")
     p_refine.add_argument(
-        "--certify", action="store_true", help="check the verdict's explanation against the graph"
+        "--certify",
+        action="store_true",
+        help="check the verdict's explanation against the graph; for a refutation, only that its path"
+        " replays and its reason holds at the path's end, which does not show that q fails to simulate p",
     )
     _add_limit_args(p_refine)
 
@@ -187,9 +185,12 @@ def _dispatch(args) -> int:
         print(syntax.print_term(term))
         return 0
 
+    if args.command in ("lts", "check", "validate"):
+        lts = semantics.build_lts(syntax.parse(args.term), _limits(args))
+    elif args.command in ("refine", "equiv"):
+        p, q = syntax.parse(args.p), syntax.parse(args.q)
+
     if args.command == "lts":
-        term = syntax.parse(args.term)
-        lts = semantics.build_lts(term, _limits(args))
         export = {
             "text": semantics.lts_to_text,
             "json": semantics.lts_to_json,
@@ -199,8 +200,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check":
-        term = syntax.parse(args.term)
-        lts = semantics.build_lts(term, _limits(args))
         if lts.inconsistent[lts.root]:
             print("inconsistent")
             return 1
@@ -208,8 +207,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "refine":
-        p = syntax.parse(args.p)
-        q = syntax.parse(args.q)
         verdict = refinement.refines(p, q, _limits(args))
         if args.certify:
             failure = refinement.check_verdict(verdict.lts, *verdict.lts.roots, verdict)
@@ -228,8 +225,6 @@ def _dispatch(args) -> int:
         return 0 if verdict.holds else 1
 
     if args.command == "equiv":
-        p = syntax.parse(args.p)
-        q = syntax.parse(args.q)
         if refinement.equivalent(p, q, _limits(args)):
             print("equivalent")
             return 0
@@ -237,8 +232,6 @@ def _dispatch(args) -> int:
         return 1
 
     if args.command == "validate":
-        term = syntax.parse(args.term)
-        lts = semantics.build_lts(term, _limits(args))
         report = semantics.validate_llts(lts)
         for name, value in (
             ("tau-pure", report.tau_pure),
@@ -256,11 +249,9 @@ def _dispatch(args) -> int:
             clash = [f"--{name}" for name in ("seed", "trials", "only") if getattr(args, name) is not None]
             if clash:
                 raise ValueError(f"--baseline takes no {', '.join(clash)}: its file pins them")
-            entries = properties.load_baseline(args.baseline)
-            reports = properties.run_baseline(entries)
+            reports = properties.run_baseline(properties.load_baseline(args.baseline))
         else:
             reports = properties.run_checks(args.seed or 0, args.trials, args.only)
-        failed = False
         for report in reports:
             if args.format == "json":
                 print(properties.report_to_json(report))
@@ -271,8 +262,7 @@ def _dispatch(args) -> int:
                     print(f"           observed={f.observed} expected={f.expected}")
                 for note in report.notes:
                     print(f"  note: {note}")
-            failed = failed or not report.passed
-        return 1 if failed else 0
+        return 0 if all(r.passed for r in reports) else 1
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

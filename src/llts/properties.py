@@ -263,6 +263,7 @@ def _grows_unboundedly(t: Term) -> bool:
     of Karp and Miller ("Parallel program schemata", JCSS 1969) and of
     Finkel and Schnoebelen ("Well-structured transition systems
     everywhere!", TCS 2001).  False means no answer, never "finite".
+    ``_bounded`` asks it before every build it guards.
 
     The pattern.  A new state ``u``, larger than its parent, has an ancestor
     ``v`` on its parent chain, and ``w`` is the actions from ``v`` to ``u``.
@@ -386,19 +387,26 @@ def _grows_unboundedly(t: Term) -> bool:
     return False
 
 
-def _fits(t: Term) -> Lts | None:
-    """The graph of ``t`` if it builds within the small probe bound, else
-    None.  The growth check rejects first what it proves unbounded; the
-    bounded build decides the rest.  A build the bounds did not cut short is
-    the default build; with the default limits set back on it, the graph
-    equals what ``build_lts(t)`` builds, limits included."""
-    if _grows_unboundedly(t):
+def _bounded(build, *terms):
+    """``build(*terms)``, or None when the growth check proves any of the
+    terms infinite or the build exceeds its state bound: the one rule by
+    which the theorem checks reject an instance."""
+    if any(map(_grows_unboundedly, terms)):
         return None
     try:
-        lts = build_lts(t, _PROBE_LIMITS)
+        return build(*terms)
     except StateBoundExceeded:
         return None
-    lts.limits = BuildLimits()
+
+
+def _fits(t: Term) -> Lts | None:
+    """The graph of ``t`` if ``_bounded`` builds it within the small probe
+    bound, else None.  A build the bounds did not cut short is the default
+    build; with the default limits set back on it, the graph equals what
+    ``build_lts(t)`` builds, limits included."""
+    lts = _bounded(partial(build_lts, limits=_PROBE_LIMITS), t)
+    if lts is not None:
+        lts.limits = BuildLimits()
     return lts
 
 
@@ -656,11 +664,8 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
         if bad:
 
             def still_fails(s: Term) -> bool:
-                try:
-                    l2 = build_lts(s)
-                except StateBoundExceeded:
-                    return False
-                return bool(consistency_law_violations(l2)) or not validate_llts(l2).ok
+                l2 = _bounded(build_lts, s)
+                return l2 is not None and bool(consistency_law_violations(l2) or not validate_llts(l2).ok)
 
             small = shrink_term(t, still_fails)
             report.fail([small], bad[:3], "compositional inconsistency laws hold")
@@ -784,14 +789,9 @@ def check_precongruence(config: GenConfig, trials: int = 100) -> TheoremReport:
         p, q = pair
         for attempt in range(5):
             context = gen_context(config, 7_000_000 + 5 * k + attempt)
-            lhs, rhs = substitute(context, {HOLE: p}), substitute(context, {HOLE: q})
-            if _grows_unboundedly(lhs) or _grows_unboundedly(rhs):
-                continue
-            try:
-                verdict = refines(lhs, rhs)
+            verdict = _bounded(refines, substitute(context, {HOLE: p}), substitute(context, {HOLE: q}))
+            if verdict is not None:
                 break
-            except StateBoundExceeded:
-                continue  # resample a tamer context for this trial
         else:
             report.skip(k, "state-bound")
             return
@@ -875,11 +875,8 @@ def check_unique_solution(
     return _run("unique-solution", None, 1, trial)
 
 
-def _unique_solution(
-    report: TheoremReport, k: int, t_body: Term, x: str, candidates=None, rec_lts: Lts | None = None
-) -> None:
-    """``check_unique_solution``'s trial ``k``, written into ``report``; it
-    reads the recursion's graph from ``rec_lts`` when given, else builds it."""
+def _unique_solution(report: TheoremReport, k: int, t_body: Term, x: str, candidates=None) -> None:
+    """``check_unique_solution``'s trial ``k``, written into ``report``."""
     status = variable_status(t_body, x)
     preconditions: list[str] = []
     if not status.strongly_guarded:
@@ -901,7 +898,7 @@ def _unique_solution(
     fixed_point = equivalent(rec, substitute(t_body, {x: rec}))
     if not fixed_point:
         record([rec], "not a fixed point", "recursion solves its equation")
-    lts = build_lts(rec) if rec_lts is None else rec_lts
+    lts = build_lts(rec)
     rec_consistent = not lts.inconsistent[lts.roots[0]]
     pool = list(candidates or [])
     expansions = unfold_one(rec)
@@ -945,8 +942,7 @@ def check_unique_solutions(config: GenConfig, trials: int = 40) -> TheoremReport
     var = "RX"
 
     def trial(report: TheoremReport, k: int, conj_scope: bool = False) -> None:
-        body, lts = _probed_equation(config, k, var, conj_scope)
-        _unique_solution(report, k, body, var, rec_lts=lts)
+        _unique_solution(report, k, gen_equation_body(config, k, var, conj_scope), var)
 
     report = _run("unique-solution", config.seed, trials, trial)
     for k in range(max(1, trials // 8)):

@@ -388,6 +388,12 @@ def check_verdict(lts: Lts, ip: int, iq: int, verdict: RefinementVerdict) -> str
     consistent descendant of ``ip``, and its reason must hold at the path's
     end: some state that ``iq``'s descendants reach by the same actions has
     another ready set, or the path is empty and csd(``iq``) is empty.
+
+    So a refuted verdict is not proved: passing does not show that ``iq``
+    fails to simulate ``ip``.  A forged refutation of
+    ``refines(a.b.0, a.b.0 \\/ a.c.0)`` with the path ``eps: a.b.0``,
+    ``a: b.0`` and the reason ``ready-set-mismatch`` passes, because ``c.0``
+    is also reached by ``a`` and has another ready set (ROADMAP item 11).
     """
     F = lts.inconsistent
     csd = lts.consistent_stable_descendants()

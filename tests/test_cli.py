@@ -9,7 +9,7 @@ import pytest
 
 import golden
 import llts
-from llts import refinement, syntax
+from llts import refinement, semantics, syntax
 from llts.cli import expand_source, main
 
 from test_semantics import MANY_RECURSIONS
@@ -194,6 +194,13 @@ class TestValidate:
         assert code == 0
         assert out.count("ok") == 4
 
+    def test_violation_line_exit_1(self, capsys, monkeypatch):
+        report = semantics.ValidationReport(True, False, True, True, [("a.0", "lts1")])
+        monkeypatch.setattr(semantics, "validate_llts", lambda lts: report)
+        code, out, _ = run(capsys, "validate", "a.0")
+        assert code == 1
+        assert out == "tau-pure: ok\nlts1: VIOLATED\nlts2: ok\nforward-tau-f: ok\n  violation lts1: a.0\n"
+
 
 class TestParse:
     def test_stdin(self, capsys, monkeypatch, tmp_path):
@@ -235,6 +242,15 @@ class TestParse:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "parse", str(tmp_path / "absent.llts"))
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    def test_not_utf8_names_the_file(self, capsys, tmp_path):
+        src = tmp_path / "latin1.llts"
+        src.write_bytes(b"\xff.0\n")
+        code, out, err = run(capsys, "parse", str(src))
+        assert code == 2 and not out
+        assert err == (
+            f"error: {src} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
 
     def test_expand_source_chained_lets(self):
         text = "let A = a.0\nlet B = A [] b.0\nB /\\ A\n"

@@ -37,6 +37,7 @@ from llts.terms import (
     Parallel,
     Prefix,
     Rec,
+    RecSpec,
     Var,
     degree,
     first_guard_violation,
@@ -252,6 +253,22 @@ class TestPrecongruenceContexts:
             with pytest.raises(StateBoundExceeded):
                 refinement.refines(*instance)
 
+    def test_skipped_after_five_unbounded_contexts(self, monkeypatch):
+        # every context drawn is proved infinite, so each trial passes over
+        # five of them, builds none, and is skipped
+        drawn = []
+        unbounded = ExtChoice(parse("<X | X = a.(X |[]| X)>"), Var(HOLE))
+
+        def context(config, index):
+            drawn.append(index)
+            return unbounded
+
+        monkeypatch.setattr(properties, "gen_context", context)
+        report = check_precongruence(CFG, 4)
+        assert not report.failures
+        assert report.skipped == [(k, "state-bound") for k in range(4)]
+        assert drawn == [7_000_000 + 5 * k + attempt for k in range(4) for attempt in range(5)]
+
 
 class TestShrink:
     def test_shrinks_to_minimal_conjunction(self):
@@ -302,6 +319,24 @@ class TestShrink:
         candidates = properties._replace_positions(parse("<Z | Z = a.<X | X = b.Z, Y = c.Y>>"))
         assert parse("<Z | Z = a.<X | X = b.Z>>") in candidates
         assert all(not free_vars(c) for c in candidates)
+
+    def test_model_laws_failure_is_shrunk(self, monkeypatch):
+        # a law violation flagged on every graph that holds a conjunction:
+        # each failure names a shrunk term that is still flagged
+        def holds_conj(lts):
+            return any(type(t) is Conj for t in lts.terms)
+
+        monkeypatch.setattr(properties, "consistency_law_violations", lambda lts: ["stub"] if holds_conj(lts) else [])
+        report = check_model_laws(CFG, trials=10)
+        assert report.failures and not report.skipped
+        shrunk = 0
+        for f in report.failures:
+            t = properties._probed_trial(CFG, f.trial, CFG.max_depth)[0]
+            (small,) = map(parse, f.inputs)
+            assert holds_conj(build_lts(t)) and holds_conj(build_lts(small))
+            assert degree(small) <= degree(t)
+            shrunk += degree(small) < degree(t)
+        assert shrunk
 
 
 class TestChecks:
@@ -648,6 +683,25 @@ class TestUniqueSolution:
         late = [f for f in report.failures if f.trial >= 50_000]
         assert late and all(f.seed == 2029 for f in late)
         assert {f.trial for f in late} == {50_000, 50_002}
+
+    def test_overrunning_candidate_is_skipped(self, monkeypatch):
+        # the candidate tau.rec overruns the bound: it is skipped once, and
+        # every other candidate is still built and checked
+        rec = normalize(Rec("X", RecSpec({"X": Prefix("a", Var("X"))})))
+        real, built = properties.build_lts, []
+
+        def build(t, limits=None):
+            built.append(t)
+            if t == Prefix(TAU, rec):
+                raise StateBoundExceeded(0)
+            return real(t) if limits is None else real(t, limits)
+
+        monkeypatch.setattr(properties, "build_lts", build)
+        report = check_unique_solution(Prefix("a", Var("X")), "X")
+        assert report.skipped == [(0, "state-bound")]
+        assert report.passed and not report.notes
+        unfolded = unfold_one(rec)[0]
+        assert built[-4:] == [rec, unfolded, unfold_one(unfolded)[0], Prefix(TAU, rec)]
 
     def test_weak_guard_admits_many_solutions(self):
         # every process solves the internally guarded equation, so solutions

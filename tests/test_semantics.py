@@ -708,6 +708,13 @@ class TestStratification:
         assert all(kind == "positive-premise-above-conclusion" for _, _, kind in bad)
         assert stratification_violations(lts) == []
 
+    def test_negated_premise_at_its_conclusion_rank(self, monkeypatch):
+        # with one rank for every transition literal, the negated premises of
+        # the choice rules no longer rank below their conclusion
+        monkeypatch.setattr(semantics, "rank_transition", lambda source: terms.StratRank(False, 0, 0))
+        bad = stratification_violations(build_lts(parse("a.0 [] b.0")))
+        assert bad and all(kind == "negated-premise-not-below-conclusion" for _, _, kind in bad)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_negated_premises_always_below(self, seed):
         # and positive premises never above, at every rule
