@@ -9,6 +9,7 @@ internal error (a fault of the program, not of its input).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from collections.abc import Sequence
@@ -105,13 +106,21 @@ def _file_span(span: syntax.SourceSpan, origins: list[int]) -> syntax.SourceSpan
 
 
 def _read_source(path: str) -> str:
+    """A file, or standard input for ``-``, read as bytes and decoded as UTF-8
+    with universal newlines, as ``open`` reads a file in text mode, whatever
+    the locale.  Standard input is read through ``sys.stdin.buffer``, so a
+    replacement ``sys.stdin`` must have a binary buffer (an
+    ``io.TextIOWrapper``, not an ``io.StringIO``)."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        name, data = "standard input", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            name, data = path, handle.read()
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
         try:
-            return handle.read()
+            return text.read()
         except UnicodeDecodeError as err:
-            raise ValueError(f"{path} is not UTF-8: {err}") from None
+            raise ValueError(f"{name} is not UTF-8: {err}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -674,33 +674,24 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
 
 
 def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
-    """Compositional inconsistency laws on explicitly constructed pairs, each
-    trial's flags read off one graph: a flag does not depend on the rest."""
+    """Compositional inconsistency laws, as ``consistency_law_violations``
+    states them, on explicitly constructed pairs and their composites, each
+    trial's read off one graph (a flag does not depend on the rest), and on a
+    generated recursion's graph."""
 
     def trial(report: TheoremReport, k: int) -> None:
         p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
         q = _gen_term_trial(config, 2 * k + 1, depth=max(2, config.max_depth - 1))
         rng = _trial_rng(config, trials + k)
         a = rng.choice(ALPHABET)
-        conj = Conj(p, q)
         composites = [
             Disj(p, q), ExtChoice(p, q), Parallel(frozenset(), p, q), Prefix(a, p), Prefix(TAU, p)
         ]
-        lts = build_combined([p, q, conj, *composites])
-        fp, fq, fc, *flags = (lts.inconsistent[i] for i in lts.roots)
-        expected = (fp and fq, fp or fq, fp or fq, fp, fp)
-        for composite, observed, expect in zip(composites, flags, expected):
-            if observed != expect:
-                report.fail([composite], observed, expect)
-        # a conjunction with an inconsistent operand is inconsistent
-        if (fp or fq) and not fc:
-            report.fail([conj], False, True)
-        # a recursion and its expansion agree
-        lts = _probed_equation(config, 3 * trials + k, "RF", False)[1]
-        shapes = lts.shapes()
-        i = lts.roots[0]
-        if lts.inconsistent[i] != lts.inconsistent[shapes[i][1]]:
-            report.fail([lts.terms[i]], lts.inconsistent[i], lts.inconsistent[shapes[i][1]])
+        pairs = build_combined([p, q, Conj(p, q), *composites])
+        recursion = _probed_equation(config, 3 * trials + k, "RF", False)[1]
+        for lts in (pairs, recursion):
+            for term, law in consistency_law_violations(lts):
+                report.fail([term], "violated", law)
 
     return _run("f-laws", config.seed, trials, trial)
 

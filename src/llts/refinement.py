@@ -252,11 +252,12 @@ def _quotient_sim(lts: Lts, left, right) -> _Quotient:
     return _Quotient(block, label, weak, *_simulate(ready, moves, seeds), moves)
 
 
-def largest_stable_sim(lts: Lts) -> SimRelation:
-    """The largest stable ready simulation over the graph's stable states.
-    Every stable state simulates an inconsistent one, and no weak move
-    reaches an inconsistent state, so only the consistent ones are folded."""
-    stable_ids = [i for i in range(len(lts.terms)) if lts.stable[i]]
+def _stable_sim(lts: Lts, states) -> frozenset[tuple[int, int]]:
+    """The largest stable ready simulation over the stable ones of
+    ``states``.  Every stable state simulates an inconsistent one, and no weak
+    move reaches an inconsistent state, so only the consistent ones are
+    folded, over the block pairs reachable from their blocks."""
+    stable_ids = [i for i in states if lts.stable[i]]
     consistent = [i for i in stable_ids if not lts.inconsistent[i]]
     quotient = _quotient_sim(lts, consistent, consistent)
     members = defaultdict(list)
@@ -264,7 +265,12 @@ def largest_stable_sim(lts: Lts) -> SimRelation:
         members[quotient.block[s]].append(s)
     pairs = [pair for b, c in quotient.pairs for pair in product(members[b], members[c])]
     pairs += product(set(stable_ids).difference(consistent), stable_ids)
-    return SimRelation(lts, frozenset(pairs))
+    return frozenset(pairs)
+
+
+def largest_stable_sim(lts: Lts) -> SimRelation:
+    """The largest stable ready simulation over the graph's stable states."""
+    return SimRelation(lts, _stable_sim(lts, range(len(lts.terms))))
 
 
 def _witness_pairs(lts: Lts, quotient: _Quotient) -> frozenset[tuple[int, int]]:
@@ -354,16 +360,10 @@ def refines(p: Term, q: Term, limits: BuildLimits | None = None) -> RefinementVe
 
 
 def stable_refines(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:
-    """Stable ready simulation between the roots themselves: both must be
-    stable and related by the largest stable ready simulation, computed over
-    the block pairs reachable from the root pair when both are consistent."""
+    """Stable ready simulation between the roots themselves, as
+    ``largest_stable_sim`` relates them, searched from their blocks alone."""
     lts = build_combined([p, q], limits)
-    ip, iq = lts.roots
-    if not (lts.stable[ip] and lts.stable[iq]):
-        return False
-    if lts.inconsistent[ip] or lts.inconsistent[iq]:
-        return lts.inconsistent[ip]
-    return (ip, iq) in _quotient_sim(lts, [ip], [iq])
+    return tuple(lts.roots) in _stable_sim(lts, lts.roots)
 
 
 def equivalent(p: Term, q: Term, limits: BuildLimits | None = None) -> bool:

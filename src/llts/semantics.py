@@ -80,7 +80,6 @@ from .terms import (
     Rec,
     Term,
     collector_paused,
-    first_guard_violation,
     free_vars,
     is_visible,
     operands,
@@ -123,7 +122,10 @@ class StateBoundExceeded(RuntimeError):
 # Horn clauses ``(rule, needs, positive, negative)``: ``i`` is inconsistent
 # once every id in ``needs`` is.  ``positive`` and ``negative`` are the
 # transition literals the rule also reads; the graph satisfies them wherever
-# the clause is listed.  Literals are those of ``RuleInstance``.
+# the clause is listed.  Literals are those of ``RuleInstance``.  The
+# structural rules come in two clause shapes: bottom, prefix and disjunction
+# need every operand (``_needs_all``), choice and parallel either one
+# (``_needs_either``); conjunction and recursion write their own clauses.
 
 
 def _none(*_):
@@ -238,30 +240,16 @@ def _rec_moves(t, moves_of):
     return (("rec-unfold", _unfold, moves_of(unfold_rec(t))),)
 
 
-def _bottom_clauses(lts, i, shape):
-    return (("inconsistent-bottom", (), (), ()),)
+def _needs_all(rule):
+    """One clause: the state is inconsistent once every operand is, so
+    ``bot``, which has none, is inconsistent outright."""
+    return lambda lts, i, shape: ((rule, shape[1:], (), ()),)
 
 
-def _prefix_clauses(lts, i, shape):
-    return (("inconsistent-prefix", (shape[1],), (), ()),)
-
-
-def _disj_clauses(lts, i, shape):
-    return (("inconsistent-disj", (shape[1], shape[2]), (), ()),)
-
-
-def _choice_clauses(lts, i, shape):
-    return (
-        ("inconsistent-choice-operand", (shape[1],), (), ()),
-        ("inconsistent-choice-operand", (shape[2],), (), ()),
-    )
-
-
-def _par_clauses(lts, i, shape):
-    return (
-        ("inconsistent-par-operand", (shape[1],), (), ()),
-        ("inconsistent-par-operand", (shape[2],), (), ()),
-    )
+def _needs_either(rule):
+    """One clause per operand: the state is inconsistent once either is.  A
+    literal tuple, as a generator over ``shape[1:]`` slows the fixpoint."""
+    return lambda lts, i, shape: ((rule, (shape[1],), (), ()), (rule, (shape[2],), (), ()))
 
 
 def _conj_clauses(lts, i, shape):
@@ -312,12 +300,12 @@ class OperatorRules(NamedTuple):
 
 RULES: dict[type, OperatorRules] = {
     Nil: OperatorRules("nil", _none, _none),
-    Bottom: OperatorRules("bottom", _none, _bottom_clauses),
-    Prefix: OperatorRules("prefix", _prefix_moves, _prefix_clauses),
-    Disj: OperatorRules("disj", _disj_moves, _disj_clauses),
-    ExtChoice: OperatorRules("choice", _choice_moves, _choice_clauses),
+    Bottom: OperatorRules("bottom", _none, _needs_all("inconsistent-bottom")),
+    Prefix: OperatorRules("prefix", _prefix_moves, _needs_all("inconsistent-prefix")),
+    Disj: OperatorRules("disj", _disj_moves, _needs_all("inconsistent-disj")),
+    ExtChoice: OperatorRules("choice", _choice_moves, _needs_either("inconsistent-choice-operand")),
     Conj: OperatorRules("conj", _conj_moves, _conj_clauses),
-    Parallel: OperatorRules("par", _par_moves, _par_clauses),
+    Parallel: OperatorRules("par", _par_moves, _needs_either("inconsistent-par-operand")),
     Rec: OperatorRules("rec", _rec_moves, _rec_clauses),
 }
 
@@ -380,7 +368,7 @@ def _frame(t: Term, memo: dict) -> tuple:
                 nodes.append(path.pop()[0])
         return nodes, leaves, iter(leaves)
     if kind is Rec:
-        violation = first_guard_violation(t.spec)
+        violation = t.spec.guard_violation
         if violation is not None:
             raise GuardednessError(*violation)
     sources = () if kind in (Prefix, Disj) else support_children(t)

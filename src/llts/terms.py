@@ -244,7 +244,7 @@ class RecSpec(_Interned):
     the same equations are the same object regardless of construction order.
     """
 
-    __slots__ = ("equations", "names")
+    __slots__ = ("equations", "names", "guard_violation")
 
     def __new__(cls, equations):
         items = tuple(sorted(dict(equations).items()))
@@ -256,6 +256,7 @@ class RecSpec(_Interned):
             t = object.__new__(cls)
             t.equations, t.names = items, frozenset(name for name, _ in items)
             t._facts = _facts_of(t)
+            t.guard_violation = first_guard_violation(t)
             t = _INTERN.setdefault(key, t)
         return t
 
@@ -586,11 +587,10 @@ def variable_status(t: Term, x: str) -> VarStatus:
     )
 
 
-@lru_cache(maxsize=1 << 16)
 def first_guard_violation(spec: RecSpec) -> tuple[str, str] | None:
     """Return (variable, equation) for the first unguarded bound occurrence:
-    equations in order, variables sorted.  Kept per system, as every
-    recursion of a system that ``step`` meets asks again."""
+    equations in order, variables sorted, read off the unguarded names each
+    body recorded.  A system records it when built, as ``guard_violation``."""
     for eq_name, body in spec.equations:
         unguarded = unguarded_free_vars(body) & spec.names
         if unguarded:

@@ -216,7 +216,7 @@ class TestParse:
         assert out.strip() == "coin.tea.0 [] <X | X = coin.tea.X>"
 
     def test_standard_input(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("let A = a.0\nA [] b.0\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"let A = a.0\nA [] b.0\n")))
         code, out, _ = run(capsys, "parse", "-")
         assert code == 0 and out == "a.0 [] b.0\n"
 
@@ -251,6 +251,32 @@ class TestParse:
         assert err == (
             f"error: {src} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
         )
+
+    @pytest.mark.parametrize(
+        "data, code, out, err",
+        [
+            (
+                b"\xff.0\n",
+                2,
+                "",
+                "error: standard input is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+                " in position 0: invalid start byte\n",
+            ),
+            ("# caf\u00e9\r\nlet A = a.0\r\nA [] b.0\r\n".encode(), 0, "a.0 [] b.0\n", ""),
+        ],
+        ids=["not-utf8", "utf8-crlf"],
+    )
+    def test_standard_input_decoded_as_a_file_is(self, data, code, out, err):
+        # the C locale reads standard input with surrogateescape; the bytes
+        # are decoded as UTF-8 with universal newlines all the same
+        src = os.path.dirname(os.path.dirname(llts.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "llts.cli", "parse", "-"],
+            env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C"},
+            input=data,
+            capture_output=True,
+        )
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (code, out, err)
 
     def test_expand_source_chained_lets(self):
         text = "let A = a.0\nlet B = A [] b.0\nB /\\ A\n"

@@ -348,6 +348,14 @@ class TestChecks:
         report = check_f_laws(CFG, trials=40)
         assert report.passed, report.failures
 
+    def test_f_laws_catch_a_parallel_needing_both_operands(self, monkeypatch):
+        def both(lts, i, shape):
+            return (("inconsistent-par-operand", shape[1:], (), ()),)
+
+        rules = semantics.RULES[Parallel]._replace(clauses=both)
+        monkeypatch.setitem(semantics.RULES, Parallel, rules)
+        assert not check_f_laws(GenConfig(seed=0), 40).passed
+
     def test_unfolding(self):
         report = check_unfolding_equiv(CFG, trials=40)
         assert report.passed, report.failures
@@ -516,6 +524,48 @@ class TestSkipPolicy:
         assert report.trials == self.TRIALS
         assert not report.failures
         assert report.skipped == skipped
+
+
+class TestRareBranches:
+    """Skips and give-ups that the checks' other tests never reach."""
+
+    def test_operator_closure_skips_a_trial_without_verified_pairs(self, monkeypatch):
+        monkeypatch.setattr(properties, "_true_pairs", lambda config, k: [])
+        report = check_operator_closure(CFG, 3)
+        assert report.trials == 3 and report.passed
+        assert report.skipped == [(k, "no verified pairs") for k in range(3)]
+
+    def test_enumeration_gives_up_above_max_subsets(self):
+        # one stable pair with a weak move to match, (a.0, a.0): two subsets
+        lts = build_lts(parse("a.0"))
+        assert properties.enumerate_stable_sim_pairs(lts, max_subsets=1) is None
+        enumerated = properties.enumerate_stable_sim_pairs(lts, max_subsets=2)
+        assert enumerated == refinement.largest_stable_sim(lts).pairs
+
+    def test_brute_force_skips_when_its_rounds_run_out(self, monkeypatch):
+        # no enumeration fits, so no round finds a simulation instance
+        monkeypatch.setattr(properties, "enumerate_stable_sim_pairs", lambda lts: None)
+        report = check_brute_force(CFG, 2)
+        assert report.trials == 2 and report.passed
+        assert report.skipped == [(2 * 40, "instances found: sims=0 kleene=2")]
+
+    def test_brute_force_passes_over_an_overrun_round(self, monkeypatch):
+        pairs = []
+        build = properties.build_combined
+
+        def first_overruns(roots, limits=None):
+            pairs.append(roots)
+            if len(pairs) == 1:
+                raise StateBoundExceeded(0)
+            return build(roots, limits)
+
+        monkeypatch.setattr(properties, "build_combined", first_overruns)
+        report = check_brute_force(CFG, 2)
+        assert report.trials == 4 and report.passed and not report.skipped
+        # round 1's pair overran and round 2 drew the next one
+        small = GenConfig(seed=CFG.seed, max_depth=3)
+        drawn = [[_gen_term_trial(small, 2 * k + j, depth=3) for j in (0, 1)] for k in (1, 2)]
+        assert pairs[:2] == drawn
 
 
 def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremReport:

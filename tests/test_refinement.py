@@ -29,7 +29,7 @@ from llts.refinement import (
 )
 from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, weak_visible_step
 from llts.syntax import parse
-from llts.terms import TAU, Disj, Parallel, Prefix, unfold_rec
+from llts.terms import TAU, Disj, Parallel, Prefix, Rec, Var, unfold_rec
 
 CFG = GenConfig(seed=37, max_depth=3)
 
@@ -478,6 +478,47 @@ class TestEngine:
             assert equivalent(p, q) == (alt_refines(p, q) and alt_refines(q, p))
             full = largest_stable_sim(lts).pairs
             assert stable_refines(p, q) == (tuple(lts.roots) in full)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stable_refines_equals_the_root_pair_formula(self, seed):
+        # the formula read off the roots alone: both stable, an inconsistent
+        # left root refined by every stable state, and otherwise the
+        # simulation seeded with the root pair
+        def root_pair(lts):
+            ip, iq = lts.roots
+            if not (lts.stable[ip] and lts.stable[iq]):
+                return False
+            if lts.inconsistent[ip] or lts.inconsistent[iq]:
+                return lts.inconsistent[ip]
+            return (ip, iq) in refinement._quotient_sim(lts, [ip], [iq])
+
+        config = GenConfig(seed=seed, max_depth=3)
+        verdicts = []
+        for k in range(40):
+            p, q = _gen_term_trial(config, 2 * k), _gen_term_trial(config, 2 * k + 1)
+            for pair in [(p, q), (q, p), (p, Disj(p, q)), (Prefix(TAU, p), q)]:
+                try:
+                    lts = build_combined(list(pair))
+                except StateBoundExceeded:
+                    continue
+                verdicts.append(stable_refines(*pair))
+                assert verdicts[-1] == root_pair(lts), pair
+        assert any(verdicts) and not all(verdicts)
+
+    def test_stable_refines_relates_the_roots_alone(self, monkeypatch):
+        # every state of a ring falls in one block, so relating every stable
+        # state would build n * n pairs; the roots' relation has at most four
+        n = 300
+        ring = Rec("X0", {f"X{i}": Prefix("a", Var(f"X{(i + 1) % n}")) for i in range(n)})
+        sizes = []
+
+        def counted(lts, states):
+            sizes.append(len(relation := stable_sim(lts, states)))
+            return relation
+
+        stable_sim = refinement._stable_sim
+        monkeypatch.setattr(refinement, "_stable_sim", counted)
+        assert stable_refines(ring, ring) and sizes and max(sizes) <= 4
 
 
 class TestWeakMoves:

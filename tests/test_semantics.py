@@ -764,6 +764,24 @@ class TestRuleTable:
         for i in _states(lts):
             assert set(_classed(lts, moves[lts.terms[i]])) == set(lts.transitions[i])
 
+    @pytest.mark.parametrize(
+        "text, clauses",
+        [
+            ("bot", [("inconsistent-bottom", [])]),
+            ("a.bot", [("inconsistent-prefix", ["bot"])]),
+            ("bot \\/ 0", [("inconsistent-disj", ["bot", "0"])]),
+            ("bot [] 0", [("inconsistent-choice-operand", ["bot"]), ("inconsistent-choice-operand", ["0"])]),
+            ("bot |[]| 0", [("inconsistent-par-operand", ["bot"]), ("inconsistent-par-operand", ["0"])]),
+        ],
+    )
+    def test_structural_clauses(self, text, clauses):
+        # rule names, needs and their order, with no transition literals
+        lts = build_lts(parse(text))
+        i = lts.root
+        view = RULES[type(lts.terms[i])].clauses(lts, i, lts.shapes()[i])
+        assert [(rule, [print_term(lts.terms[j]) for j in needs]) for rule, needs, _, _ in view] == clauses
+        assert all(positive == negative == () for _, _, positive, negative in view)
+
 
 # Operands that move internally, leaves first: a prefix, a disjunction and a
 # recursion whose expansion is a disjunction.  Visible or stuck ones follow.

@@ -383,6 +383,17 @@ class TestPlug:
         assert len(calls) == n
         assert all(names <= free for free, names in calls)
 
+    def test_one_guard_check_per_system(self, monkeypatch):
+        # the ring's n recursions read the check its system recorded; they do
+        # not each scan the n equations again
+        n = 500
+        ring = Rec("X0", {f"X{i}": Prefix("ring", Var(f"X{(i + 1) % n}")) for i in range(n)})
+        scanned = []
+        scan = llts.terms.unguarded_free_vars
+        monkeypatch.setattr(llts.terms, "unguarded_free_vars", lambda t: scanned.append(t) or scan(t))
+        assert sum(build_lts(ring).reachable) == n
+        assert len(scanned) <= n
+
 
 class TestSubstitute:
     def test_simple(self):
