@@ -12,6 +12,16 @@ premise sources are known.  The one function that builds a frame checks a
 recursion's equations guarded from their recorded facts, so by
 ``terms.StratRank`` every chain of recursion expansions ends.
 
+Flags read off terms: the inconsistency rules of ``0``, ``bot``, prefix,
+``\\/``, ``[]`` and ``|[S]|`` read only their operands' flags, and
+``terms.NEEDS`` states them once.  ``RULES`` builds their clauses from it,
+and each closed term with no binder and no conjunction below carries
+the table's fold over its syntax (``terms.syntactic_flag``).
+``compute_inconsistent`` takes those flags as they are and registers clauses
+for the other terms only.  The flags equal the least fixpoint: a structural
+clause reads only its operands' flags, and operands are strict subterms, so
+by induction on the term the fold and the fixpoint agree.
+
 ``build_combined`` runs with the cyclic collector paused, the fixpoint
 included (``terms.collector_paused``): a graph is lists, tuples and dicts of
 ids and acyclic terms, so the collector's passes during a build find nothing,
@@ -68,6 +78,7 @@ from typing import Callable, NamedTuple
 
 from .syntax import print_terms
 from .terms import (
+    NEEDS,
     TAU,
     Bottom,
     Conj,
@@ -85,6 +96,7 @@ from .terms import (
     operands,
     rank_inconsistent,
     rank_transition,
+    syntactic_flag,
     unfold_rec,
 )
 
@@ -123,9 +135,11 @@ class StateBoundExceeded(RuntimeError):
 # once every id in ``needs`` is.  ``positive`` and ``negative`` are the
 # transition literals the rule also reads; the graph satisfies them wherever
 # the clause is listed.  Literals are those of ``RuleInstance``.  The
-# structural rules come in two clause shapes: bottom, prefix and disjunction
-# need every operand (``_needs_all``), choice and parallel either one
-# (``_needs_either``); conjunction and recursion write their own clauses.
+# structural rules come in the two clause shapes of ``terms.NEEDS``, which
+# also gives the flags read off terms: bottom, prefix and disjunction need
+# every operand (``_needs_all``), choice and parallel either one
+# (``_needs_either``).  Deadlock, which needs either of no operands, has no
+# clause.  Conjunction and recursion write their own clauses.
 
 
 def _none(*_):
@@ -252,6 +266,11 @@ def _needs_either(rule):
     return lambda lts, i, shape: ((rule, (shape[1],), (), ()), (rule, (shape[2],), (), ()))
 
 
+def _structural(cls: type, rule: str) -> Callable:
+    """The clauses named ``rule`` of ``cls``'s entry in ``terms.NEEDS``."""
+    return (_needs_all if NEEDS[cls] is all else _needs_either)(rule)
+
+
 def _conj_clauses(lts, i, shape):
     """Either conjunct inconsistent; a stable conjunction whose conjuncts
     disagree on a visible action; every derivative under one action
@@ -300,12 +319,12 @@ class OperatorRules(NamedTuple):
 
 RULES: dict[type, OperatorRules] = {
     Nil: OperatorRules("nil", _none, _none),
-    Bottom: OperatorRules("bottom", _none, _needs_all("inconsistent-bottom")),
-    Prefix: OperatorRules("prefix", _prefix_moves, _needs_all("inconsistent-prefix")),
-    Disj: OperatorRules("disj", _disj_moves, _needs_all("inconsistent-disj")),
-    ExtChoice: OperatorRules("choice", _choice_moves, _needs_either("inconsistent-choice-operand")),
+    Bottom: OperatorRules("bottom", _none, _structural(Bottom, "inconsistent-bottom")),
+    Prefix: OperatorRules("prefix", _prefix_moves, _structural(Prefix, "inconsistent-prefix")),
+    Disj: OperatorRules("disj", _disj_moves, _structural(Disj, "inconsistent-disj")),
+    ExtChoice: OperatorRules("choice", _choice_moves, _structural(ExtChoice, "inconsistent-choice-operand")),
     Conj: OperatorRules("conj", _conj_moves, _conj_clauses),
-    Parallel: OperatorRules("par", _par_moves, _needs_either("inconsistent-par-operand")),
+    Parallel: OperatorRules("par", _par_moves, _structural(Parallel, "inconsistent-par-operand")),
     Rec: OperatorRules("rec", _rec_moves, _rec_clauses),
 }
 
@@ -612,19 +631,6 @@ def support_children(t: Term) -> tuple[Term, ...]:
     return operands(t)
 
 
-class _MovePairs(dict):
-    """One stored pair ``(action, id)`` per distinct move ``(action, term)``
-    of a build, shared by every state with that move.  Looking up a move not
-    met before adds its target to the universe with ``add``."""
-
-    def __init__(self, add: Callable[[Term], int]):
-        self.add = add
-
-    def __missing__(self, move: tuple[str, Term]) -> tuple[str, int]:
-        pair = self[move] = (move[0], self.add(move[1]))
-        return pair
-
-
 def _bag(t: Parallel, bags: dict) -> frozenset:
     """The operands of ``t``'s maximal ``|[t.sync]|`` chain, the maximal
     subterms that are not such a composition, as a multiset: the frozenset
@@ -739,19 +745,37 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         _check_closed(t)
     root_ids = [add(t) for t in roots]
     step_memo = _step_memo()
-    pairs = _MovePairs(add)
+    kinds = {cls: rules.kind for cls, rules in RULES.items()}
+    pairs: dict = {}  # each distinct move (action, term) -> its stored (action, id)
     while todo:
         i = todo.popleft()
         t = terms[i]
-        conj = type(t) is Conj
-        shapes[i] = (RULES[type(t)].kind, *[add(c, conj) for c in support_children(t)])
-        if is_state[i]:
-            stored = [*map(pairs.__getitem__, _closed_step(t, step_memo))]
-            if len(index) > len(terms):  # an alias: moves to one class are stored once
-                stored = dict.fromkeys(stored)
-            transitions[i] = tuple(stored)
+        cls = type(t)
+        # ``support_children(t)``, read inline; a conjunction's are states
+        if cls is Prefix:
+            shapes[i] = (kinds[cls], add(t.body, False))
+        elif cls is Rec:
+            shapes[i] = (kinds[cls], add(unfold_rec(t), False))
+        elif cls is Nil or cls is Bottom:
+            shapes[i] = (kinds[cls],)
         else:
+            conj = cls is Conj
+            shapes[i] = (kinds[cls], add(t.left, conj), add(t.right, conj))
+        if not is_state[i]:
             transitions[i] = UNSTORED
+            continue
+        moves = step_memo.get(t)
+        if moves is None:
+            moves = _closed_step(t, step_memo)
+        stored = []
+        for move in moves:
+            pair = pairs.get(move)
+            if pair is None:
+                pair = pairs[move] = (move[0], add(move[1]))
+            stored.append(pair)
+        if len(index) > len(terms):  # an alias: moves to one class are stored once
+            stored = dict.fromkeys(stored)
+        transitions[i] = tuple(stored)
 
     lts = Lts(terms, index, root_ids, transitions, limits, shapes)
     compute_inconsistent(lts)
@@ -767,19 +791,30 @@ def compute_inconsistent(lts: Lts) -> None:
     """Write the least fixpoint of the inconsistency rules over the universe
     into ``lts.inconsistent``, one flag per term id.
 
-    Each rule of the table is a Horn clause on the state ids it needs; a
+    A term whose syntax decides its flag (``terms.syntactic_flag``: closed,
+    with no binder and no conjunction below) takes that flag.  It equals the
+    least fixpoint: the clauses of such a term are structural, they read only
+    its operands' flags, and operands are strict subterms with flags of
+    their own, so by induction on the term every flag below is the fixpoint's.
+
+    Each rule of every other term is a Horn clause on the ids it needs; a
     clause counts its needs not yet inconsistent and fires at zero, so the
-    saturation visits each need once.
+    saturation visits each need once.  Only the ids some clause needs are
+    watched, and the saturation starts from the flagged inconsistent terms
+    and the clauses that need nothing.
     """
-    n = len(lts.terms)
-    shapes = lts.shapes()
-    F = [False] * n
+    terms, shapes = lts.terms, lts.shapes()
+    flags = list(map(syntactic_flag, terms))
+    F = [False] * len(terms)
     pending: deque[int] = deque()
     heads: list[int] = []
     waiting: list[int] = []
-    watchers: list[list[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(lts.terms):
-        for _, needs, _, _ in RULES[type(t)].clauses(lts, i, shapes[i]):
+    watchers: list[list[int] | None] = [None] * len(terms)  # a list per needed id
+    for i, flag in enumerate(flags):
+        if flag is not None:
+            F[i] = flag
+            continue
+        for _, needs, _, _ in RULES[type(terms[i])].clauses(lts, i, shapes[i]):
             if not needs:
                 if not F[i]:
                     F[i] = True
@@ -789,10 +824,16 @@ def compute_inconsistent(lts: Lts) -> None:
             heads.append(i)
             waiting.append(len(needs))
             for j in needs:
-                watchers[j].append(c)
+                w = watchers[j]
+                if w is None:
+                    watchers[j] = [c]
+                    if flags[j]:  # flagged inconsistent, and now watched
+                        pending.append(j)
+                else:
+                    w.append(c)
 
     while pending:
-        for c in watchers[pending.popleft()]:
+        for c in watchers[pending.popleft()] or ():
             waiting[c] -= 1
             i = heads[c]
             if waiting[c] == 0 and not F[i]:

@@ -84,16 +84,28 @@ def collector_paused(fn):
 
 
 class _Facts(NamedTuple):
-    """What the recursion theory reads of a term's names and binders."""
+    """What the recursion theory reads of a term's names and binders, and
+    the term's inconsistency flag where its syntax decides it.
+
+    ``flag`` is F(t), the least fixpoint of the inconsistency rules, for a
+    closed term with no binder and no conjunction below it, and None for
+    every other term.  Below such a term every rule is one of ``NEEDS``,
+    which reads only the operands' flags, and operands are strict subterms,
+    so F(t) is a fold over the syntax.  A closed term without a binder has
+    one of the three ``_CLOSED`` objects, the one its flag picks: None
+    there means a conjunction is below.  A closed term with a binder has
+    ``_BOUND``."""
 
     free: frozenset[str]  # the variables with a free occurrence
     unguarded: frozenset[str]  # those with one under no prefix and in no disjunction
     binder: bool  # a binder occurs: a recursion, or an equation system
+    flag: bool | None  # F(t) when the syntax decides it, else None
 
 
 _EMPTY: frozenset[str] = frozenset()
-_CLOSED = _Facts(_EMPTY, _EMPTY, False)  # every closed term without a binder
-_BOUND = _Facts(_EMPTY, _EMPTY, True)  # every closed term with one
+# every closed term without a binder, by its flag
+_CLOSED = {flag: _Facts(_EMPTY, _EMPTY, False, flag) for flag in (False, True, None)}
+_BOUND = _Facts(_EMPTY, _EMPTY, True, None)  # every closed term with one
 
 
 class _Interned:
@@ -109,7 +121,7 @@ class _Interned:
     instance.  An instance whose check fails is not interned.  The facts are
     an operand's own object wherever they equal it, and ``_facts_of``
     computes them otherwise.  This ``__new__`` builds the classes without
-    fields.
+    fields, the leaves ``0`` and ``bot``, whose flags ``NEEDS`` gives.
     """
 
     __slots__ = ("_facts",)
@@ -123,7 +135,7 @@ class _Interned:
         t = _INTERN.get(key)
         if t is None:
             t = object.__new__(cls)
-            t._facts = _CLOSED
+            t._facts = _CLOSED[_flag(cls, ())]
             t = _INTERN.setdefault(key, t)
         return t
 
@@ -170,7 +182,8 @@ class Prefix(Term):
                 raise ValueError("action name must be nonempty")
             t = object.__new__(cls)
             t.action, t.body = action, body
-            # a prefix guards its body's names and keeps all else
+            # a prefix guards its body's names and keeps all else, its
+            # flag too: ``NEEDS`` reads its one operand's
             facts = body._facts
             t._facts = _facts_of(t) if facts.unguarded else facts
             t = _INTERN.setdefault(key, t)
@@ -232,7 +245,7 @@ class Var(Term):
             t = object.__new__(cls)
             t.name = name
             free = frozenset((name,))
-            t._facts = _Facts(free, free, False)
+            t._facts = _Facts(free, free, False, None)
             t = _INTERN.setdefault(key, t)
         return t
 
@@ -289,15 +302,40 @@ class Rec(Term):
         return t
 
 
+# The inconsistency rules that read the operands' flags alone, one entry per
+# operator: a term is inconsistent once ``all`` its operands are, or once
+# ``any`` one is.  So ``bot``, with no operand, is inconsistent, and ``0`` is
+# not.  Conjunction and recursion also read moves and have no entry.
+# ``semantics.RULES`` builds its structural clauses from this table.
+NEEDS = {Nil: any, Bottom: all, Prefix: all, Disj: all, ExtChoice: any, Parallel: any}
+
+
+def _flag(cls: type, flags) -> bool | None:
+    """The flag of a ``cls`` whose operands have the flags ``flags``: their
+    fold by ``NEEDS``, or None when ``cls`` has no entry or a flag is None."""
+    needs = NEEDS.get(cls)
+    if needs is None or None in flags:
+        return None
+    return needs(flags)
+
+
+def _closed(facts: _Facts) -> bool:
+    """Whether ``facts`` are those of a closed term without a binder."""
+    return _CLOSED[facts.flag] is facts
+
+
 def _composed(t: Term, left: _Facts, right: _Facts) -> _Facts:
     """The facts of ``t``, a composition whose operands have the facts
-    ``left`` and ``right``: one operand's own object when the other is
-    closed, or both are the same, and otherwise ``_facts_of(t)``.  A
-    disjunction guards its operands, so it shares none with an unguarded
-    name."""
-    if right is _CLOSED or right is left:
+    ``left`` and ``right``.  Over two closed operands without a binder they
+    are the ``_CLOSED`` object of ``t``'s flag.  Otherwise they are one
+    operand's own object when the other is closed without a binder, or both
+    are the same, and else ``_facts_of(t)``.  A disjunction guards its
+    operands, so it shares none with an unguarded name."""
+    if _closed(right):
+        if _closed(left):
+            return _CLOSED[_flag(type(t), (left.flag, right.flag))]
         shared = left
-    elif left is _CLOSED:
+    elif right is left or _closed(left):
         shared = right
     else:
         return _facts_of(t)
@@ -307,8 +345,8 @@ def _composed(t: Term, left: _Facts, right: _Facts) -> _Facts:
 def _facts_of(t: _Interned) -> _Facts:
     """The facts of ``t``, an operator or an equation system, read off those
     of its parts: the operands, or the system's bodies less the names it
-    binds.  Every facts object without a free name is ``_CLOSED`` (no
-    binder) or ``_BOUND`` (a binder), which ``_named`` relies on.  A
+    binds.  Every facts object without a free name is one of ``_CLOSED``
+    (no binder) or ``_BOUND`` (a binder), which ``_named`` relies on.  A
     constructor that can tell its facts equal an operand's shares that
     object and does not call this."""
     cls = type(t)
@@ -319,17 +357,17 @@ def _facts_of(t: _Interned) -> _Facts:
     binder, free, unguarded = bool(bound), _EMPTY, _EMPTY
     for part in parts:
         p = part._facts
-        if p is not _CLOSED:
+        if not _closed(p):
             binder, free, unguarded = binder or p.binder, free | p.free, unguarded | p.unguarded
     if not free:
-        return _BOUND if binder else _CLOSED
+        return _BOUND if binder else _CLOSED[_flag(cls, [part._facts.flag for part in parts])]
     free -= bound
     if not free:
         return _BOUND
     # no occurrence under a prefix or in a disjunction is unguarded
     if cls is Prefix or cls is Disj:
-        return _Facts(free, _EMPTY, binder)
-    return _Facts(free, (unguarded - bound) or _EMPTY, binder)
+        return _Facts(free, _EMPTY, binder, None)
+    return _Facts(free, (unguarded - bound) or _EMPTY, binder, None)
 
 
 def _body(t: Prefix) -> tuple[Term]:
@@ -491,10 +529,17 @@ def unguarded_free_vars(t: Term) -> frozenset[str]:
     return t._facts.unguarded
 
 
+# ``syntactic_flag(t)`` is F(t) as the syntax decides it: for a closed ``t``
+# with no binder and no conjunction below it, the fold of ``NEEDS`` over its
+# subterms, which equals the least fixpoint of the inconsistency rules; else
+# None.  An attrgetter, as the fixpoint reads it off every universe term.
+syntactic_flag = attrgetter("_facts.flag")
+
+
 def _named(t: Term) -> bool:
     """Whether a variable or a binder occurs in ``t``: whether its facts
-    are not ``_CLOSED``."""
-    return t._facts is not _CLOSED
+    are not one of ``_CLOSED``."""
+    return not _closed(t._facts)
 
 
 def all_names(t: Term) -> frozenset[str]:

@@ -26,7 +26,15 @@ from llts.properties import (
     report_to_json,
     shrink_term,
 )
-from llts.semantics import BuildLimits, StateBoundExceeded, build_combined, build_lts, lts_to_json, step
+from llts.semantics import (
+    BuildLimits,
+    StateBoundExceeded,
+    build_combined,
+    build_lts,
+    consistency_law_violations,
+    lts_to_json,
+    step,
+)
 from llts.syntax import parse, print_term
 from llts.terms import (
     TAU,
@@ -569,36 +577,26 @@ class TestRareBranches:
 
 
 def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremReport:
-    """``check_f_laws`` with one graph per law: six builds a trial."""
+    """``check_f_laws`` with one graph per composite: each of its roots is
+    built alone and read with ``consistency_law_violations``, and each
+    violation is reported once a trial, as the one graph holds each term
+    once."""
 
     def trial(report, k):
         p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
         q = _gen_term_trial(config, 2 * k + 1, depth=max(2, config.max_depth - 1))
         a = properties._trial_rng(config, trials + k).choice(properties.ALPHABET)
         composites = [
-            (Disj(p, q), lambda fp, fq: fp and fq),
-            (ExtChoice(p, q), lambda fp, fq: fp or fq),
-            (Parallel(frozenset(), p, q), lambda fp, fq: fp or fq),
-            (Prefix(a, p), lambda fp, fq: fp),
-            (Prefix(TAU, p), lambda fp, fq: fp),
+            Disj(p, q), ExtChoice(p, q), Parallel(frozenset(), p, q), Prefix(a, p), Prefix(TAU, p)
         ]
-        for composite, expect in composites:
-            lts = build_combined([composite, p, q])
-            fp = lts.inconsistent[lts.index[p]]
-            fq = lts.inconsistent[lts.index[q]]
-            fc = lts.inconsistent[lts.roots[0]]
-            if fc != expect(fp, fq):
-                report.fail([composite], fc, expect(fp, fq))
-        lts = build_combined([Conj(p, q), p, q])
-        if (
-            lts.inconsistent[lts.index[p]] or lts.inconsistent[lts.index[q]]
-        ) and not lts.inconsistent[lts.roots[0]]:
-            report.fail([Conj(p, q)], False, True)
-        lts = properties._probed_equation(config, 3 * trials + k, "RF", False)[1]
-        shapes = lts.shapes()
-        i = lts.roots[0]
-        if lts.inconsistent[i] != lts.inconsistent[shapes[i][1]]:
-            report.fail([lts.terms[i]], lts.inconsistent[i], lts.inconsistent[shapes[i][1]])
+        graphs = [build_combined([t]) for t in (p, q, Conj(p, q), *composites)]
+        graphs.append(properties._probed_equation(config, 3 * trials + k, "RF", False)[1])
+        seen = set()
+        for lts in graphs:
+            for violation in consistency_law_violations(lts):
+                if violation not in seen:
+                    seen.add(violation)
+                    report.fail([violation[0]], "violated", violation[1])
 
     return properties._run("f-laws", config.seed, trials, trial)
 

@@ -503,6 +503,72 @@ class TestInconsistency:
             assert inconsistent_fixpoint_naive(lts) == worklist
 
 
+def _clause_fixpoint(lts, monkeypatch):
+    """The least fixpoint of the rule table's clauses on ``lts``'s graph,
+    with no flag read off a term."""
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "syntactic_flag", lambda t: None)
+        fresh = Lts(lts.terms, lts.index, lts.roots, lts.transitions, lts.limits)
+        compute_inconsistent(fresh)
+    return fresh.inconsistent
+
+
+def _flag_corpus():
+    """The graphs of the golden corpus's check-build shapes and of its
+    terms generated with seeds 0 to 7."""
+    for text in golden._check_shapes().values():
+        yield build_lts(parse(text))
+    for seed in range(8):
+        for k in range(2 * golden.GEN_TRIALS):
+            try:
+                yield build_lts(_gen_term_trial(GenConfig(seed=seed), k))
+            except StateBoundExceeded:
+                continue
+
+
+class TestSyntacticFlags:
+    """Flags read off terms equal the least fixpoint: the rule table's
+    clauses saturated with no flag read, and the naive saturation."""
+
+    def test_equal_the_fixpoints_wherever_set(self, monkeypatch):
+        counts = {"flagged": 0, "unflagged": 0}
+        for lts in _flag_corpus():
+            clauses = _clause_fixpoint(lts, monkeypatch)
+            naive = inconsistent_fixpoint_naive(lts)
+            assert lts.inconsistent == clauses
+            for i, t in enumerate(lts.terms):
+                flag = terms.syntactic_flag(t)
+                if flag is None:
+                    counts["unflagged"] += 1
+                    continue
+                counts["flagged"] += 1
+                assert flag == clauses[i] == (i in naive), t
+        assert counts["flagged"] > 0 and counts["unflagged"] > 0
+
+    @pytest.mark.parametrize(
+        "text, registers",
+        [
+            (".".join(f"x{i}" for i in range(5000)) + ".(y.bot \\/ bot)", False),
+            (" [] ".join(f"x{i}.0" for i in range(999)) + " [] bot", False),
+            ("(a.0 [] b.bot) /\\ a.0", True),
+            ("<X | X = " + ".".join(f"x{i}" for i in range(500)) + ".(X [] bot)>", True),
+        ],
+        ids=["prefix-chain", "wide-choice", "conjunction", "recursion-chain"],
+    )
+    def test_clauses_only_where_no_flag(self, text, registers, monkeypatch):
+        # count the calls of every clause function of the table
+        calls = []
+        for cls, rules in list(RULES.items()):
+            def counting(lts, i, shape, clauses=rules.clauses):
+                calls.append(i)
+                return clauses(lts, i, shape)
+
+            monkeypatch.setitem(RULES, cls, rules._replace(clauses=counting))
+        lts = build_lts(parse(text))
+        assert bool(calls) is registers
+        assert lts.inconsistent[lts.root]
+
+
 class TestDescendants:
     def test_disjunction(self):
         lts = build_lts(parse("a.0 \\/ b.0"))

@@ -43,6 +43,7 @@ from llts.terms import (
     rec_specs,
     substitute,
     subterms,
+    syntactic_flag,
     unfold_one,
     unfold_rec,
     unguarded_free_vars,
@@ -184,24 +185,41 @@ class TestGuardCheck:
 
 def _reference_facts(t):
     """Every subterm of ``t`` mapped to its (free names, unguarded free
-    names, whether a name occurs, whether a binder occurs), folded over its
-    subterms in one walk that reads no recorded facts."""
+    names, whether a name occurs, whether a binder occurs, inconsistency
+    flag), folded over its subterms in one walk that reads no recorded
+    facts.  The flag is the paper's F where only operand flags decide it:
+    ``0`` false, ``bot`` true, a prefix its body's, a disjunction both
+    operands', a choice or parallel either operand's.  It is None at a
+    variable, a recursion or a conjunction, and above any None."""
     out = {}
 
     def leave(node, parts):
         if isinstance(node, Var):
-            out[node] = {node.name}, {node.name}, True, False
+            out[node] = {node.name}, {node.name}, True, False, None
             return out[node]
-        free = set().union(*(f for f, _, _, _ in parts))
+        free = set().union(*(f for f, _, _, _, _ in parts))
         unguarded = set()
         if not isinstance(node, (Prefix, Disj)):
-            unguarded = unguarded.union(*(u for _, u, _, _ in parts))
+            unguarded = unguarded.union(*(u for _, u, _, _, _ in parts))
         if isinstance(node, Rec):
             free -= node.spec.names
             unguarded -= node.spec.names
-        named = isinstance(node, Rec) or any(n for _, _, n, _ in parts)
-        binder = isinstance(node, Rec) or any(b for _, _, _, b in parts)
-        out[node] = free, unguarded, named, binder
+        named = isinstance(node, Rec) or any(n for _, _, n, _, _ in parts)
+        binder = isinstance(node, Rec) or any(b for _, _, _, b, _ in parts)
+        flags = [f for _, _, _, _, f in parts]
+        if isinstance(node, (Rec, Conj)) or None in flags:
+            flag = None
+        elif isinstance(node, Nil):
+            flag = False
+        elif isinstance(node, Bottom):
+            flag = True
+        elif isinstance(node, Prefix):
+            flag = flags[0]
+        elif isinstance(node, Disj):
+            flag = flags[0] and flags[1]
+        else:
+            flag = flags[0] or flags[1]
+        out[node] = free, unguarded, named, binder, flag
         return out[node]
 
     _walk(t, None, _into_subterms, leave)
@@ -257,16 +275,20 @@ class TestNameFacts:
     def test_same_as_reference_fold_on_every_subterm(self):
         seen = set()
         for root in _facts_corpus():
-            for t, (free, unguarded, named, binder) in _reference_facts(root).items():
+            for t, (free, unguarded, named, binder, flag) in _reference_facts(root).items():
                 seen.add(t)
                 assert free_vars(t) == free
                 assert unguarded_free_vars(t) == unguarded
                 assert _named(t) == named
                 assert t._facts.binder == binder
-                # _named tests identity with _CLOSED
+                assert syntactic_flag(t) is flag
+                # _named tests identity with the _CLOSED object of the flag
                 if not free:
-                    assert t._facts is (_BOUND if binder else _CLOSED)
+                    assert t._facts is (_BOUND if binder else _CLOSED[flag])
         assert sum(bool(unguarded_free_vars(t)) for t in seen) > 100
+        # each closed object without a binder is met: consistent,
+        # inconsistent, and with a conjunction below
+        assert {id(t._facts) for t in seen} >= {id(f) for f in _CLOSED.values()}
 
     def test_chain_prefixes_share_their_facts(self):
         # the innermost prefix computes its facts and every prefix above
