@@ -16,7 +16,6 @@ from .semantics import (
     BuildLimits,
     Lts,
     StateBoundExceeded,
-    ValidationReport,
     build_combined,
     build_lts,
     compute_inconsistent,
@@ -24,7 +23,6 @@ from .semantics import (
     lts_to_json,
     lts_to_text,
     step,
-    validate_llts,
     weak_visible_step,
 )
 from .syntax import ParseError, SourceSpan, parse, print_term

@@ -1,6 +1,6 @@
 """Operational semantics: the rule table, one-step transitions, bounded
 graph construction, the inconsistency predicate as a least fixpoint, and
-model validators.
+the model check of a graph (``consistency_law_violations``).
 
 The rule table ``RULES`` writes each transition and inconsistency rule once,
 one entry per operator, with the operator's shape tag.  ``step`` reads its
@@ -53,7 +53,8 @@ internal moves of its operands, and otherwise only visible ones; a recursion
 has its expansion's moves.  So the rules for ``[]``, ``/\\`` and ``|[..]|``
 read whether an operand moves internally off its first move (``_internal``),
 and pass a stable operand's move tuple on whole.  Only the rules rely on the
-lemma: ``Lts`` also holds hand-made graphs, which need not satisfy it.
+lemma: ``Lts`` also holds hand-made graphs, which need not satisfy it, and
+the model check reports a state that breaks it (``tau-purity``).
 
 Choice chains: ``step`` steps a maximal chain of ``[]`` nodes not stepped
 before on one frame, whose sources are the chain's leaves.  By the lemma, a
@@ -72,7 +73,7 @@ import json
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -464,15 +465,16 @@ class Lts:
     ``build_combined`` also maps each member of a class of ``|[S]|``
     compositions to the id of the one it keeps.
 
-    ``stable`` reads every move of a state, not its first: the validators
-    take hand-made graphs that break the purity lemma, and a state with both
+    ``stable`` reads every move of a state, not its first: the model check
+    takes hand-made graphs that break the purity lemma, and a state with both
     kinds of move must not count as stable there.  A support-only term is not
     stable.
 
     ``shapes`` gives each term's kind and the ids of its operands or
     expansion.  ``build_combined`` records them as it adds those children and
     passes them in; on a graph made by hand they are read off the terms when
-    first asked for.
+    first asked for, so a hand-made graph that the model check reads must
+    hold every term's operands and expansion, as every built graph does.
     """
 
     __slots__ = (
@@ -859,66 +861,23 @@ def weak_visible_step(lts: Lts, s: int, a: str) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of the structural model checks on a built graph."""
-
-    tau_pure: bool
-    lts1: bool
-    lts2: bool
-    forward_tau_f: bool
-    counterexamples: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.tau_pure and self.lts1 and self.lts2 and self.forward_tau_f
-
-
-def validate_llts(lts: Lts) -> ValidationReport:
-    """Check every state for: internal/visible exclusivity; backward
-    inconsistency propagation over fully inconsistent derivative sets; the
-    existence of a consistent path to a stable consistent state; and forward
-    inconsistency propagation along internal moves.  Support-only terms have
-    no stored moves to check."""
-    report = ValidationReport(True, True, True, True)
-    csd = lts.consistent_stable_descendants()
-    for i, succ in enumerate(lts.transitions):
-        if succ is UNSTORED:
-            continue
-        has_tau = any(a == TAU for a, _ in succ)
-        has_vis = any(a != TAU for a, _ in succ)
-        if has_tau and has_vis:
-            report.tau_pure = False
-            report.counterexamples.append((str(lts.terms[i]), "tau-purity"))
-        if not lts.inconsistent[i]:
-            by_action: dict[str, list[int]] = {}
-            for a, j in succ:
-                by_action.setdefault(a, []).append(j)
-            for a, targets in by_action.items():
-                if all(lts.inconsistent[j] for j in targets):
-                    report.lts1 = False
-                    report.counterexamples.append((str(lts.terms[i]), "lts1"))
-                    break
-            if not csd[i]:
-                report.lts2 = False
-                report.counterexamples.append((str(lts.terms[i]), "lts2"))
-        else:
-            for a, j in succ:
-                if a == TAU and not lts.inconsistent[j]:
-                    report.forward_tau_f = False
-                    report.counterexamples.append((str(lts.terms[i]), "forward-tau"))
-                    break
-    return report
-
-
 def consistency_law_violations(lts: Lts) -> list[tuple[str, str]]:
-    """Check the compositional laws of the inconsistency predicate on every
-    universe term, and the doomed-descendants law on every state; returns
-    (term, law) pairs that fail."""
+    """The model check of a graph, in one pass over its universe: the
+    (term, law) pairs that fail, in term order.  Every term is checked
+    against the compositional law of the inconsistency predicate for its
+    operator.  Every state is then checked against the LLTS conditions
+    (Lüttgen and Vogler, "Ready simulation for concurrency: it's logical!",
+    I&C 2010): its moves are all internal or all visible (``tau-purity``);
+    if it is consistent, each of its actions has a consistent target
+    (``lts1``) and a consistent path of internal moves reaches a stable
+    consistent state (``lts2``); if it is inconsistent, so are its internal
+    moves' targets (``forward-tau``).  Last comes the doomed-descendants law
+    on every state.  Support-only terms have no stored moves to check."""
     out: list[tuple[str, str]] = []
     shapes = lts.shapes()
     F = lts.inconsistent
-    for i in range(len(lts.terms)):
+    csd = lts.consistent_stable_descendants()
+    for i, succ in enumerate(lts.transitions):
         shape = shapes[i]
         kind = shape[0]
         if kind == "disj":
@@ -936,8 +895,18 @@ def consistency_law_violations(lts: Lts) -> list[tuple[str, str]]:
         elif kind == "rec":
             if F[i] != F[shape[1]]:
                 out.append((str(lts.terms[i]), "recursion-matches-expansion"))
-        if lts.transitions[i] is UNSTORED:
+        if succ is UNSTORED:
             continue
+        actions = {a for a, _ in succ}
+        if TAU in actions and len(actions) > 1:
+            out.append((str(lts.terms[i]), "tau-purity"))
+        if not F[i]:
+            if actions != {a for a, j in succ if not F[j]}:
+                out.append((str(lts.terms[i]), "lts1"))
+            if not csd[i]:
+                out.append((str(lts.terms[i]), "lts2"))
+        elif any(a == TAU and not F[j] for a, j in succ):
+            out.append((str(lts.terms[i]), "forward-tau"))
         sd = lts.stable_tau_descendants(i)
         if all(F[j] for j in sd) and not F[i]:
             out.append((str(lts.terms[i]), "doomed-descendants"))

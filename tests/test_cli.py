@@ -195,11 +195,17 @@ class TestValidate:
         assert out.count("ok") == 4
 
     def test_violation_line_exit_1(self, capsys, monkeypatch):
-        report = semantics.ValidationReport(True, False, True, True, [("a.0", "lts1")])
-        monkeypatch.setattr(semantics, "validate_llts", lambda lts: report)
+        monkeypatch.setattr(semantics, "consistency_law_violations", lambda lts: [("a.0", "lts1")])
         code, out, _ = run(capsys, "validate", "a.0")
         assert code == 1
         assert out == "tau-pure: ok\nlts1: VIOLATED\nlts2: ok\nforward-tau-f: ok\n  violation lts1: a.0\n"
+
+    def test_law_violation_alone_exits_1(self, capsys, monkeypatch):
+        # a compositional law leaves the four condition lines ok, and fails
+        monkeypatch.setattr(semantics, "consistency_law_violations", lambda lts: [("a.0", "prefix-transparent")])
+        code, out, _ = run(capsys, "validate", "a.0")
+        assert code == 1
+        assert out == "tau-pure: ok\nlts1: ok\nlts2: ok\nforward-tau-f: ok\n  violation prefix-transparent: a.0\n"
 
 
 class TestParse:

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,6 +52,7 @@ from llts.terms import (
     first_guard_violation,
     free_vars,
     normalize,
+    operands,
     rec_specs,
     unfold_one,
     variable_status,
@@ -347,6 +349,42 @@ class TestShrink:
         assert shrunk
 
 
+def _refuted(p, q):
+    """A refuted verdict, whatever the pair."""
+    return refinement.refines(Prefix("a", Nil()), Nil())
+
+
+def _refines_own_operands(p, q):
+    """A refinement that holds exactly when ``p`` is ``q`` or one of its
+    operands: reflexive, but neither transitive nor closed under contexts."""
+    return refinement.refines(Nil(), Nil()) if p is q or p in operands(q) else _refuted(p, q)
+
+
+def _conjunctions_flagged(build_combined):
+    """``build_combined``, with every root after the first flagged
+    inconsistent: the conjunction check's three conjunctions."""
+
+    def build(roots, limits=None):
+        lts = build_combined(roots, limits)
+        for i in lts.roots[1:]:
+            lts.inconsistent[i] = True
+        return lts
+
+    return build
+
+
+def _recursions_flagged(build_lts):
+    """``build_lts``, with a recursion's root flagged inconsistent."""
+
+    def build(t, limits=None):
+        lts = build_lts(t) if limits is None else build_lts(t, limits)
+        if isinstance(t, Rec):
+            lts.inconsistent[lts.root] = True
+        return lts
+
+    return build
+
+
 class TestChecks:
     def test_model_laws(self):
         report = check_model_laws(CFG, trials=60)
@@ -446,38 +484,94 @@ class TestChecks:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "63f55c3d5bf5ca2d18f96a9257c839f73507178972624f6db50ade0b44e6b3d8"
 
-    @pytest.mark.parametrize("name", ["coincidence", "brute-force"])
-    def test_failures_name_their_seed_and_trial(self, name, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, decision, fault, expected",
+        [
+            pytest.param("coincidence", "alt_refines", lambda real: lambda p, q: not real(p, q), None,
+                         id="coincidence"),
+            pytest.param("brute-force", "inconsistent_fixpoint_naive", lambda real: lambda lts: real(lts) ^ {0},
+                         None, id="brute-force"),
+            pytest.param("brute-force", "largest_stable_sim",
+                         lambda real: lambda lts: SimpleNamespace(pairs=real(lts).pairs ^ {(0, 0)}), None,
+                         id="brute-force-sim"),
+            pytest.param("unfolding", "equivalent", lambda real: lambda p, q: False,
+                         {"expansion preserves equivalence"}, id="unfolding-equivalent"),
+            pytest.param("unfolding", "is_multi_unfolding", lambda real: lambda t, s: False,
+                         {"forward matching", "backward matching"}, id="unfolding-matching"),
+            pytest.param("precongruence", "refines", lambda real: _refuted, {"algebraic seed laws hold"},
+                         id="precongruence-seed"),
+            pytest.param("precongruence", "refines", lambda real: _refines_own_operands,
+                         {"context preserves refinement"}, id="precongruence-context"),
+            pytest.param("operator-closure", "refines", lambda real: _refines_own_operands, {"closure holds"},
+                         id="operator-closure"),
+            pytest.param("conjunction", "build_combined", _conjunctions_flagged,
+                         {"consistent", "conjunction simulates"}, id="conjunction"),
+            pytest.param("unique-solution", "equivalent",
+                         lambda real: lambda p, q: not isinstance(q, Rec) and real(p, q), {"solutions coincide"},
+                         id="unique-solution-distinct"),
+            pytest.param("unique-solution", "build_lts", _recursions_flagged,
+                         {"existence matches recursion consistency"}, id="unique-solution-existence"),
+            pytest.param("preorder", "refines", lambda real: _refuted, {"refines(p, p)"}, id="preorder-reflexive"),
+            pytest.param("preorder", "refines", lambda real: _refines_own_operands, {"transitivity"},
+                         id="preorder-transitive"),
+            pytest.param("stratification", "stratification_violations",
+                         lambda real: lambda lts: [(semantics.RuleInstance("injected", ("f", Nil())), None, "fault")],
+                         {"rank discipline holds"}, id="stratification"),
+        ],
+    )
+    def test_failures_name_their_seed_and_trial(self, name, decision, fault, expected, monkeypatch):
+        # one decision the check reads, patched by ``fault`` so that the
+        # failure branches named by their ``expected`` text run; ``None``:
+        # the check records the two values that disagree, on the pair it
+        # draws at trial (for brute-force: search index) k
         import json
 
         from llts.properties import run_checks
 
-        # the check's oracle made to disagree everywhere, and the depth of the
-        # pair it draws at trial (for brute-force: search index) k
-        if name == "coincidence":
-            real = properties.alt_refines
-            monkeypatch.setattr(properties, "alt_refines", lambda p, q: not real(p, q))
-            depth = 4
-        else:
-            naive = properties.inconsistent_fixpoint_naive
-            monkeypatch.setattr(properties, "inconsistent_fixpoint_naive", lambda lts: naive(lts) ^ {0})
-            depth = 3
-        seed = 11
-        report = run_checks(seed, trials=6, only=name)[0]
+        monkeypatch.setattr(properties, decision, fault(getattr(properties, decision)))
+        seed, trials = 11, 6
+        report = run_checks(seed, trials=trials, only=name)[0]
         assert report.failures
-        drawn = GenConfig(seed=seed, max_depth=depth)
+        # brute-force stamps its search index; unique-solution also its one
+        # informational body's
+        attempted = {"brute-force": range(1, 40 * trials + 1), "unique-solution": [*range(trials), 50_000]}
+        attempted = attempted.get(name, range(trials))
         for f in report.failures:
-            assert f.seed == seed
-            assert f.inputs == tuple(str(_gen_term_trial(drawn, 2 * f.trial + i)) for i in (0, 1))
+            assert f.seed == seed and f.trial in attempted
+        if expected is None:
+            drawn = GenConfig(seed=seed, max_depth=3 if name == "brute-force" else 4)
+            for f in report.failures:
+                assert f.inputs == tuple(str(_gen_term_trial(drawn, 2 * f.trial + i)) for i in (0, 1))
+        else:
+            assert expected <= {f.expected for f in report.failures}
         doc = json.loads(report_to_json(report))
         assert [(f["seed"], f["trial"]) for f in doc["failures"]] == [
             (f.seed, f.trial) for f in report.failures
         ]
         if name == "coincidence":
-            assert all(0 <= f.trial < 6 for f in report.failures)
             last = report.failures[-1]
             again = run_checks(seed, trials=last.trial + 1, only=name)[0]
             assert again.failures[-1] == last
+
+    @pytest.mark.parametrize("name", ["model-laws", "f-laws"])
+    def test_one_failure_record_for_the_model_check(self, name, monkeypatch):
+        # every graph fails with the same five pairs, one repeated: each
+        # failing graph is one failure, of the trial's generated terms, with
+        # the first three distinct pairs, sorted
+        pairs = [("b.0", "lts2"), ("a.0", "lts1"), ("b.0", "lts2"), ("a.0", "forward-tau"), ("0", "lts1")]
+        monkeypatch.setattr(properties, "consistency_law_violations", lambda lts: pairs)
+        report = ALL_CHECKS[name](CFG, 2)
+        first = [("0", "lts1"), ("a.0", "forward-tau"), ("a.0", "lts1")]
+        assert all((f.observed, f.expected) == (first, "model laws hold") for f in report.failures)
+        depth = max(2, CFG.max_depth - 1)
+        if name == "f-laws":  # its pair graph and its recursion's, per trial
+            assert [(f.trial, f.inputs) for f in report.failures] == [
+                (k, tuple(str(_gen_term_trial(CFG, 2 * k + i, depth=depth)) for i in (0, 1)))
+                for k in range(2)
+                for _ in range(2)
+            ]
+        else:  # the term, shrunk as far as a failing graph goes: to 0
+            assert [(f.trial, f.inputs) for f in report.failures] == [(k, ("0",)) for k in range(2)]
 
     def test_baseline_rejects_unknown_theorem(self, tmp_path):
         import json
@@ -578,9 +672,14 @@ class TestRareBranches:
 
 def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremReport:
     """``check_f_laws`` with one graph per composite: each of its roots is
-    built alone and read with ``consistency_law_violations``, and each
-    violation is reported once a trial, as the one graph holds each term
-    once."""
+    built alone and read with ``consistency_law_violations``, and the pairs
+    of those eight graphs together are one failure, as the one graph holds
+    them all; the recursion's graph is a failure of its own.  A failure
+    lists the first three distinct pairs, sorted."""
+
+    def record(report, inputs, violations):
+        if violations:
+            report.fail(inputs, sorted(set(violations))[:3], "model laws hold")
 
     def trial(report, k):
         p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
@@ -590,13 +689,9 @@ def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremRepor
             Disj(p, q), ExtChoice(p, q), Parallel(frozenset(), p, q), Prefix(a, p), Prefix(TAU, p)
         ]
         graphs = [build_combined([t]) for t in (p, q, Conj(p, q), *composites)]
-        graphs.append(properties._probed_equation(config, 3 * trials + k, "RF", False)[1])
-        seen = set()
-        for lts in graphs:
-            for violation in consistency_law_violations(lts):
-                if violation not in seen:
-                    seen.add(violation)
-                    report.fail([violation[0]], "violated", violation[1])
+        record(report, [p, q], [v for lts in graphs for v in consistency_law_violations(lts)])
+        recursion = properties._probed_equation(config, 3 * trials + k, "RF", False)[1]
+        record(report, [p, q], consistency_law_violations(recursion))
 
     return properties._run("f-laws", config.seed, trials, trial)
 

@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import gc
 import json
 import threading
@@ -31,7 +30,6 @@ from llts.semantics import (
     step,
     stratification_violations,
     used_rule_instances,
-    validate_llts,
     weak_visible_step,
 )
 from llts.refinement import largest_stable_sim
@@ -409,7 +407,7 @@ class TestGuardedRecursion:
     def test_many_recursions_in_one_step(self, name):
         lts = build_lts(parse(MANY_RECURSIONS[name]))
         assert not lts.inconsistent[lts.root]
-        assert validate_llts(lts).ok
+        assert consistency_law_violations(lts) == []
 
     @pytest.mark.parametrize("name", sorted(UNGUARDED))
     def test_same_violation_as_parse(self, name):
@@ -670,51 +668,52 @@ class TestDescendants:
 
 def _handmade_lts(terms, transitions, inconsistent):
     """Assemble a graph directly, bypassing the builder, with the given
-    inconsistency flags: the validators meet structures the semantics can
-    never produce, and the descendant relations meet hand-drawn cycles."""
+    inconsistency flags: the model check meets structures the semantics can
+    never produce, and the descendant relations meet hand-drawn cycles.  A
+    support-only term's entry is ``UNSTORED`` itself."""
     index = {t: i for i, t in enumerate(terms)}
-    lts = Lts(list(terms), index, [0], [tuple(t) for t in transitions], BuildLimits())
+    lts = Lts(list(terms), index, [0], list(transitions), BuildLimits())
     lts.inconsistent = list(inconsistent)
     return lts
 
 
 class TestValidate:
+    """The LLTS conditions of the model check, on built graphs and on
+    hand-made graphs that break one each.  A hand-made graph holds every
+    term's operands, support-only where no move reaches them."""
+
     @pytest.mark.parametrize("seed", range(30))
     def test_built_graphs_validate(self, seed):
-        t = _gen_term_trial(CFG, seed)
+        # trials 40-69: ``TestCompositionalLaws.test_generated`` checks 0-39
+        t = _gen_term_trial(CFG, 40 + seed)
         try:
             lts = build_lts(t)
         except StateBoundExceeded:
             return
-        report = validate_llts(lts)
-        assert report.ok, report.counterexamples
+        assert consistency_law_violations(lts) == []
 
     def test_handcrafted_tau_purity_violation(self):
-        terms = [parse("a.0 [] tau.0"), parse("0")]
-        lts = _handmade_lts(terms, [(("a", 1), (TAU, 1)), ()], [False, False])
+        terms = [parse("a.0 [] tau.0"), parse("0"), parse("a.0"), parse("tau.0")]
+        transitions = [(("a", 1), (TAU, 1)), (), UNSTORED, UNSTORED]
+        lts = _handmade_lts(terms, transitions, [False] * 4)
         # ``stable`` reads every move, not the first: this graph is impure
-        assert lts.stable == [False, True]
-        report = validate_llts(lts)
-        assert not report.tau_pure
-        assert any(prop == "tau-purity" for _, prop in report.counterexamples)
+        assert lts.stable == [False, True, False, False]
+        assert consistency_law_violations(lts) == [("a.0 [] tau.0", "tau-purity")]
 
     def test_handcrafted_divergence_violation(self):
-        terms = [parse("tau.0"), parse("0 [] 0")]
-        lts = _handmade_lts(terms, [((TAU, 1),), ((TAU, 0),)], [False, False])
-        report = validate_llts(lts)
-        assert not report.lts2
+        terms = [parse("tau.0"), parse("0 [] 0"), parse("0")]
+        lts = _handmade_lts(terms, [((TAU, 1),), ((TAU, 0),), UNSTORED], [False] * 3)
+        assert ("tau.0", "lts2") in consistency_law_violations(lts)
 
     def test_handcrafted_lts1_violation(self):
         terms = [parse("a.bot"), parse("bot")]
         lts = _handmade_lts(terms, [(("a", 1),), ()], [False, True])
-        report = validate_llts(lts)
-        assert not report.lts1
+        assert ("a.bot", "lts1") in consistency_law_violations(lts)
 
     def test_handcrafted_forward_violation(self):
-        terms = [parse("tau.0 [] tau.0"), parse("0")]
-        lts = _handmade_lts(terms, [((TAU, 1),), ()], [True, False])
-        report = validate_llts(lts)
-        assert not report.forward_tau_f
+        terms = [parse("tau.0 [] tau.0"), parse("0"), parse("tau.0")]
+        lts = _handmade_lts(terms, [((TAU, 1),), (), UNSTORED], [True, False, False])
+        assert ("tau.0 [] tau.0", "forward-tau") in consistency_law_violations(lts)
 
 
 class TestCompositionalLaws:
@@ -736,16 +735,34 @@ class TestCompositionalLaws:
             ("bot /\\ a.0", "bot /\\ a.0", "conjunction-either-operand"),
             ("<X | X = a.X>", "<X | X = a.X>", "recursion-matches-expansion"),
             ("tau.0", "0", "doomed-descendants"),
+            ("a.bot", "a.bot", "lts1"),
+            ("tau.bot", "tau.bot", "lts2"),
+            ("tau.0", "tau.0", "forward-tau"),
         ],
     )
     def test_one_flipped_flag_names_its_law(self, text, flipped, law):
         built = build_lts(parse(text))
         assert consistency_law_violations(built) == []
-        lts = copy.copy(built)
+        # a fresh graph, so that no relation derived from the built flags is kept
+        lts = Lts(built.terms, built.index, built.roots, built.transitions, built.limits, built.shapes())
         lts.inconsistent = list(built.inconsistent)
         i = lts.index[parse(flipped)]
         lts.inconsistent[i] = not lts.inconsistent[i]
         assert law in {name for _, name in consistency_law_violations(lts)}
+
+    def test_benchmark_shapes_pass(self):
+        # the golden corpus's generated terms and check-build shapes, and the
+        # interleaving pair graphs at n = 3-5: wide choices, deep chains and
+        # ``|[S]|`` class aliases
+        graphs = [build_lts(t) for t in golden._generated().values()]
+        graphs += [build_lts(parse(text)) for text in golden._check_shapes().values()]
+        for n in range(3, 6):
+            p = parse(golden._interleaving(n))
+            graphs.append(build_lts(p))
+            graphs += [build_combined([p, parse(golden._interleaving(n, k))]) for k in range(n)]
+        assert len(graphs) == 826
+        assert any(len(lts.index) > len(lts.terms) for lts in graphs)  # class aliases
+        assert [consistency_law_violations(lts) for lts in graphs] == [[]] * len(graphs)
 
 
 def _published_unguarded_rec_count(t):
@@ -917,7 +934,7 @@ class TestOperandRules:
             assert list(lts.transitions[i]) == _classed(lts, moves)
             _assert_pure(moves)
             assert list(dict.fromkeys(instance_moves[u])) == moves
-        assert validate_llts(lts).ok
+        assert consistency_law_violations(lts) == []
 
     def test_duplicate_moves_stored_once(self):
         lts = build_lts(parse("a.0 [] a.0 [] b.0"))
@@ -1011,7 +1028,6 @@ class TestLazyUniverse:
                 assert not isinstance(u, Rec) or unfold_rec(u) in lts.index
             flagged = frozenset(i for i, f in enumerate(lts.inconsistent) if f)
             assert flagged == inconsistent_fixpoint_naive(lts)
-            assert validate_llts(lts).ok
             assert consistency_law_violations(lts) == []
 
     @GENERATED
