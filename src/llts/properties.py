@@ -658,18 +658,19 @@ def check_model_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
     """Every generated term builds a graph that passes the model check,
     ``consistency_law_violations``: the LLTS conditions and the
     compositional inconsistency laws.  A failure carries the term, greedily
-    shrunk while its graph still fails the check."""
+    shrunk while its graph still fails the check, with the violations of
+    the shrunk term's own graph, so each one can be rebuilt from the term."""
 
     def trial(report: TheoremReport, k: int) -> None:
         t, lts = _probed_trial(config, k, config.max_depth)
-        bad = _first_violations(lts)
-        if bad:
+        if _first_violations(lts):
 
             def still_fails(s: Term) -> bool:
                 l2 = _bounded(build_lts, s)
                 return l2 is not None and bool(consistency_law_violations(l2))
 
-            report.fail([shrink_term(t, still_fails)], bad, "model laws hold")
+            s = shrink_term(t, still_fails)
+            report.fail([s], _first_violations(_bounded(build_lts, s)), "model laws hold")
 
     return _run("model-laws", config.seed, trials, trial)
 
@@ -678,7 +679,8 @@ def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
     """The model check, ``consistency_law_violations``, on explicitly
     constructed pairs and their composites, each trial's read off one graph
     (a flag does not depend on the rest), and on a generated recursion's
-    graph.  Each failing graph is one failure of the trial's pair."""
+    graph.  Each failing graph is one failure, of the input it is built
+    from: the trial's pair, or the recursion."""
 
     def trial(report: TheoremReport, k: int) -> None:
         p = _gen_term_trial(config, 2 * k, depth=max(2, config.max_depth - 1))
@@ -690,10 +692,10 @@ def check_f_laws(config: GenConfig, trials: int = 200) -> TheoremReport:
         ]
         pairs = build_combined([p, q, Conj(p, q), *composites])
         recursion = _probed_equation(config, 3 * trials + k, "RF", False)[1]
-        for lts in (pairs, recursion):
+        for inputs, lts in (([p, q], pairs), ([recursion.terms[recursion.root]], recursion)):
             bad = _first_violations(lts)
             if bad:
-                report.fail([p, q], bad, "model laws hold")
+                report.fail(inputs, bad, "model laws hold")
 
     return _run("f-laws", config.seed, trials, trial)
 

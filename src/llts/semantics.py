@@ -8,9 +8,13 @@ transition rules, ``compute_inconsistent`` its inconsistency rules as Horn
 clauses, and ``used_rule_instances`` both, with their premises.  ``step``
 applies the rules bottom-up in one loop over an explicit stack of frames, so
 the depth of a term is no limit: a term is stepped once the moves of its
-premise sources are known.  The one function that builds a frame checks a
-recursion's equations guarded from their recorded facts, so by
-``terms.StratRank`` every chain of recursion expansions ends.
+premise sources are known.  The rules of a prefix, a disjunction, ``0`` and
+``bot`` read no premise moves, so such a term's sources are always known: it
+gets no frame, asked for or met as a source, and the table's rules store its
+moves on the spot, the moves a frame with no sources would store.
+The one function that builds a frame checks a recursion's equations guarded
+from their recorded facts, so by ``terms.StratRank`` every chain of
+recursion expansions ends.
 
 Flags read off terms: the inconsistency rules of ``0``, ``bot``, prefix,
 ``\\/``, ``[]`` and ``|[S]|`` read only their operands' flags, and
@@ -363,14 +367,19 @@ def _check_closed(t: Term) -> None:
         raise ValueError(f"only closed terms have a transition graph: {t}")
 
 
+# The operators whose transition rules read no premise moves (module docstring).
+_NO_PREMISES = (Nil, Bottom, Prefix, Disj)
+
+
 def _frame(t: Term, memo: dict) -> tuple:
     """The frame that steps ``t``: its head, its sources and an iterator
     over them.  A choice heads the maximal chain of choices below it not in
     ``memo``, stepped as one node: the head is the chain's distinct nodes
     bottom-up, and the sources are its distinct leaves left to right.  Any
     other term is its own head, and its sources are the terms whose moves
-    its rules read: a recursion's expansion, or a composition's operands.  A
-    recursion is checked guarded first, off its recorded facts."""
+    its rules read: none for ``_NO_PREMISES``, a recursion's expansion, or a
+    composition's operands.  A recursion is checked guarded first, off its
+    recorded facts."""
     kind = type(t)
     if kind is ExtChoice:
         nodes, leaves, seen = [], {}, {t}
@@ -391,7 +400,7 @@ def _frame(t: Term, memo: dict) -> tuple:
         violation = t.spec.guard_violation
         if violation is not None:
             raise GuardednessError(*violation)
-    sources = () if kind in (Prefix, Disj) else support_children(t)
+    sources = () if kind in _NO_PREMISES else support_children(t)
     return t, sources, iter(sources)
 
 
@@ -402,16 +411,23 @@ def _closed_step(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
     One loop over a stack of ``_frame``s, so the depth of a term is no
     limit: a source not in ``memo`` is stepped first, on a frame of its own,
     and a frame whose sources are all in ``memo`` is finished and stored
-    there.  A term whose sources are known is a run of one frame.  The loop
-    ends by the argument of ``terms.StratRank``."""
+    there.  A term whose sources are known is a run of one frame, and one
+    of ``_NO_PREMISES``, asked for or met as a source, is stored with no
+    frame.  The loop ends by the argument of ``terms.StratRank``."""
     moves = memo.get(t)
     if moves is not None:
         return moves
+    if type(t) in _NO_PREMISES:
+        _apply_rules(t, memo)
+        return memo[t]
     head, sources, todo = _frame(t, memo)
     stack = []  # the frames below the current one
     while True:
         for u in todo:
             if u not in memo:
+                if type(u) in _NO_PREMISES:
+                    _apply_rules(u, memo)
+                    continue
                 stack.append((head, sources, todo))
                 head, sources, todo = _frame(u, memo)
                 break
@@ -434,14 +450,20 @@ def _closed_step(t: Term, memo: dict) -> tuple[tuple[str, Term], ...]:
 
 def _apply_rules(t: Term, memo: dict) -> None:
     """Store ``t``'s moves by the rule table in ``memo``, where its premise
-    sources' moves are."""
+    sources' moves are: their first occurrences in rule order.  One batch is
+    stored as it is, as its moves are distinct: a prefix's one move, or a
+    recursion's expansion's moves."""
     rules = RULES.get(type(t))
     if rules is None:
         raise TypeError(f"not a term: {t!r}")
+    batches = rules.moves(t, memo.__getitem__)
+    if len(batches) == 1:
+        memo[t] = tuple(batches[0][2])
+        return
     moves: list[tuple[str, Term]] = []
-    for _, _, batch in rules.moves(t, memo.__getitem__):
+    for _, _, batch in batches:
         moves += batch
-    memo[t] = tuple(dict.fromkeys(moves))  # first occurrences, in order
+    memo[t] = tuple(dict.fromkeys(moves))
 
 
 class _Unstored(tuple):
@@ -749,20 +771,29 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
     step_memo = _step_memo()
     kinds = {cls: rules.kind for cls, rules in RULES.items()}
     pairs: dict = {}  # each distinct move (action, term) -> its stored (action, id)
+    known = index.get
     while todo:
         i = todo.popleft()
         t = terms[i]
         cls = type(t)
-        # ``support_children(t)``, read inline; a conjunction's are states
-        if cls is Prefix:
-            shapes[i] = (kinds[cls], add(t.body, False))
-        elif cls is Rec:
-            shapes[i] = (kinds[cls], add(unfold_rec(t), False))
+        # ``support_children(t)``, read inline: a conjunction's are states,
+        # and any other child already in ``index`` needs no ``add``
+        if cls is Prefix or cls is Rec:
+            c = t.body if cls is Prefix else unfold_rec(t)
+            j = known(c)
+            shapes[i] = (kinds[cls], add(c, False) if j is None else j)
         elif cls is Nil or cls is Bottom:
             shapes[i] = (kinds[cls],)
+        elif cls is Conj:
+            shapes[i] = (kinds[cls], add(t.left), add(t.right))
         else:
-            conj = cls is Conj
-            shapes[i] = (kinds[cls], add(t.left, conj), add(t.right, conj))
+            l, r = t.left, t.right
+            jl, jr = known(l), known(r)
+            shapes[i] = (
+                kinds[cls],
+                add(l, False) if jl is None else jl,
+                add(r, False) if jr is None else jr,
+            )
         if not is_state[i]:
             transitions[i] = UNSTORED
             continue
@@ -773,7 +804,10 @@ def build_combined(roots: list[Term], limits: BuildLimits | None = None) -> Lts:
         for move in moves:
             pair = pairs.get(move)
             if pair is None:
-                pair = pairs[move] = (move[0], add(move[1]))
+                j = known(move[1])
+                if j is None or not is_state[j]:  # new, or support-only so far
+                    j = add(move[1])
+                pair = pairs[move] = (move[0], j)
             stored.append(pair)
         if len(index) > len(terms):  # an alias: moves to one class are stored once
             stored = dict.fromkeys(stored)

@@ -176,8 +176,11 @@ class _Group:
         ops, operands = self.ops, self.operands
         while ops and ops[-1][0] >= level:
             _, cls, head = ops.pop()
-            n = 1 if cls is Prefix else 2
-            operands[-n:] = [cls(*head, *operands[-n:])]
+            if cls is Prefix:
+                operands[-1] = Prefix(*head, operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = cls(*head, operands[-1], right)
 
 
 class _Parser:

@@ -319,6 +319,15 @@ def _flag(cls: type, flags) -> bool | None:
     return needs(flags)
 
 
+# Per binary operator, the facts of a composition of two closed operands
+# without a binder, by the operands' (left, right) flags: ``_flag`` folded
+# once per pair, here, rather than at every construction.
+_CLOSED_PAIRS = {
+    cls: {(l, r): _CLOSED[_flag(cls, (l, r))] for l in _CLOSED for r in _CLOSED}
+    for cls in (ExtChoice, Conj, Disj, Parallel)
+}
+
+
 def _closed(facts: _Facts) -> bool:
     """Whether ``facts`` are those of a closed term without a binder."""
     return _CLOSED[facts.flag] is facts
@@ -327,13 +336,14 @@ def _closed(facts: _Facts) -> bool:
 def _composed(t: Term, left: _Facts, right: _Facts) -> _Facts:
     """The facts of ``t``, a composition whose operands have the facts
     ``left`` and ``right``.  Over two closed operands without a binder they
-    are the ``_CLOSED`` object of ``t``'s flag.  Otherwise they are one
-    operand's own object when the other is closed without a binder, or both
-    are the same, and else ``_facts_of(t)``.  A disjunction guards its
-    operands, so it shares none with an unguarded name."""
+    are the ``_CLOSED`` object of ``t``'s flag, read from ``_CLOSED_PAIRS``.
+    Otherwise they are one operand's own object when the other is closed
+    without a binder, or both are the same, and else ``_facts_of(t)``.  A
+    disjunction guards its operands, so it shares none with an unguarded
+    name."""
     if _closed(right):
         if _closed(left):
-            return _CLOSED[_flag(type(t), (left.flag, right.flag))]
+            return _CLOSED_PAIRS[type(t)][left.flag, right.flag]
         shared = left
     elif right is left or _closed(left):
         shared = right
@@ -779,12 +789,13 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     """
 
     def enter(t: Term, subst: dict[str, Term]):
-        free = free_vars(t)
-        if not (free & subst.keys()):
+        free = t._facts.free
+        if free.isdisjoint(subst):
             return t, None, None
-        if isinstance(t, Var):
+        cls = type(t)
+        if cls is Var:
             return subst[t.name], None, None
-        if isinstance(t, Rec):
+        if cls is Rec:
             # free names of a recursion are never its own binders
             subst = {k: v for k, v in subst.items() if k in free}
             inserted = _EMPTY.union(*map(free_vars, subst.values()))
@@ -793,7 +804,8 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
                 avoid = set(all_names(t)) | set(inserted) | set(subst)
                 renaming = {old: _fresh_name(old, avoid) for old in sorted(captured)}
                 t = _rename_binders(t, renaming)
-        return t, subterms(t), subst
+            return t, subterms(t), subst
+        return t, operands(t), subst
 
     return _walk(t, dict(bindings), enter) if bindings else t
 

@@ -555,21 +555,31 @@ class TestChecks:
 
     @pytest.mark.parametrize("name", ["model-laws", "f-laws"])
     def test_one_failure_record_for_the_model_check(self, name, monkeypatch):
-        # every graph fails with the same five pairs, one repeated: each
-        # failing graph is one failure, of the trial's generated terms, with
-        # the first three distinct pairs, sorted
-        pairs = [("b.0", "lts2"), ("a.0", "lts1"), ("b.0", "lts2"), ("a.0", "forward-tau"), ("0", "lts1")]
-        monkeypatch.setattr(properties, "consistency_law_violations", lambda lts: pairs)
+        # every graph fails with the same five pairs, one repeated, two of
+        # them naming its first root: each failing graph is one failure, of
+        # the input it is built from, with the first three distinct pairs of
+        # that input's graph, sorted, so every pair can be rebuilt from it
+        def violations(lts):
+            root = str(lts.terms[lts.root])
+            return [(root, "lts2"), ("a.0", "lts1"), (root, "lts2"), ("a.0", "forward-tau"), ("0", "lts1")]
+
+        monkeypatch.setattr(properties, "consistency_law_violations", violations)
         report = ALL_CHECKS[name](CFG, 2)
-        first = [("0", "lts1"), ("a.0", "forward-tau"), ("a.0", "lts1")]
-        assert all((f.observed, f.expected) == (first, "model laws hold") for f in report.failures)
+        for f in report.failures:
+            pairs = {(f.inputs[0], "lts2"), ("a.0", "lts1"), ("a.0", "forward-tau"), ("0", "lts1")}
+            assert (f.observed, f.expected) == (sorted(pairs)[:3], "model laws hold")
         depth = max(2, CFG.max_depth - 1)
-        if name == "f-laws":  # its pair graph and its recursion's, per trial
+        if name == "f-laws":  # its pair graph, then its recursion's, per trial
+            recursions = [properties._probed_equation(CFG, 3 * 2 + k, "RF", False)[1] for k in range(2)]
             assert [(f.trial, f.inputs) for f in report.failures] == [
-                (k, tuple(str(_gen_term_trial(CFG, 2 * k + i, depth=depth)) for i in (0, 1)))
-                for k in range(2)
-                for _ in range(2)
+                (k, inputs)
+                for k, lts in enumerate(recursions)
+                for inputs in (
+                    tuple(str(_gen_term_trial(CFG, 2 * k + i, depth=depth)) for i in (0, 1)),
+                    (str(lts.terms[lts.root]),),
+                )
             ]
+            assert all("RF" in f.inputs[0] for f in report.failures[1::2])
         else:  # the term, shrunk as far as a failing graph goes: to 0
             assert [(f.trial, f.inputs) for f in report.failures] == [(k, ("0",)) for k in range(2)]
 
@@ -674,8 +684,8 @@ def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremRepor
     """``check_f_laws`` with one graph per composite: each of its roots is
     built alone and read with ``consistency_law_violations``, and the pairs
     of those eight graphs together are one failure, as the one graph holds
-    them all; the recursion's graph is a failure of its own.  A failure
-    lists the first three distinct pairs, sorted."""
+    them all; the recursion's graph is a failure of its own, of the
+    recursion.  A failure lists the first three distinct pairs, sorted."""
 
     def record(report, inputs, violations):
         if violations:
@@ -691,7 +701,7 @@ def _reference_f_laws(config: GenConfig, trials: int) -> properties.TheoremRepor
         graphs = [build_combined([t]) for t in (p, q, Conj(p, q), *composites)]
         record(report, [p, q], [v for lts in graphs for v in consistency_law_violations(lts)])
         recursion = properties._probed_equation(config, 3 * trials + k, "RF", False)[1]
-        record(report, [p, q], consistency_law_violations(recursion))
+        record(report, [recursion.terms[recursion.root]], consistency_law_violations(recursion))
 
     return properties._run("f-laws", config.seed, trials, trial)
 

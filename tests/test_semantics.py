@@ -335,6 +335,31 @@ class TestStep:
         moves = step(parse("<X | X = a.X |[]| a.b.X>"))
         assert {a for a, _ in moves} == {"a"}
 
+    @pytest.mark.parametrize(
+        "text, frames",
+        [
+            (".".join(f"x{i}" for i in range(5000)) + ".(y.bot \\/ bot)", 0),
+            (" [] ".join(f"x{i}.0" for i in range(1000)), 1),
+        ],
+        ids=["prefix-chain", "wide-choice"],
+    )
+    def test_no_frame_without_premises(self, text, frames, monkeypatch):
+        # a prefix, a disjunction, 0 and bot are stored with no frame, asked
+        # for or met as a source: a prefix chain's build makes none, and a
+        # wide choice's one, for the chain
+        calls = []
+        frame = semantics._frame
+        monkeypatch.setattr(semantics, "_frame", lambda t, memo: calls.append(t) or frame(t, memo))
+        lts = build_lts(parse(text))
+        assert len(calls) == frames
+        assert len(_states(lts)) > 1
+
+    @pytest.mark.parametrize("name", sorted(golden._check_shapes()))
+    def test_oracle_on_every_state_of_the_check_shapes(self, name):
+        lts = build_lts(parse(golden._check_shapes()[name]))
+        for i in _states(lts):
+            assert set(step(lts.terms[i])) == oracle_step(lts.terms[i])
+
 
 def wide_recursions(op: str, n: int = 1001) -> str:
     """``n`` one-state loops, each its own recursion, joined by ``op``."""
